@@ -49,18 +49,12 @@ from .io import (
     save_summary,
 )
 from .mcmc import (
-    ChainCheckpoint,
     ChainConfig,
     ChainRunner,
     gibbs_update_B,
-    load_checkpoint,
-    mh_update_pi,
     predictive_log_lik,
-    refresh_aux,
     run_chain,
     sample_alpha,
-    sample_aux_counts,
-    sweep_Z,
 )
 from .model import (
     PI_CEILING,
@@ -139,17 +133,11 @@ __all__ = [
     "levy_exposure_mass",
     # mcmc
     "ChainConfig",
-    "ChainCheckpoint",
     "ChainRunner",
-    "sample_aux_counts",
     "gibbs_update_B",
-    "sweep_Z",
-    "mh_update_pi",
     "sample_alpha",
-    "refresh_aux",
     "run_chain",
     "predictive_log_lik",
-    "load_checkpoint",
     # evaluation
     "EvalReport",
     "MatchResult",

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .mcmc import ChainConfig, predictive_log_lik, run_chain
+from .mcmc import predictive_log_lik, run_chain
 from .model import CountMatrix, ObservationMask, poisson_log_pmf
 
 __all__ = [
@@ -358,14 +358,7 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
     first_summary = None
     for i, mask in enumerate(masks):
         hp = config.hyper.replace(seed=config.hyper.seed + i)
-        cfg = ChainConfig(
-            hyper=hp,
-            checkpoint_path=None,
-            checkpoint_interval=0,
-            init_mode=config.init_mode,
-            adapt_mh=config.adapt_mh,
-            log_every=config.log_every,
-        )
+        cfg = replace(config, hyper=hp, checkpoint_path=None, checkpoint_interval=0)
         summary = run_chain(data, mask, cfg)
         if first_summary is None:
             first_summary = summary

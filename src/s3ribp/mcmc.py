@@ -1,12 +1,21 @@
 """Gibbs/MH kernel and chain driver for the doubly sparse Poisson factorization.
 
-Each iteration updates, in order: every entry of the binary feature matrix Z
-(entry-wise Gibbs with the Poisson likelihood marginalized over auxiliary
-counts), the feature weights pi (per-atom random-walk MH in logit space),
-the auxiliary count splits and factor loadings B (exact conjugate draws),
-and finally the mass parameter alpha.  The auxiliary counts split each
-observed cell's count across active features, x'_ndk ~ Poisson(z_nk b_kd),
-which restores Gamma conjugacy for B.
+``ChainRunner`` is the only implementation of the kernel.  Each iteration
+runs six stages in a fixed order, each a ``ChainRunner`` method:
+
+1. Z sweep (``_sweep_z_internal``): entry-wise Gibbs over the binary feature
+   matrix, with the Poisson likelihood marginalized over auxiliary counts;
+2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space;
+3. aux split (``_refresh_aux_internal``): every observed positive cell's
+   count split across active features, x'_ndk ~ Poisson(z_nk b_kd), which
+   restores Gamma conjugacy for B;
+4. B draw (``_update_b_internal``): the conjugate loading draw;
+5. alpha draw (``_update_alpha_internal``): the conjugate mass draw;
+6. invariant check (``_validate_internal``).
+
+No stage reads the auxiliary split before the aux stage redraws it whole
+from (Z, B), so a chain started from any (Z, B, pi, alpha) needs no stored
+split: ``ChainRunner.from_state`` draws a fresh one.
 
 The driver is deterministic given the seed: one numpy Generator drives every
 draw in a fixed order, and checkpoints capture the full generator state, so
@@ -18,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -40,22 +49,16 @@ from .priors import atom_log_prior, levy_exposure_mass, sample_pi_truncated
 
 __all__ = [
     "ChainConfig",
-    "ChainCheckpoint",
     "ChainRunner",
-    "sample_aux_counts",
     "gibbs_update_B",
-    "sweep_Z",
-    "mh_update_pi",
     "sample_alpha",
-    "refresh_aux",
     "run_chain",
     "predictive_log_lik",
-    "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 _ADAPT_EVERY = 100
 _ADAPT_LO, _ADAPT_HI = 0.20, 0.40
 _STEP_MIN, _STEP_MAX = 1e-3, 50.0
@@ -72,21 +75,17 @@ class ChainConfig:
     """Chain-level knobs around the hyperparameters.
 
     The retention schedule (burn_in, n_samples, thin) lives on the
-    HyperParams and is exposed here as properties.  ``adapt_mh`` tunes the
-    MH step during burn-in toward a 20-40% acceptance rate and freezes it
-    afterwards; turn it off to keep the kernel time-homogeneous.
+    HyperParams and is exposed here as properties.  The runner tunes the MH
+    step during burn-in toward a 20-40% acceptance rate and freezes it
+    afterwards, so the retained draws come from a time-homogeneous kernel.
     """
 
     hyper: HyperParams
     checkpoint_path: str | None = None
     checkpoint_interval: int = 0
-    init_mode: str = "prior"
-    adapt_mh: bool = True
     log_every: int = 0
 
     def __post_init__(self):
-        if self.init_mode != "prior":
-            raise DomainError(f"unknown init mode {self.init_mode!r}")
         if self.checkpoint_interval < 0:
             raise DomainError("checkpoint_interval must be non-negative")
         if self.checkpoint_interval and not self.checkpoint_path:
@@ -113,8 +112,6 @@ class ChainConfig:
             "hyper": self.hyper.to_dict(),
             "checkpoint_path": self.checkpoint_path,
             "checkpoint_interval": self.checkpoint_interval,
-            "init_mode": self.init_mode,
-            "adapt_mh": self.adapt_mh,
             "log_every": self.log_every,
         }
 
@@ -125,39 +122,8 @@ class ChainConfig:
         return cls(**d)
 
 
-@dataclass
-class ChainCheckpoint:
-    """A resumable snapshot: schema version, iteration, state, RNG state."""
-
-    schema_version: int
-    iteration: int
-    state: LatentState
-    rng_state: dict
-    hyper_digest: str
-
-
 # ---------------------------------------------------------------------------
-# kernel pieces (array-level, shared by the public ops and the driver)
-
-
-def sample_aux_counts(x, rates, rng):
-    """Split one observed count across features: multinomial with the given rates.
-
-    A positive count with no positive rate has nowhere to go; that state has
-    zero likelihood and is an error.
-    """
-    x = int(x)
-    if x < 0:
-        raise DomainError("count must be non-negative")
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1 or np.any(rates < 0) or not np.all(np.isfinite(rates)):
-        raise DomainError("rates must be a finite non-negative vector")
-    if x == 0:
-        return np.zeros(rates.shape[0], dtype=np.int64)
-    total = rates.sum()
-    if total <= 0:
-        raise DomainError("positive count with all-zero rates has zero likelihood")
-    return rng.multinomial(x, rates / total).astype(np.int64)
+# kernel pieces (array-level, called by the runner's stages)
 
 
 def gibbs_update_B(aux_sums, activity_sums, hp, rng):
@@ -177,18 +143,18 @@ def gibbs_update_B(aux_sums, activity_sums, hp, rng):
     return np.maximum(rng.gamma(shape, 1.0 / rate), _B_FLOOR)
 
 
-def sample_alpha(k_plus, hp, rng):
+def sample_alpha(k_plus, exposure_mass, hp, rng):
     """Mass-parameter draw: Gamma(prior shape + K+, rate 1/prior scale + M).
 
-    M is the exposure mass of the truncated weight measure, so K+ plays the
-    role of a Poisson(alpha M) observation.
+    M = ``exposure_mass`` is the exposure mass of the truncated weight
+    measure (``levy_exposure_mass``), so K+ plays the role of a
+    Poisson(alpha M) observation.
     """
     k_plus = int(k_plus)
     if k_plus < 0:
         raise DomainError("k_plus must be non-negative")
-    m_mass = levy_exposure_mass(hp.eps_trunc, hp.c, hp.sigma)
     shape = hp.alpha_prior_shape + k_plus
-    rate = 1.0 / hp.alpha_prior_scale + m_mass
+    rate = 1.0 / hp.alpha_prior_scale + exposure_mass
     return float(rng.gamma(shape, 1.0 / rate))
 
 
@@ -271,78 +237,6 @@ def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     return accepted
 
 
-# ---------------------------------------------------------------------------
-# public single-step operations on LatentState
-
-
-def _row_views(data, mask):
-    x = data.dense
-    obs = mask.training_dense
-    obs_cols, pos_cols, x_pos = [], [], []
-    for n in range(data.n_rows):
-        oc = np.flatnonzero(obs[n])
-        xr = x[n, oc]
-        pos = xr > 0
-        obs_cols.append(oc)
-        pos_cols.append(oc[pos])
-        x_pos.append(xr[pos].astype(np.float64))
-    return obs_cols, pos_cols, x_pos
-
-
-def sweep_Z(state, data, mask, hp, rng):
-    """One full entry-wise Gibbs sweep over Z (row-major order).
-
-    The likelihood enters through exact marginal Poisson ratios, so stale
-    auxiliary counts never bias the update; rows whose membership changed
-    get their auxiliary splits refreshed before returning.
-    """
-    state = state.copy()
-    log_f = negbin_row_sum_log_pmf(hp.nb_r, hp.nb_p, hp.k_max)
-    logw = log_odds(state.pi)
-    log_e = _log_esp_from_logw(logw)
-    obs_cols, pos_cols, x_pos = _row_views(data, mask)
-    zero_mass = np.zeros(state.z.shape[1])
-    for n in range(data.n_rows):
-        oc = obs_cols[n]
-        pc = pos_cols[n]
-        b_pos = state.b[:, pc] if pc.shape[0] else None
-        b_obs_mass = state.b[:, oc].sum(axis=1) if oc.shape[0] else zero_mass
-        _, changed = _scan_row(state.z[n], logw, log_e, log_f, b_pos, x_pos[n], b_obs_mass, rng)
-        if changed:
-            for d, xv in zip(pc, x_pos[n]):
-                rates = state.z[n].astype(np.float64) * state.b[:, d]
-                state.aux[(n, int(d))] = sample_aux_counts(int(xv), rates, rng)
-    return state
-
-
-def mh_update_pi(state, hp, rng, step=None):
-    """One MH pass over the feature weights; returns (state, accepted flags)."""
-    state = state.copy()
-    if step is None:
-        step = hp.mh_step
-    pi = state.pi
-    logw = log_odds(pi)
-    log_e = _log_esp_from_logw(logw)
-    m = state.z.sum(axis=0, dtype=np.int64)
-    s_hist = np.bincount(state.row_sums(), minlength=pi.shape[0] + 1).astype(np.float64)
-    accepted = _pi_sweep(pi, logw, log_e, m, s_hist, state.alpha, hp, rng, step)
-    return state, accepted
-
-
-def refresh_aux(state, data, mask, rng):
-    """Resample every observed positive cell's auxiliary split given (Z, B)."""
-    state = state.copy()
-    training = mask.training_dense
-    aux = {}
-    for (n, d), xv in sorted(data.entries.items()):
-        if not training[n, d]:
-            continue
-        rates = state.z[n].astype(np.float64) * state.b[:, d]
-        aux[(n, d)] = sample_aux_counts(xv, rates, rng)
-    state.aux = aux
-    return state
-
-
 def predictive_log_lik(summary, cell, x):
     """Posterior-predictive log likelihood of a single cell.
 
@@ -366,14 +260,21 @@ def predictive_log_lik(summary, cell, x):
 
 
 class ChainRunner:
-    """Stateful engine behind run_chain, exposed for stepping and resuming.
+    """The kernel and its driver: the only implementation of the sampler.
+
+    ``step_once`` runs the six stages in order: Z sweep, pi MH, aux split,
+    B draw, alpha draw, invariant check.  A chain starts from a prior draw
+    (the constructor), from a given state (``from_state``) or mid-trajectory
+    from a checkpoint (``from_checkpoint``).  The aux stage redraws every
+    auxiliary split from (Z, B) before anything reads it, so a start state
+    needs no split of its own.
 
     All randomness flows through one generator in a fixed order (row scans,
     atom proposals, auxiliary allocation, loading and mass draws), which is
     what makes fixed-seed reruns and checkpoint resumes bit-for-bit equal.
     """
 
-    def __init__(self, data, mask, config, _restore=None):
+    def __init__(self, data, mask, config, _restore=None, _state=None):
         if mask is None:
             mask = ObservationMask.none_held_out(data.n_rows, data.n_cols)
         if mask.n_rows != data.n_rows or mask.n_cols != data.n_cols:
@@ -403,8 +304,26 @@ class ChainRunner:
             self._win_acc = 0
             self._post_prop = 0
             self._post_acc = 0
-            self._init_state()
+            if _state is None:
+                self._init_state()
+            else:
+                self._set_state(_state.z, _state.b, _state.pi, _state.alpha)
+            self._refresh_aux_internal()
         self._validate_internal()
+
+    @classmethod
+    def from_state(cls, data, mask, config, state):
+        """Start a chain at a given LatentState instead of a prior draw.
+
+        The generator is seeded from ``config.hyper.seed`` as for a fresh
+        chain, and its first draws are a new auxiliary split: ``state.aux``
+        is ignored, since no stage reads the split before redrawing it.
+        Loadings are floored like the B stage's draws.
+        """
+        n, k = state.z.shape
+        if (n, k) != (data.n_rows, config.hyper.k_max) or state.b.shape[1] != data.n_cols:
+            raise DomainError("state shape disagrees with the data shape and k_max")
+        return cls(data, mask, config, _state=state)
 
     # -- workspace ---------------------------------------------------------
 
@@ -414,7 +333,6 @@ class ChainRunner:
             raise DomainError("count array must be non-negative with the data's shape")
         self._x = x
         obs_cols, pos_cols, x_pos = [], [], []
-        e_rows, e_cols, e_x = [], [], []
         for n in range(self._n):
             oc = np.flatnonzero(self._obs[n])
             xr = x[n, oc]
@@ -422,16 +340,13 @@ class ChainRunner:
             obs_cols.append(oc)
             pos_cols.append(oc[pos])
             x_pos.append(xr[pos].astype(np.float64))
-            for d, xv in zip(oc[pos], xr[pos]):
-                e_rows.append(n)
-                e_cols.append(int(d))
-                e_x.append(int(xv))
         self._obs_cols = obs_cols
         self._pos_cols = pos_cols
         self._x_pos = x_pos
-        self._e_rows = np.asarray(e_rows, dtype=np.int64)
-        self._e_cols = np.asarray(e_cols, dtype=np.int64)
-        self._e_x = np.asarray(e_x, dtype=np.int64)
+        # observed positive cells in row-major order, the order the aux
+        # stage draws their splits in
+        self._e_rows, self._e_cols = np.nonzero(self._obs & (x > 0))
+        self._e_x = x[self._e_rows, self._e_cols]
         self._n_entries = self._e_x.shape[0]
         self._unit_entry = np.repeat(np.arange(self._n_entries), self._e_x)
         self._total_units = int(self._e_x.sum())
@@ -453,12 +368,10 @@ class ChainRunner:
     def _init_state(self):
         hp = self._hp
         rng = self._rng
-        self._alpha = float(rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale))
-        self._pi = sample_pi_truncated(self._alpha, hp.c, hp.sigma, self._k, hp.eps_trunc, rng)
-        self._logw = log_odds(self._pi)
-        self._log_e = _log_esp_from_logw(self._logw)
-        self._b = np.maximum(rng.gamma(hp.alpha_b, hp.mu_b / hp.alpha_b, size=(self._k, self._d)), _B_FLOOR)
-        self._z = np.zeros((self._n, self._k), dtype=np.int8)
+        alpha = float(rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale))
+        pi = sample_pi_truncated(alpha, hp.c, hp.sigma, self._k, hp.eps_trunc, rng)
+        b = rng.gamma(hp.alpha_b, hp.mu_b / hp.alpha_b, size=(self._k, self._d))
+        z = np.zeros((self._n, self._k), dtype=np.int8)
         for n in range(self._n):
             s = int(min(rng.negative_binomial(hp.nb_r, hp.nb_p), self._k))
             if self._pos_cols[n].shape[0]:
@@ -472,10 +385,23 @@ class ChainRunner:
                 if not s:
                     s = 1
             if s:
-                self._z[n] = sample_row_given_sum(self._pi, s, rng)
+                z[n] = sample_row_given_sum(pi, s, rng)
+        self._set_state(z, b, pi, alpha)
+
+    def _set_state(self, z, b, pi, alpha, logw=None):
+        """Install (Z, B, pi, alpha) as copies and derive the caches the stages read.
+
+        ``logw`` defaults to log_odds(pi).  A checkpoint passes its stored
+        vector instead: the pi stage keeps each accepted proposal's logit,
+        which can differ from log_odds(pi) in the last bit.
+        """
+        self._z = np.array(z, dtype=np.int8)
+        self._b = np.maximum(np.asarray(b, dtype=np.float64), _B_FLOOR)
+        self._pi = np.array(pi, dtype=np.float64)
+        self._alpha = float(alpha)
+        self._logw = log_odds(self._pi) if logw is None else np.array(logw, dtype=np.float64)
+        self._log_e = _log_esp_from_logw(self._logw)
         self._row_sums = self._z.sum(axis=1, dtype=np.int64)
-        self._aux = np.zeros((self._n_entries, self._k), dtype=np.int64)
-        self._refresh_aux_internal()
 
     # -- kernel ------------------------------------------------------------
 
@@ -509,6 +435,7 @@ class ChainRunner:
 
     def _refresh_aux_internal(self):
         if self._n_entries == 0:
+            self._aux = np.zeros((0, self._k), dtype=np.int64)
             return
         z_rows = self._z[self._e_rows].astype(np.float64)
         b_cols = self._b[:, self._e_cols].T
@@ -527,20 +454,12 @@ class ChainRunner:
 
     def _update_b_internal(self):
         activity = self._z.astype(np.float64).T @ self._obs_f
-        if self._n_entries:
-            sums = np.bincount(self._flat_cols, weights=self._aux.ravel().astype(np.float64), minlength=self._d * self._k)
-            aux_kd = sums.reshape(self._d, self._k).T
-        else:
-            aux_kd = np.zeros((self._k, self._d))
-        shape = self._hp.alpha_b + aux_kd
-        rate = self._hp.alpha_b / self._hp.mu_b + activity
-        self._b = np.maximum(self._rng.gamma(shape, 1.0 / rate), _B_FLOOR)
+        sums = np.bincount(self._flat_cols, weights=self._aux.ravel().astype(np.float64), minlength=self._d * self._k)
+        self._b = gibbs_update_B(sums.reshape(self._d, self._k).T, activity, self._hp, self._rng)
 
     def _update_alpha_internal(self):
         k_plus = int(self._z.any(axis=0).sum())
-        shape = self._hp.alpha_prior_shape + k_plus
-        rate = 1.0 / self._hp.alpha_prior_scale + self._levy_mass
-        self._alpha = float(self._rng.gamma(shape, 1.0 / rate))
+        self._alpha = sample_alpha(k_plus, self._levy_mass, self._hp, self._rng)
 
     def _validate_internal(self):
         if self._n_entries:
@@ -560,12 +479,7 @@ class ChainRunner:
         self._update_alpha_internal()
         self._validate_internal()
         self._iteration += 1
-        if (
-            self.config.adapt_mh
-            and self._iteration <= self.config.burn_in
-            and self._iteration % _ADAPT_EVERY == 0
-            and self._win_prop
-        ):
+        if self._iteration <= self.config.burn_in and self._iteration % _ADAPT_EVERY == 0 and self._win_prop:
             rate = self._win_acc / self._win_prop
             if rate < _ADAPT_LO:
                 self._step = max(self._step * 0.7, _STEP_MIN)
@@ -672,6 +586,7 @@ class ChainRunner:
             "z": self._z,
             "b": self._b,
             "pi": self._pi,
+            "logw": self._logw,
             "aux": self._aux,
             "ret_z": np.stack([r[0] for r in self._retained]) if n_ret else np.zeros((0, self._n, self._k), np.int8),
             "ret_b": np.stack([r[1] for r in self._retained]) if n_ret else np.zeros((0, self._k, self._d)),
@@ -701,14 +616,8 @@ class ChainRunner:
 
     def _restore_from(self, payload):
         arrays, meta = payload
-        self._z = arrays["z"].astype(np.int8)
-        self._b = arrays["b"].astype(np.float64)
-        self._pi = arrays["pi"].astype(np.float64)
+        self._set_state(arrays["z"], arrays["b"], arrays["pi"], meta["alpha"], logw=arrays["logw"])
         self._aux = arrays["aux"].astype(np.int64)
-        self._logw = log_odds(self._pi)
-        self._log_e = _log_esp_from_logw(self._logw)
-        self._alpha = float(meta["alpha"])
-        self._row_sums = self._z.sum(axis=1, dtype=np.int64)
         self._iteration = int(meta["iteration"])
         self._step = float(meta["step"])
         self._win_prop = int(meta["win_prop"])
@@ -753,26 +662,6 @@ class ChainRunner:
         if mask.digest() != meta["mask_digest"]:
             raise CheckpointError("checkpoint was written against a different observation mask")
         return cls(data, mask, config, _restore=(arrays, meta))
-
-
-def load_checkpoint(path):
-    """Read a checkpoint file into a ChainCheckpoint (state view, no driver)."""
-    arrays, meta = read_records(path)
-    if meta.get("kind") != "chain-checkpoint":
-        raise CheckpointError(f"{path} is not a chain checkpoint")
-    if meta.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"checkpoint schema {meta.get('schema_version')} unsupported (expected {CHECKPOINT_SCHEMA})"
-        )
-    z = arrays["z"].astype(np.int8)
-    state = LatentState(z=z, b=arrays["b"], pi=arrays["pi"], alpha=float(meta["alpha"]), aux={})
-    return ChainCheckpoint(
-        schema_version=int(meta["schema_version"]),
-        iteration=int(meta["iteration"]),
-        state=state,
-        rng_state=meta["rng_state"],
-        hyper_digest=meta["hyper_digest"],
-    )
 
 
 def run_chain(data, mask, config):

@@ -303,22 +303,6 @@ class LatentState:
         if not float(self.alpha) > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
-    def kplus(self):
-        """Number of non-empty feature columns."""
-        return int(self.z.any(axis=0).sum())
-
-    def row_sums(self):
-        return self.z.sum(axis=1, dtype=np.int64)
-
-    def copy(self):
-        return LatentState(
-            z=self.z.copy(),
-            b=self.b.copy(),
-            pi=self.pi.copy(),
-            alpha=float(self.alpha),
-            aux={k: v.copy() for k, v in self.aux.items()},
-        )
-
     def validate_against(self, data, mask, eps_trunc):
         """Raise InvariantError if any structural invariant is broken."""
         n, k = self.z.shape

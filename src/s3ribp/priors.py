@@ -20,6 +20,7 @@ alpha update consumes it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -260,8 +261,10 @@ def levy_exposure_mass(eps_trunc, c, sigma):
 
     M = int C(c, sigma) p^(-1-sigma) (1-p)^(c+sigma-1) dp with
     C = G(1+c)/(G(1-sigma) G(c+sigma)).  Diverges as eps -> 0, which is why
-    the truncation floor exists; evaluated by adaptive quadrature to a 1e-8
-    relative tolerance, anything worse is an error.
+    the truncation floor exists.  The quadrature runs in u = log p, where
+    the integrand C exp(-sigma u) (-expm1(u))^(c+sigma-1) on [log eps, 0]
+    stays bounded however small eps is (in p it grows like p^(-1-sigma)),
+    to a 1e-8 relative tolerance; anything worse is an error.
     """
     if not 0.0 <= sigma < 1.0:
         raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
@@ -271,10 +274,10 @@ def levy_exposure_mass(eps_trunc, c, sigma):
         raise DomainError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
     const = _levy_norm_const(c, sigma)
 
-    def integrand(p):
-        return const * p ** (-1.0 - sigma) * (1.0 - p) ** (c + sigma - 1.0)
+    def integrand(u):
+        return const * math.exp(-sigma * u) * (-math.expm1(u)) ** (c + sigma - 1.0)
 
-    val, err = quad(integrand, eps_trunc, 1.0, epsabs=0.0, epsrel=1e-10, limit=400)
+    val, err = quad(integrand, math.log(eps_trunc), 0.0, epsabs=0.0, epsrel=1e-10, limit=400)
     if not np.isfinite(val) or val <= 0 or err > 1e-8 * abs(val):
         raise NumericsError(f"exposure-mass quadrature failed to converge (value {val}, error {err})")
     return float(val)

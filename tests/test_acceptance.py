@@ -19,6 +19,7 @@ from s3ribp import (
     ChainRunner,
     CountMatrix,
     HyperParams,
+    LatentState,
     ObservationMask,
     baseline_row_mean_log_perplexity,
     binomial_baseline_qq,
@@ -37,8 +38,6 @@ from s3ribp import (
     sample_row_given_sum,
     save_summary,
 )
-from s3ribp.condbern import _log_esp_from_logw, log_odds
-from s3ribp.mcmc import _B_FLOOR
 from s3ribp.model import gamma_draw_shape_mean
 
 from _acceptance_log import record
@@ -240,17 +239,12 @@ class TestCriterion5Geweke:
         srng = np.random.default_rng(602)
         alpha0, pi0, z0, b0 = self.prior_draw(srng)
         x0 = srng.poisson(z0.astype(np.float64) @ b0)
-        runner = ChainRunner(
-            CountMatrix.from_dense(x0), None, ChainConfig(hyper=self.HP, adapt_mh=False)
+        runner = ChainRunner.from_state(
+            CountMatrix.from_dense(x0),
+            None,
+            ChainConfig(hyper=self.HP),
+            LatentState(z=z0, b=b0, pi=pi0, alpha=alpha0),
         )
-        runner._alpha = alpha0
-        runner._pi = pi0.copy()
-        runner._logw = log_odds(runner._pi)
-        runner._log_e = _log_esp_from_logw(runner._logw)
-        runner._z = z0.copy()
-        runner._row_sums = runner._z.sum(axis=1, dtype=np.int64)
-        runner._b = np.maximum(b0, _B_FLOOR)
-        runner.set_data_counts(x0)
         successive = np.empty((self.STEPS, 3))
         for t in range(self.STEPS):
             runner.step_once()

@@ -628,6 +628,17 @@ class TestCliCommands:
             text = fh.read()
         assert "folds: 2" in text
 
+    def test_fit_with_default_hyperparameters(self, tmp_path):
+        # the defaults (c=50, sigma=0.999, eps_trunc=1e-6) once broke the
+        # exposure-mass quadrature, so only the schedule is set here
+        data = write_file(tmp_path / "x.tsv", "\ta\tb\nr\t3\t0\ns\t1\t2\n")
+        out = str(tmp_path / "fit")
+        argv = ["fit", "--data", data, "--out", out, "--k-max", "3", "--burn-in", "2", "--samples", "2"]
+        assert cli_dispatch(argv) == 0
+        summary = load_summary(os.path.join(out, "summary.bin"))
+        assert summary.hyper.c == 50.0 and summary.hyper.eps_trunc == 1e-6
+        assert summary.n_samples == 2
+
     def test_rca_preprocessing_path(self, tmp_path):
         raw = write_file(
             tmp_path / "raw.tsv",

@@ -1,4 +1,8 @@
-"""Kernel pieces and the chain driver: conjugate draws, sweeps, determinism."""
+"""The kernel's stages and the chain driver: conjugate draws, sweeps, determinism.
+
+Stage tests start a ChainRunner at a chosen state (``from_state``) and call
+one stage method at a time, so they check the code that ``fit`` runs.
+"""
 
 import numpy as np
 import pytest
@@ -11,20 +15,22 @@ from s3ribp import (
     CountMatrix,
     DomainError,
     HyperParams,
+    InvariantError,
     LatentState,
     ObservationMask,
     PosteriorSummary,
     gibbs_update_B,
-    load_checkpoint,
-    mh_update_pi,
+    levy_exposure_mass,
+    negbin_row_sum_log_pmf,
+    poisson_log_pmf,
     predictive_log_lik,
-    refresh_aux,
+    restricted_row_log_prior,
     run_chain,
     sample_alpha,
-    sample_aux_counts,
-    sweep_Z,
 )
-from s3ribp.mcmc import _B_FLOOR
+from s3ribp.container import read_records, write_records
+from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
+from conftest import enumerate_rows
 from test_priors import restricted_density_cdf
 
 
@@ -49,6 +55,14 @@ def tiny_hyper(**kw):
 
 def tiny_data(rng, n=6, d=4):
     return CountMatrix.from_dense(rng.poisson(2.0, size=(n, d)))
+
+
+def runner_at(x, z, b, pi, mask=None, alpha=1.0, **hyper):
+    """A runner on counts ``x`` started at the given (Z, B, pi, alpha)."""
+    z = np.asarray(z, dtype=np.int8)
+    hp = tiny_hyper(**{"k_max": z.shape[1], **hyper})
+    state = LatentState(z=z, b=b, pi=pi, alpha=alpha)
+    return ChainRunner.from_state(CountMatrix.from_dense(x), mask, ChainConfig(hyper=hp), state)
 
 
 def make_summary(z_samples, b_samples):
@@ -76,38 +90,183 @@ def make_summary(z_samples, b_samples):
 
 
 class TestSampleAuxCounts:
+    """The aux split stage, ``_refresh_aux_internal``."""
+
     def test_sum_is_exact(self, rng):
-        for _ in range(200):
-            x = int(rng.integers(0, 50))
-            rates = rng.uniform(0.0, 3.0, size=int(rng.integers(1, 6)))
-            if rates.sum() == 0:
-                rates[0] = 1.0
-            split = sample_aux_counts(x, rates, rng)
-            assert split.sum() == x
-            assert np.all(split >= 0)
-            assert split[rates == 0.0].sum() == 0
+        # every split sums to its cell's count and gives nothing to the
+        # features inactive in the cell's row, whose rate is zero
+        for _ in range(20):
+            k = int(rng.integers(1, 6))
+            x = rng.integers(0, 50, size=(4, 3))
+            z = (rng.random((4, k)) < 0.5).astype(np.int8)
+            z[np.arange(4), rng.integers(0, k, size=4)] = 1
+            runner = runner_at(x, z, rng.uniform(0.1, 3.0, size=(k, 3)), np.full(k, 0.5))
+            for _ in range(10):
+                runner._refresh_aux_internal()
+                for (n, d), split in runner.state_snapshot().aux.items():
+                    assert split.sum() == x[n, d]
+                    assert np.all(split >= 0)
+                    assert split[z[n] == 0].sum() == 0
 
-    def test_single_positive_rate_takes_everything(self, rng):
-        split = sample_aux_counts(7, np.array([0.0, 2.5, 0.0]), rng)
-        np.testing.assert_array_equal(split, [0, 7, 0])
+    def test_single_positive_rate_takes_everything(self):
+        runner = runner_at([[7]], [[0, 1, 0]], np.array([[1.0], [2.5], [1.0]]), np.full(3, 0.5))
+        for _ in range(5):
+            runner._refresh_aux_internal()
+            np.testing.assert_array_equal(runner.state_snapshot().aux[(0, 0)], [0, 7, 0])
 
-    def test_zero_count(self, rng):
-        np.testing.assert_array_equal(sample_aux_counts(0, np.array([1.0, 1.0]), rng), [0, 0])
+    def test_zero_count(self):
+        # a zero-count cell carries no split at all
+        runner = runner_at([[0, 3]], [[1, 1]], np.ones((2, 2)), np.full(2, 0.5))
+        runner._refresh_aux_internal()
+        aux = runner.state_snapshot().aux
+        assert set(aux) == {(0, 1)}
+        assert aux[(0, 1)].sum() == 3
 
-    def test_split_proportions(self, rng):
-        draws = np.array([sample_aux_counts(3, np.array([1.0, 2.0]), rng) for _ in range(20000)])
-        se = draws[:, 0].std(ddof=1) / np.sqrt(draws.shape[0])
-        assert abs(draws[:, 0].mean() - 1.0) < 3 * se
+    def test_split_proportions(self):
+        runner = runner_at([[3]], [[1, 1]], np.array([[1.0], [2.0]]), np.full(2, 0.5))
+        draws = np.empty(20000)
+        for i in range(draws.shape[0]):
+            runner._refresh_aux_internal()
+            draws[i] = runner._aux[0, 0]
+        se = draws.std(ddof=1) / np.sqrt(draws.shape[0])
+        assert abs(draws.mean() - 1.0) < 3 * se
 
-    def test_validation(self, rng):
+    def test_validation(self):
+        runner = runner_at([[2]], [[1]], np.array([[1.0]]), np.array([0.5]))
         with pytest.raises(DomainError):
-            sample_aux_counts(-1, np.array([1.0]), rng)
-        with pytest.raises(DomainError):
-            sample_aux_counts(2, np.array([-1.0, 1.0]), rng)
-        with pytest.raises(DomainError):
-            sample_aux_counts(2, np.array([np.inf]), rng)
-        with pytest.raises(DomainError):
-            sample_aux_counts(2, np.array([0.0, 0.0]), rng)
+            runner.set_data_counts(np.array([[-1]]))
+        for bad in (-1.0, np.inf):
+            with pytest.raises(DomainError):
+                runner_at([[2]], [[1]], np.array([[bad]]), np.array([0.5]))
+        # a positive count whose row has no active feature has all-zero rates
+        with pytest.raises(InvariantError):
+            runner_at([[2]], [[0, 0]], np.ones((2, 1)), np.full(2, 0.5))
+
+
+class TestSweepZ:
+    """The Z sweep stage, ``_sweep_z_internal``."""
+
+    def test_strong_likelihood_forces_inclusion(self):
+        # feature 1 starts alone on the row with a floored loading, so it
+        # explains the count 5 at likelihood ~ exp(-3500); feature 0's
+        # loading 5 makes it certain to be switched on and to take the count
+        runner = runner_at([[5]], [[0, 1]], np.array([[5.0], [_B_FLOOR]]), np.full(2, 0.5))
+        for _ in range(20):
+            runner._sweep_z_internal()
+            assert runner.z[0, 0] == 1
+            runner._refresh_aux_internal()
+            snap = runner.state_snapshot()
+            np.testing.assert_array_equal(snap.aux[(0, 0)], [5, 0])
+            snap.validate_against(runner.data, runner.mask, runner.config.hyper.eps_trunc)
+
+    def test_input_state_is_not_mutated(self, rng):
+        # from_state copies its start state; stepping the chain leaves it alone
+        data = tiny_data(rng)
+        mask = ObservationMask.none_held_out(6, 4)
+        cfg = ChainConfig(hyper=tiny_hyper())
+        state = ChainRunner(data, mask, cfg).state_snapshot()
+        z_before, b_before, pi_before = state.z.copy(), state.b.copy(), state.pi.copy()
+        aux_before = {k: v.copy() for k, v in state.aux.items()}
+        runner = ChainRunner.from_state(data, mask, cfg, state)
+        for _ in range(3):
+            runner.step_once()
+        np.testing.assert_array_equal(state.z, z_before)
+        np.testing.assert_array_equal(state.b, b_before)
+        np.testing.assert_array_equal(state.pi, pi_before)
+        for key, vec in aux_before.items():
+            np.testing.assert_array_equal(state.aux[key], vec)
+        runner.state_snapshot().validate_against(data, mask, cfg.hyper.eps_trunc)
+
+    def test_aux_identity_after_each_z_sweep(self, rng):
+        # rows whose membership flipped must keep the aux identity intact
+        # once the aux stage has run
+        data = tiny_data(rng, n=8, d=5)
+        mask = ObservationMask.none_held_out(8, 5)
+        hp = tiny_hyper(k_max=4)
+        runner = ChainRunner(data, mask, ChainConfig(hyper=hp))
+        for _ in range(5):
+            runner._sweep_z_internal()
+            runner._refresh_aux_internal()
+            runner.state_snapshot().validate_against(data, mask, hp.eps_trunc)
+
+    def test_stationary_row_distribution(self):
+        # at fixed pi and B, repeated sweeps of one row sample its exact
+        # conditional: restricted row prior times Poisson likelihood
+        x = np.array([[1, 2]])
+        b = np.array([[0.5, 1.0], [1.0, 0.3], [0.3, 0.6]])
+        pi = np.array([0.6, 0.3, 0.15])
+        runner = runner_at(x, [[1, 0, 0]], b, pi, seed=11)
+        hp = runner.config.hyper
+        rows = enumerate_rows(3)
+        log_f = negbin_row_sum_log_pmf(hp.nb_r, hp.nb_p, 3)
+        log_p = np.array(
+            [
+                restricted_row_log_prior(z, pi, log_f) + poisson_log_pmf(x[0], z @ b).sum()
+                for z in rows.astype(np.float64)
+            ]
+        )
+        want = np.exp(log_p - log_p.max())
+        want /= want.sum()
+        codes = []
+        for it in range(40_000):
+            runner._sweep_z_internal()
+            if it % 4 == 0:
+                codes.append(int(runner.z[0] @ (1 << np.arange(3))))
+        observed = np.bincount(codes, minlength=8)
+        live = want > 0
+        expected = want[live] * len(codes)
+        assert observed[~live].sum() == 0
+        assert expected.min() > 5
+        p_value = stats.chisquare(observed[live], expected).pvalue
+        assert p_value > 1e-3
+
+
+class TestMhUpdatePi:
+    """The pi MH stage, ``_mh_pi_internal``."""
+
+    def test_acceptance_counts_match_moved_atoms(self, rng):
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper()))
+        k = runner.config.hyper.k_max
+        for _ in range(20):
+            pi_before = runner.pi.copy()
+            prop_before, acc_before = runner._win_prop, runner._win_acc
+            runner._mh_pi_internal()
+            assert runner._win_prop - prop_before == k
+            assert runner._win_acc - acc_before == int((runner.pi != pi_before).sum())
+
+    def test_prior_only_stationary_distribution(self):
+        # a single all-zero row contributes nothing to the weight target
+        # (e_0 = 1), so sweeping pi should sample the truncated atom prior
+        runner = runner_at(
+            np.zeros((1, 3), dtype=np.int64),
+            np.zeros((1, 2)),
+            np.full((2, 3), 0.5),
+            np.array([0.3, 0.05]),
+            seed=5,
+            c=1.0,
+            sigma=0.5,
+            eps_trunc=0.01,
+            mh_step=2.0,
+        )
+        hp = runner.config.hyper
+        kept = []
+        for it in range(6000):
+            runner._mh_pi_internal()
+            if it >= 500 and it % 5 == 0:
+                kept.extend(runner.pi.tolist())
+        ks = stats.kstest(np.array(kept), restricted_density_cdf(hp.c, hp.sigma, hp.eps_trunc))
+        assert ks.statistic < 0.04
+
+    def test_rejects_proposals_outside_support(self, rng):
+        # a huge step makes most proposals leave [eps, ceiling]; they must
+        # be rejected without moving the atom
+        hp = tiny_hyper(eps_trunc=0.2, mh_step=80.0)
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=hp))
+        for _ in range(50):
+            runner._mh_pi_internal()
+            assert np.all(runner.pi >= hp.eps_trunc)
+            assert np.all(runner.pi < 1.0)
+            runner._validate_internal()
 
 
 class TestGibbsUpdateB:
@@ -143,111 +302,22 @@ class TestSampleAlpha:
         # eps = e^-2 at c=1, sigma=0 makes the exposure mass exactly 2, so
         # with a unit Gamma prior and K+ = 14 the posterior is Gamma(15, rate 3)
         hp = tiny_hyper(c=1.0, sigma=0.0, eps_trunc=float(np.exp(-2.0)))
-        draws = np.array([sample_alpha(14, hp, rng) for _ in range(100_000)])
+        mass = levy_exposure_mass(hp.eps_trunc, hp.c, hp.sigma)
+        np.testing.assert_allclose(mass, 2.0, rtol=1e-12)
+        draws = np.array([sample_alpha(14, mass, hp, rng) for _ in range(100_000)])
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 5.0) < 3 * se
         np.testing.assert_allclose(draws.var(ddof=1), 15.0 / 9.0, rtol=0.05)
 
     def test_no_features(self, rng):
         hp = tiny_hyper(c=1.0, sigma=0.0, eps_trunc=float(np.exp(-2.0)))
-        draws = np.array([sample_alpha(0, hp, rng) for _ in range(100_000)])
+        draws = np.array([sample_alpha(0, 2.0, hp, rng) for _ in range(100_000)])
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 1.0 / 3.0) < 3 * se
 
     def test_validation(self, rng):
         with pytest.raises(DomainError):
-            sample_alpha(-1, tiny_hyper(), rng)
-
-
-class TestSweepZ:
-    def test_strong_likelihood_forces_inclusion(self, rng):
-        data = CountMatrix.from_dense(np.array([[5]]))
-        mask = ObservationMask.none_held_out(1, 1)
-        hp = tiny_hyper(k_max=1)
-        state = LatentState(
-            z=np.zeros((1, 1), dtype=np.int8),
-            b=np.array([[5.0]]),
-            pi=np.array([0.5]),
-            alpha=1.0,
-            aux={},
-        )
-        for _ in range(20):
-            out = sweep_Z(state, data, mask, hp, rng)
-            assert out.z[0, 0] == 1
-            np.testing.assert_array_equal(out.aux[(0, 0)], [5])
-            out.validate_against(data, mask, hp.eps_trunc)
-
-    def test_input_state_is_not_mutated(self, rng):
-        data = tiny_data(rng)
-        mask = ObservationMask.none_held_out(6, 4)
-        hp = tiny_hyper()
-        runner = ChainRunner(data, mask, ChainConfig(hyper=hp))
-        state = runner.state_snapshot()
-        z_before = state.z.copy()
-        aux_before = {k: v.copy() for k, v in state.aux.items()}
-        out = sweep_Z(state, data, mask, hp, rng)
-        np.testing.assert_array_equal(state.z, z_before)
-        for key, vec in aux_before.items():
-            np.testing.assert_array_equal(state.aux[key], vec)
-        out.validate_against(data, mask, hp.eps_trunc)
-
-    def test_aux_refreshed_only_for_changed_rows(self, rng):
-        # rows whose membership flipped must keep the aux identity intact
-        data = tiny_data(rng, n=8, d=5)
-        mask = ObservationMask.none_held_out(8, 5)
-        hp = tiny_hyper(k_max=4)
-        runner = ChainRunner(data, mask, ChainConfig(hyper=hp))
-        state = runner.state_snapshot()
-        for _ in range(5):
-            state = sweep_Z(state, data, mask, hp, rng)
-            state.validate_against(data, mask, hp.eps_trunc)
-
-
-class TestMhUpdatePi:
-    def test_returns_copy_and_flags(self, rng):
-        data = tiny_data(rng)
-        hp = tiny_hyper()
-        runner = ChainRunner(data, None, ChainConfig(hyper=hp))
-        state = runner.state_snapshot()
-        pi_before = state.pi.copy()
-        out, accepted = mh_update_pi(state, hp, rng)
-        np.testing.assert_array_equal(state.pi, pi_before)
-        assert accepted.shape == (hp.k_max,)
-        assert accepted.dtype == bool
-        changed = out.pi != pi_before
-        np.testing.assert_array_equal(changed, accepted)
-
-    def test_prior_only_stationary_distribution(self):
-        # a single all-zero row contributes nothing to the weight target
-        # (e_0 = 1), so sweeping pi should sample the truncated atom prior
-        rng = np.random.default_rng(5)
-        hp = tiny_hyper(k_max=2, c=1.0, sigma=0.5, eps_trunc=0.01, mh_step=2.0)
-        state = LatentState(
-            z=np.zeros((1, 2), dtype=np.int8),
-            b=np.full((2, 3), 0.5),
-            pi=np.array([0.3, 0.05]),
-            alpha=1.0,
-            aux={},
-        )
-        kept = []
-        for it in range(6000):
-            state, _ = mh_update_pi(state, hp, rng)
-            if it >= 500 and it % 5 == 0:
-                kept.extend(state.pi.tolist())
-        ks = stats.kstest(np.array(kept), restricted_density_cdf(hp.c, hp.sigma, hp.eps_trunc))
-        assert ks.statistic < 0.04
-
-    def test_rejects_proposals_outside_support(self, rng):
-        # a huge step makes most proposals leave [eps, ceiling]; they must
-        # be rejected without moving the atom
-        data = tiny_data(rng)
-        hp = tiny_hyper(eps_trunc=0.2)
-        runner = ChainRunner(data, None, ChainConfig(hyper=hp))
-        state = runner.state_snapshot()
-        for _ in range(50):
-            state, _ = mh_update_pi(state, hp, rng, step=80.0)
-            assert np.all(state.pi >= hp.eps_trunc)
-            assert np.all(state.pi < 1.0)
+            sample_alpha(-1, 2.0, tiny_hyper(), rng)
 
 
 class TestRefreshAux:
@@ -256,7 +326,8 @@ class TestRefreshAux:
         mask = ObservationMask(frozenset({(0, 1), (2, 3)}), 5, 4)
         hp = tiny_hyper()
         runner = ChainRunner(data, mask, ChainConfig(hyper=hp))
-        state = refresh_aux(runner.state_snapshot(), data, mask, rng)
+        runner._refresh_aux_internal()
+        state = runner.state_snapshot()
         state.validate_against(data, mask, hp.eps_trunc)
         training = mask.training_dense
         x = data.dense
@@ -267,18 +338,9 @@ class TestRefreshAux:
             if training[n, d] and xv > 0:
                 assert (n, d) in state.aux
 
-    def test_zero_membership_with_positive_count_is_an_error(self, rng):
-        data = CountMatrix.from_dense(np.array([[3]]))
-        mask = ObservationMask.none_held_out(1, 1)
-        state = LatentState(
-            z=np.zeros((1, 1), dtype=np.int8),
-            b=np.array([[2.0]]),
-            pi=np.array([0.5]),
-            alpha=1.0,
-            aux={},
-        )
-        with pytest.raises(DomainError):
-            refresh_aux(state, data, mask, rng)
+    def test_zero_membership_with_positive_count_is_an_error(self):
+        with pytest.raises(InvariantError):
+            runner_at([[3]], [[0]], np.array([[2.0]]), np.array([0.5]))
 
 
 class TestPredictiveLogLik:
@@ -321,8 +383,6 @@ class TestPredictiveLogLik:
 
 class TestChainConfig:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            ChainConfig(hyper=tiny_hyper(), init_mode="warm")
         with pytest.raises(DomainError):
             ChainConfig(hyper=tiny_hyper(), checkpoint_interval=-1)
         with pytest.raises(DomainError):
@@ -408,6 +468,16 @@ class TestChainRunner:
         with pytest.raises(DomainError):
             ChainRunner(tiny_data(rng), ObservationMask.none_held_out(3, 3), ChainConfig(hyper=tiny_hyper()))
 
+    def test_from_state_shape_mismatch(self, rng):
+        data = tiny_data(rng)
+        state = ChainRunner(data, None, ChainConfig(hyper=tiny_hyper())).state_snapshot()
+        with pytest.raises(DomainError):
+            ChainRunner.from_state(data, None, ChainConfig(hyper=tiny_hyper(k_max=4)), state)
+        with pytest.raises(DomainError):
+            ChainRunner.from_state(tiny_data(rng, n=5), None, ChainConfig(hyper=tiny_hyper()), state)
+        with pytest.raises(DomainError):
+            ChainRunner.from_state(tiny_data(rng, d=5), None, ChainConfig(hyper=tiny_hyper()), state)
+
     def test_set_data_counts_swaps_and_validates(self, rng):
         data = tiny_data(rng)
         runner = ChainRunner(data, None, ChainConfig(hyper=tiny_hyper()))
@@ -424,19 +494,23 @@ class TestCheckpointing:
     def test_resume_reproduces_uninterrupted_run(self, rng, tmp_path):
         data = tiny_data(rng)
         path = str(tmp_path / "chain.bin")
-        hp = tiny_hyper(burn_in=6, n_samples=6, thin=1)
-        plain = run_chain(data, None, ChainConfig(hyper=hp))
-        cfg = ChainConfig(hyper=hp, checkpoint_path=path, checkpoint_interval=5)
-        run_chain(data, None, cfg)
-        # the file now holds iteration 10 of 12; resuming finishes the chain
-        ck = load_checkpoint(path)
-        assert ck.iteration == 10
-        resumed = ChainRunner.from_checkpoint(path, data).run()
-        np.testing.assert_array_equal(resumed.z_samples, plain.z_samples)
-        np.testing.assert_array_equal(resumed.b_samples, plain.b_samples)
-        np.testing.assert_array_equal(resumed.pi_samples, plain.pi_samples)
-        np.testing.assert_array_equal(resumed.alpha_samples, plain.alpha_samples)
-        np.testing.assert_array_equal(resumed.kplus_trace, plain.kplus_trace)
+        # at seeds 5 and 8 an accepted pi proposal's logit differs from
+        # log_odds(pi) in the last bit, so a resume that re-derived the
+        # logits from pi drifted off the uninterrupted trajectory
+        for seed in (1, 5, 8):
+            hp = tiny_hyper(seed=seed, burn_in=6, n_samples=6, thin=1)
+            plain = run_chain(data, None, ChainConfig(hyper=hp))
+            cfg = ChainConfig(hyper=hp, checkpoint_path=path, checkpoint_interval=5)
+            run_chain(data, None, cfg)
+            # the file now holds iteration 10 of 12; resuming finishes the chain
+            runner = ChainRunner.from_checkpoint(path, data)
+            assert runner.iteration == 10
+            resumed = runner.run()
+            np.testing.assert_array_equal(resumed.z_samples, plain.z_samples)
+            np.testing.assert_array_equal(resumed.b_samples, plain.b_samples)
+            np.testing.assert_array_equal(resumed.pi_samples, plain.pi_samples)
+            np.testing.assert_array_equal(resumed.alpha_samples, plain.alpha_samples)
+            np.testing.assert_array_equal(resumed.kplus_trace, plain.kplus_trace)
 
     def test_load_checkpoint_view(self, rng, tmp_path):
         data = tiny_data(rng)
@@ -446,13 +520,17 @@ class TestCheckpointing:
         for _ in range(3):
             runner.step_once()
         runner.save_checkpoint(path)
-        ck = load_checkpoint(path)
-        assert ck.schema_version == 1
-        assert ck.iteration == 3
-        assert ck.hyper_digest == hp.digest()
-        np.testing.assert_array_equal(ck.state.z, runner.z)
-        np.testing.assert_array_equal(ck.state.b, runner.b)
-        assert isinstance(ck.rng_state, dict)
+        _, meta = read_records(path)
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 2
+        assert meta["hyper_digest"] == hp.digest()
+        loaded = ChainRunner.from_checkpoint(path, data)
+        assert loaded.iteration == 3
+        assert loaded.config.hyper.digest() == hp.digest()
+        np.testing.assert_array_equal(loaded.z, runner.z)
+        np.testing.assert_array_equal(loaded.b, runner.b)
+        np.testing.assert_array_equal(loaded.pi, runner.pi)
+        assert loaded.alpha == runner.alpha
+        assert loaded._rng.bit_generator.state == runner._rng.bit_generator.state
 
     def test_data_digest_mismatch(self, rng, tmp_path):
         data = tiny_data(rng)
@@ -483,11 +561,13 @@ class TestCheckpointing:
             ChainRunner.from_checkpoint(path, data, mask=ObservationMask(frozenset({(0, 0)}), 6, 4))
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
-        from s3ribp.container import write_records
-
         path = str(tmp_path / "other.bin")
         write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "something-else"})
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError):
+            ChainRunner.from_checkpoint(path, tiny_data(rng))
+
+    def test_old_schema_rejected(self, tmp_path, rng):
+        path = str(tmp_path / "old.bin")
+        write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": 1})
+        with pytest.raises(CheckpointError, match="schema 1"):
             ChainRunner.from_checkpoint(path, tiny_data(rng))

@@ -160,19 +160,6 @@ def _tiny_state():
 
 
 class TestLatentState:
-    def test_kplus_and_row_sums(self):
-        state = _tiny_state()
-        assert state.kplus() == 2
-        np.testing.assert_array_equal(state.row_sums(), [1, 2])
-
-    def test_copy_is_independent(self):
-        state = _tiny_state()
-        other = state.copy()
-        other.z[0, 0] = 0
-        other.aux[(0, 0)][0] = 99
-        assert state.z[0, 0] == 1
-        assert state.aux[(0, 0)][0] == 2
-
     def test_validate_against_accepts_consistent_state(self):
         state = _tiny_state()
         data = CountMatrix.from_dense([[2, 0], [0, 4]])

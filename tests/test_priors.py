@@ -1,11 +1,15 @@
 """Generative samplers: buffet processes, truncated atom weights, exposure mass."""
 
 import logging
+import math
 from math import lgamma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import quad
 from scipy.special import betainc, expit, logit
 
 from s3ribp import (
@@ -298,6 +302,31 @@ class TestLevyExposureMass:
             dens = const * p**-sigma * (1.0 - p) ** (c + sigma)
             want = np.trapezoid(dens, u)
             np.testing.assert_allclose(levy_exposure_mass(eps, c, sigma), want, rtol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.floats(0.01, 500.0),
+        sigma=st.floats(0.0, 0.999),
+        eps=st.floats(1e-12, 1e-2),
+    )
+    def test_converges_over_the_accepted_box(self, c, sigma, eps):
+        # oracle: split at p = 1/2; the lower part in log p, the upper part
+        # by a rule that weights the (1 - p)^(c + sigma - 1) endpoint
+        # singularity exactly
+        const = math.exp(lgamma(1 + c) - lgamma(1 - sigma) - lgamma(c + sigma))
+        expo = c + sigma - 1.0
+        low, _ = quad(
+            lambda u: math.exp(-sigma * u) * (-math.expm1(u)) ** expo,
+            math.log(eps),
+            math.log(0.5),
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        high, _ = quad(lambda p: p ** (-1.0 - sigma), 0.5, 1.0, weight="alg", wvar=(0.0, expo), epsabs=0.0, epsrel=1e-12)
+        got = levy_exposure_mass(eps, c, sigma)
+        assert np.isfinite(got) and got > 0
+        np.testing.assert_allclose(got, const * (low + high), rtol=1e-8)
 
     def test_grows_as_eps_shrinks(self):
         assert levy_exposure_mass(1e-6, 1.0, 0.5) > levy_exposure_mass(1e-3, 1.0, 0.5)
