@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import DomainError, NumericsError
 
@@ -49,11 +50,9 @@ class LogESPTable:
         return self.log_e.shape[0] - 1
 
 
-def _log_esp_from_logw(logw, s_max=None):
+def _log_esp_from_logw(logw):
     """Log-space Newton-girard style DP: e_s^(j) = e_s^(j-1) + w_j e_{s-1}^(j-1)."""
-    k = logw.shape[0]
-    top = k if s_max is None else min(s_max, k)
-    out = np.full(top + 1, _NEG_INF)
+    out = np.full(logw.shape[0] + 1, _NEG_INF)
     out[0] = 0.0
     for lw in logw:
         out[1:] = np.logaddexp(out[1:], lw + out[:-1])
@@ -102,8 +101,9 @@ def poisson_binomial_log_pmf(pi, s):
 def inclusion_probs(pi, s):
     """P(z_k = 1 | sum z = s) for every coordinate, which sums to s.
 
-    Uses the leave-one-out identity P(z_k=1|s) = w_k e_{s-1}(w_{-k}) / e_s(w)
-    with each leave-one-out table computed by its own log-space recursion.
+    Uses the leave-one-out identity P(z_k=1|s) = w_k e_{s-1}(w_{-k}) / e_s(w),
+    where e_{s-1}(w_{-k}) = sum_j e_j(w_0..w_{k-1}) e_{s-1-j}(w_{k+1}..) is
+    read off one prefix and one suffix table.
     """
     pi = np.asarray(pi, dtype=np.float64)
     logw = log_odds(pi)
@@ -112,11 +112,11 @@ def inclusion_probs(pi, s):
         raise DomainError(f"target sum {s} outside 0..{k}")
     if s == 0:
         return np.zeros(k)
-    full = _log_esp_from_logw(logw, s_max=s)
-    out = np.empty(k)
-    for i in range(k):
-        loo = _log_esp_from_logw(np.delete(logw, i), s_max=s - 1)
-        out[i] = np.exp(logw[i] + loo[s - 1] - full[s])
+    suffix = _suffix_log_esp(logw, s)
+    # prefix[i, j] = log e_j(w_0..w_{i-1}): the suffix table of the reversed odds
+    prefix = _suffix_log_esp(logw[::-1], s)[::-1]
+    loo = logsumexp(prefix[:k, :s] + suffix[1:, s - 1 :: -1], axis=1)
+    out = np.exp(logw + loo - suffix[0, s])
     if np.any(np.isnan(out)):
         raise NumericsError("NaN in inclusion probabilities")
     return out

@@ -3,8 +3,9 @@
 ``ChainRunner`` is the only implementation of the kernel.  Each iteration
 runs six stages in a fixed order, each a ``ChainRunner`` method:
 
-1. Z sweep (``_sweep_z_internal``): entry-wise Gibbs over the binary feature
-   matrix, with the Poisson likelihood marginalized over auxiliary counts;
+1. Z sweep (``_sweep_z_internal``): column-blocked Gibbs over the binary
+   feature matrix, each feature's column redrawn for all rows at once, with
+   the Poisson likelihood marginalized over auxiliary counts;
 2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space;
 3. aux split (``_refresh_aux_internal``): every observed positive cell's
    count split across active features, x'_ndk ~ Poisson(z_nk b_kd), which
@@ -158,50 +159,6 @@ def sample_alpha(k_plus, exposure_mass, hp, rng):
     return float(rng.gamma(shape, 1.0 / rate))
 
 
-def _row_loglik_ratios(z_n, b_pos, x_pos, b_obs_mass):
-    """Log-likelihood ratio of z_nk = 1 vs 0 for every k, at the current row.
-
-    Only columns with positive counts contribute log-rate terms; columns
-    with zero counts contribute just the rate mass, which is the same
-    b_obs_mass sum for both binarizations.
-    """
-    if b_pos is None:
-        return -b_obs_mass
-    base = z_n.astype(np.float64) @ b_pos
-    minus = np.maximum(base[None, :] - z_n[:, None] * b_pos, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = x_pos[None, :] * (np.log(minus + b_pos) - np.log(minus))
-    out = terms.sum(axis=1) - b_obs_mass
-    if np.any(np.isnan(out)):
-        raise InvariantError("NaN in likelihood ratio; the current state has zero likelihood")
-    return out
-
-
-def _scan_row(z_n, logw, log_e, log_f, b_pos, x_pos, b_obs_mass, rng):
-    """Entry-wise Gibbs pass over one row, in place.
-
-    Returns (row_sum, changed).  The prior part of each log odds is
-    log f(s+1) - log f(s) + log w_k + log e_s - log e_{s+1} with s the sum
-    of the other entries; the likelihood ratios are recomputed from scratch
-    after every accepted flip, so there is no floating-point drift.
-    """
-    k = z_n.shape[0]
-    ll = _row_loglik_ratios(z_n, b_pos, x_pos, b_obs_mass)
-    s = int(z_n.sum())
-    changed = False
-    for kk in range(k):
-        s_minus = s - int(z_n[kk])
-        lo = log_f[s_minus + 1] - log_f[s_minus] + logw[kk] + log_e[s_minus] - log_e[s_minus + 1] + ll[kk]
-        new = 1 if rng.random() < expit(lo) else 0
-        if new != z_n[kk]:
-            z_n[kk] = new
-            s += 1 if new else -1
-            changed = True
-            if kk + 1 < k:
-                ll = _row_loglik_ratios(z_n, b_pos, x_pos, b_obs_mass)
-    return s, changed
-
-
 def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     """Random-walk MH pass over atoms in ascending index order, in place.
 
@@ -269,9 +226,10 @@ class ChainRunner:
     auxiliary split from (Z, B) before anything reads it, so a start state
     needs no split of its own.
 
-    All randomness flows through one generator in a fixed order (row scans,
-    atom proposals, auxiliary allocation, loading and mass draws), which is
-    what makes fixed-seed reruns and checkpoint resumes bit-for-bit equal.
+    All randomness flows through one generator in a fixed order (column
+    sweeps, atom proposals, auxiliary allocation, loading and mass draws),
+    which is what makes fixed-seed reruns and checkpoint resumes bit-for-bit
+    equal.
     """
 
     def __init__(self, data, mask, config, _restore=None, _state=None):
@@ -283,14 +241,11 @@ class ChainRunner:
         self.mask = mask
         self.config = config
         self._hp = config.hyper
-        self._n = data.n_rows
-        self._d = data.n_cols
+        self._n, self._d = data.n_rows, data.n_cols
         self._k = self._hp.k_max
         self._log_f = negbin_row_sum_log_pmf(self._hp.nb_r, self._hp.nb_p, self._k)
         self._levy_mass = levy_exposure_mass(self._hp.eps_trunc, self._hp.c, self._hp.sigma)
-        self._obs = mask.training_dense.copy()
-        self._obs_f = self._obs.astype(np.float64)
-        self._zero_k = np.zeros(self._k)
+        self._obs_f = mask.training_dense.astype(np.float64)
         self._set_count_caches(data.dense)
         self._retained = []
         self._runtime = 0.0
@@ -300,10 +255,7 @@ class ChainRunner:
             self._rng = np.random.default_rng(self._hp.seed)
             self._iteration = 0
             self._step = float(self._hp.mh_step)
-            self._win_prop = 0
-            self._win_acc = 0
-            self._post_prop = 0
-            self._post_acc = 0
+            self._win_prop = self._win_acc = self._post_prop = self._post_acc = 0
             if _state is None:
                 self._init_state()
             else:
@@ -331,22 +283,13 @@ class ChainRunner:
         x = np.asarray(x_dense, dtype=np.int64)
         if x.shape != (self._n, self._d) or np.any(x < 0):
             raise DomainError("count array must be non-negative with the data's shape")
-        self._x = x
-        obs_cols, pos_cols, x_pos = [], [], []
-        for n in range(self._n):
-            oc = np.flatnonzero(self._obs[n])
-            xr = x[n, oc]
-            pos = xr > 0
-            obs_cols.append(oc)
-            pos_cols.append(oc[pos])
-            x_pos.append(xr[pos].astype(np.float64))
-        self._obs_cols = obs_cols
-        self._pos_cols = pos_cols
-        self._x_pos = x_pos
         # observed positive cells in row-major order, the order the aux
         # stage draws their splits in
-        self._e_rows, self._e_cols = np.nonzero(self._obs & (x > 0))
+        self._e_rows, self._e_cols = np.nonzero(self.mask.training_dense & (x > 0))
         self._e_x = x[self._e_rows, self._e_cols]
+        self._row_counts = np.bincount(self._e_rows, minlength=self._n)
+        self._e_starts = np.flatnonzero(np.diff(self._e_rows, prepend=-1))
+        self._e_flat = self._e_rows * self._d + self._e_cols
         self._n_entries = self._e_x.shape[0]
         self._unit_entry = np.repeat(np.arange(self._n_entries), self._e_x)
         self._total_units = int(self._e_x.sum())
@@ -357,9 +300,9 @@ class ChainRunner:
 
         Used by calibration harnesses that resample data inside the loop.
         """
-        self._set_count_caches(np.asarray(x_dense))
-        labels = (self.data.row_labels, self.data.col_labels)
-        self.data = CountMatrix.from_dense(self._x, *labels)
+        x = np.asarray(x_dense)
+        self._set_count_caches(x)
+        self.data = CountMatrix.from_dense(x, self.data.row_labels, self.data.col_labels)
         self._refresh_aux_internal()
         self._validate_internal()
 
@@ -374,10 +317,9 @@ class ChainRunner:
         z = np.zeros((self._n, self._k), dtype=np.int8)
         for n in range(self._n):
             s = int(min(rng.negative_binomial(hp.nb_r, hp.nb_p), self._k))
-            if self._pos_cols[n].shape[0]:
-                # a row with positive counts needs at least one active feature
-                # (weights are floored above zero, so any active feature keeps
-                # the likelihood finite and the allocation step well defined)
+            if self._row_counts[n]:
+                # a row with positive counts needs an active feature (loadings
+                # are floored above zero, so any one keeps the likelihood finite)
                 for _ in range(1000):
                     if s:
                         break
@@ -406,19 +348,50 @@ class ChainRunner:
     # -- kernel ------------------------------------------------------------
 
     def _sweep_z_internal(self):
-        z = self._z
-        b = self._b
-        rng = self._rng
-        log_f = self._log_f
-        logw = self._logw
-        log_e = self._log_e
-        for n in range(self._n):
-            oc = self._obs_cols[n]
-            pc = self._pos_cols[n]
-            b_pos = b[:, pc] if pc.shape[0] else None
-            b_obs_mass = b[:, oc].sum(axis=1) if oc.shape[0] else self._zero_k
-            s, _ = _scan_row(z[n], logw, log_e, log_f, b_pos, self._x_pos[n], b_obs_mass, rng)
-            self._row_sums[n] = s
+        """Column-blocked Gibbs pass: for k = 0..K-1, redraw z_nk of every row at once.
+
+        Given (pi, B) and the other columns, the restricted row prior and the
+        Poisson likelihood factor over rows, so drawing a whole column is
+        exact.  Row n's log odds for z_nk = 1 is log f(s+1) - log f(s) +
+        log w_k + log e_s - log e_{s+1}, s its other active features, plus
+        sum_d x_nd log((lam_nd + b_kd) / lam_nd) over its observed positive
+        cells, lam_nd the other features' rate, minus b_k's observed mass.
+        The rates are rebuilt from (Z, B) once per sweep, so no rounding
+        drift outlives a sweep, and are exactly zero in a row with no other
+        active feature, which keeps a feature on in a row with a count.
+        """
+        z, b = self._z, self._b
+        cols, counts = self._e_cols, self._row_counts
+        x = self._e_x.astype(np.float64)
+        has_entries = counts > 0
+        s = self._row_sums
+        # the prior log odds at each number s = 0..K-1 of other active features
+        prior = self._log_f[1:] - self._log_f[:-1] + self._log_e[:-1] - self._log_e[1:]
+        obs_mass = self._obs_f @ b.T
+        lam = (z.astype(np.float64) @ b).take(self._e_flat)
+        u = self._rng.random((self._k, self._n))
+        ll = np.zeros(self._n)
+        for k in range(self._k):
+            zk = z[:, k]
+            b_e = b[k].take(cols)
+            s_minus = s - zk
+            # entries are row-major, so np.repeat(v, counts) spreads a
+            # per-row v over the row's entries
+            lam_minus = np.maximum(lam - np.repeat(zk, counts) * b_e, 0.0)
+            alone = (s_minus == 0) & has_entries
+            if alone.any():
+                lam_minus[np.repeat(alone, counts)] = 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                ratio = x * np.log1p(b_e / lam_minus)
+            ll[has_entries] = np.add.reduceat(ratio, self._e_starts)
+            lo = prior[s_minus] + self._logw[k] + ll - obs_mass[:, k]
+            if np.any(np.isnan(lo)):
+                raise InvariantError("NaN in likelihood ratio; the current state has zero likelihood")
+            new = (u[k] < expit(lo)).astype(np.int8)
+            z[:, k] = new
+            s = s_minus + new
+            lam = lam_minus + np.repeat(new, counts) * b_e
+        self._row_sums = s
 
     def _mh_pi_internal(self):
         m = self._z.sum(axis=0, dtype=np.int64)
@@ -434,13 +407,7 @@ class ChainRunner:
             self._post_acc += n_acc
 
     def _refresh_aux_internal(self):
-        if self._n_entries == 0:
-            self._aux = np.zeros((0, self._k), dtype=np.int64)
-            return
-        z_rows = self._z[self._e_rows].astype(np.float64)
-        b_cols = self._b[:, self._e_cols].T
-        rates = z_rows * b_cols
-        cum = np.cumsum(rates, axis=1)
+        cum = np.cumsum(self._z[self._e_rows] * self._b[:, self._e_cols].T, axis=1)
         tot = cum[:, -1]
         if np.any(tot <= 0):
             bad = int(np.argmax(tot <= 0))
@@ -462,11 +429,10 @@ class ChainRunner:
         self._alpha = sample_alpha(k_plus, self._levy_mass, self._hp, self._rng)
 
     def _validate_internal(self):
-        if self._n_entries:
-            if not np.array_equal(self._aux.sum(axis=1), self._e_x):
-                raise InvariantError("auxiliary counts do not sum to the observed counts")
-            if np.any((self._aux > 0) & (self._z[self._e_rows] == 0)):
-                raise InvariantError("auxiliary mass allocated to an inactive feature")
+        if not np.array_equal(self._aux.sum(axis=1), self._e_x):
+            raise InvariantError("auxiliary counts do not sum to the observed counts")
+        if np.any((self._aux > 0) & (self._z[self._e_rows] == 0)):
+            raise InvariantError("auxiliary mass allocated to an inactive feature")
         if np.any(self._pi < self._hp.eps_trunc) or np.any(self._pi > PI_CEILING):
             raise InvariantError("a feature weight left its support")
 
@@ -573,9 +539,8 @@ class ChainRunner:
         return self._alpha
 
     def state_snapshot(self):
-        aux = {}
-        for i in range(self._n_entries):
-            aux[(int(self._e_rows[i]), int(self._e_cols[i]))] = self._aux[i].copy()
+        cells = zip(self._e_rows.tolist(), self._e_cols.tolist())
+        aux = {cell: split.copy() for cell, split in zip(cells, self._aux)}
         return LatentState(z=self._z.copy(), b=self._b.copy(), pi=self._pi.copy(), alpha=self._alpha, aux=aux)
 
     # -- checkpointing -------------------------------------------------------
@@ -593,7 +558,7 @@ class ChainRunner:
             "ret_pi": np.stack([r[2] for r in self._retained]) if n_ret else np.zeros((0, self._k)),
             "ret_alpha": np.array([r[3] for r in self._retained]),
             "ret_kplus": np.array([r[4] for r in self._retained], dtype=np.int64),
-            "mask_cells": np.asarray(self.mask.held_out_sorted(), dtype=np.int64).reshape(-1, 2),
+            "mask_cells": self.mask.held_out_cells,
         }
         meta = {
             "kind": "chain-checkpoint",

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, NumericsError
 
 __all__ = [
     "CountMatrix",
@@ -51,6 +51,10 @@ SIGMA_CEILING = 1.0 - 1e-3
 
 # Weights are kept strictly below 1 so odds stay finite.
 PI_CEILING = 1.0 - 1e-15
+
+# Below this c + sigma the exposure mass sits against p = 1, where its
+# quadrature fails or misses its tolerance (by 1e-2 at c + sigma = 1e-7).
+MIN_C_PLUS_SIGMA = 1e-3
 
 
 def _check_labels(labels, n, kind):
@@ -140,6 +144,10 @@ class CountMatrix:
         return self.entries.get((n, d), 0)
 
     def digest(self):
+        return self._digest
+
+    @cached_property
+    def _digest(self):
         payload = json.dumps(
             {
                 "shape": [self.n_rows, self.n_cols],
@@ -191,12 +199,24 @@ class ObservationMask:
     def n_held_out(self):
         return len(self.held_out)
 
+    @cached_property
+    def held_out_cells(self):
+        """Read-only (n_held_out, 2) int64 array of the held-out cells, sorted."""
+        cells = np.array(sorted(self.held_out), dtype=np.int64).reshape(-1, 2)
+        cells.flags.writeable = False
+        return cells
+
     def held_out_sorted(self):
-        return sorted(self.held_out)
+        """The held-out cells as a new sorted list of (row, col) tuples."""
+        return list(map(tuple, self.held_out_cells.tolist()))
 
     def digest(self):
+        return self._digest
+
+    @cached_property
+    def _digest(self):
         payload = json.dumps(
-            {"shape": [self.n_rows, self.n_cols], "cells": sorted(map(list, self.held_out))},
+            {"shape": [self.n_rows, self.n_cols], "cells": self.held_out_cells.tolist()},
             separators=(",", ":"),
         ).encode()
         return hashlib.sha256(payload).hexdigest()
@@ -239,8 +259,8 @@ class HyperParams:
             object.__setattr__(self, "sigma", SIGMA_CEILING)
         if not 0.0 <= self.sigma < 1.0:
             raise DomainError(f"sigma must lie in [0, 1), got {self.sigma}")
-        if not self.c > -self.sigma:
-            raise DomainError(f"c must exceed -sigma, got c={self.c}, sigma={self.sigma}")
+        if not self.c + self.sigma >= MIN_C_PLUS_SIGMA:
+            raise DomainError(f"c + sigma must be at least {MIN_C_PLUS_SIGMA}, got c={self.c}, sigma={self.sigma}")
         for name in ("alpha_prior_shape", "alpha_prior_scale", "nb_r", "alpha_b", "mu_b", "mh_step"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -256,6 +276,12 @@ class HyperParams:
             raise DomainError("n_samples and thin must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        from .priors import levy_exposure_mass  # priors imports this module
+
+        try:
+            levy_exposure_mass(self.eps_trunc, self.c, self.sigma)
+        except NumericsError as exc:
+            raise DomainError(f"no finite positive exposure mass at these c, sigma, eps_trunc: {exc}") from None
 
     def to_dict(self):
         return asdict(self)

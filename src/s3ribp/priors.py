@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, NumericsError
@@ -264,7 +265,8 @@ def levy_exposure_mass(eps_trunc, c, sigma):
     the truncation floor exists.  The quadrature runs in u = log p, where
     the integrand C exp(-sigma u) (-expm1(u))^(c+sigma-1) on [log eps, 0]
     stays bounded however small eps is (in p it grows like p^(-1-sigma)),
-    to a 1e-8 relative tolerance; anything worse is an error.
+    to a 1e-8 relative tolerance; anything worse is an error, and
+    ``HyperParams`` refuses the (c, sigma, eps_trunc) where it happens.
     """
     if not 0.0 <= sigma < 1.0:
         raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
@@ -277,7 +279,12 @@ def levy_exposure_mass(eps_trunc, c, sigma):
     def integrand(u):
         return const * math.exp(-sigma * u) * (-math.expm1(u)) ** (c + sigma - 1.0)
 
-    val, err = quad(integrand, math.log(eps_trunc), 0.0, epsabs=0.0, epsrel=1e-10, limit=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # a missed tolerance raises below
+        try:
+            val, err = quad(integrand, math.log(eps_trunc), 0.0, epsabs=0.0, epsrel=1e-10, limit=400)
+        except OverflowError:  # exp(-sigma u) at a subnormal eps
+            val, err = math.inf, math.inf
     if not np.isfinite(val) or val <= 0 or err > 1e-8 * abs(val):
         raise NumericsError(f"exposure-mass quadrature failed to converge (value {val}, error {err})")
     return float(val)

@@ -221,6 +221,86 @@ class TestSweepZ:
         assert p_value > 1e-3
 
 
+    def test_two_row_stationary_distribution(self):
+        # one sweep redraws a whole column at once; at fixed pi and B the two
+        # rows are independent, each from its restricted prior times the
+        # Poisson likelihood of its observed cells.  Row 0's cell (0, 2) is
+        # held out, so its count 4 must not count; row 1 has no positive
+        # cell, so only the rate mass of its observed cells acts on it
+        x = np.array([[1, 2, 4], [0, 0, 0]])
+        b = np.array([[0.5, 1.0, 3.0], [1.0, 0.3, 0.2], [0.3, 0.6, 0.1]])
+        pi = np.array([0.6, 0.3, 0.15])
+        mask = ObservationMask(frozenset({(0, 2)}), 2, 3)
+        runner = runner_at(x, [[1, 0, 0], [0, 1, 0]], b, pi, mask=mask, seed=13)
+        hp = runner.config.hyper
+        rows = enumerate_rows(3)
+        log_f = negbin_row_sum_log_pmf(hp.nb_r, hp.nb_p, 3)
+        prior = np.array([restricted_row_log_prior(z, pi, log_f) for z in rows])
+        rates = rows.astype(np.float64) @ b
+        want = []
+        for n in range(2):
+            seen = mask.training_dense[n]
+            log_p = prior + poisson_log_pmf(x[n][seen], rates[:, seen]).sum(axis=1)
+            p = np.exp(log_p - log_p.max())
+            want.append(p / p.sum())
+        # joint code of (row 0, row 1): row 0's code + 8 * row 1's
+        want = np.outer(want[1], want[0]).ravel()
+        weights = 1 << np.arange(3)
+        codes = []
+        for it in range(40_000):
+            runner._sweep_z_internal()
+            if it % 4 == 0:
+                codes.append(int(runner.z[0] @ weights + 8 * (runner.z[1] @ weights)))
+        observed = np.bincount(codes, minlength=64)
+        assert observed[want == 0].sum() == 0
+        expected = want * len(codes)
+        # pool the thin bins into one so every chi-square cell has mass
+        thin = (expected < 5) & (want > 0)
+        obs = np.append(observed[expected >= 5], observed[thin].sum())
+        exp = np.append(expected[expected >= 5], expected[thin].sum())
+        assert exp[-1] > 5
+        p_value = stats.chisquare(obs, exp).pvalue
+        assert p_value > 1e-3
+
+    def test_positive_row_keeps_its_last_feature(self):
+        # every row starts with features {0, 1}; feature 0's mass forces it
+        # off, after which the cell rate kept through the sweep is
+        # (50 + v) - 50, a rounding error above v = b[1, 0].  A sweep that
+        # took feature 1's leave-one-out rate from it (about 1e-15, not 0)
+        # would give the count only ~32 nats against feature 1's rate mass
+        # of 40 and switch the row's last feature off
+        v = 0.1
+        assert (50.0 + v) - 50.0 > v
+        n = 50
+        x = np.zeros((n, 3), dtype=np.int64)
+        x[:, 0] = 1
+        b = np.array([[50.0, 50.0, 50.0], [v, 20.0, 20.0]])
+        for seed in range(5):
+            runner = runner_at(x, np.ones((n, 2)), b, np.full(2, 0.5), seed=seed)
+            runner._sweep_z_internal()
+            np.testing.assert_array_equal(runner.z, np.tile([0, 1], (n, 1)))
+            runner._refresh_aux_internal()
+            runner._validate_internal()
+
+    def test_row_sums_and_positive_rows_over_a_chain(self, rng):
+        # over many full iterations, after every Z sweep the cached row sums
+        # match Z and every row with a positive training count keeps a feature
+        x = rng.poisson(0.4, size=(30, 12))
+        x[3] = 0
+        mask = ObservationMask(frozenset({(0, 0), (5, 7), (9, 2)}), 30, 12)
+        runner = ChainRunner(CountMatrix.from_dense(x), mask, ChainConfig(hyper=tiny_hyper(k_max=6)))
+        positive = (x * mask.training_dense).sum(axis=1) > 0
+        for _ in range(200):
+            runner._sweep_z_internal()
+            np.testing.assert_array_equal(runner._row_sums, runner.z.sum(axis=1))
+            assert np.all(runner.z[positive].sum(axis=1) >= 1)
+            runner._mh_pi_internal()
+            runner._refresh_aux_internal()
+            runner._update_b_internal()
+            runner._update_alpha_internal()
+            runner._validate_internal()
+
+
 class TestMhUpdatePi:
     """The pi MH stage, ``_mh_pi_internal``."""
 

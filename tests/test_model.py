@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s3ribp import (
     CountMatrix,
@@ -14,6 +18,7 @@ from s3ribp import (
     PosteriorSummary,
     gamma_draw_shape_mean,
     gamma_log_pdf_shape_mean,
+    levy_exposure_mass,
     negbin_log_pmf,
     negbin_mean,
     negbin_row_sum_log_pmf,
@@ -22,7 +27,7 @@ from s3ribp import (
     rca_transform,
     row_rate,
 )
-from s3ribp.model import SIGMA_CEILING
+from s3ribp.model import MIN_C_PLUS_SIGMA, SIGMA_CEILING
 
 
 class TestCountMatrix:
@@ -99,6 +104,26 @@ class TestObservationMask:
         b = ObservationMask(frozenset({(0, 1)}), 2, 2)
         assert a.digest() != b.digest()
 
+    def test_cached_cells_and_digest(self, rng):
+        cells = {(int(n), int(d)) for n, d in rng.integers(0, 40, size=(300, 2))}
+        mask = ObservationMask(frozenset(cells), 40, 40)
+        first = mask.held_out_sorted()
+        assert first == sorted(cells)
+        # each call returns a new list, so a caller's edits stay its own
+        first.pop()
+        assert mask.held_out_sorted() == sorted(cells)
+        np.testing.assert_array_equal(mask.held_out_cells, sorted(cells))
+        assert mask.held_out_cells.dtype == np.int64 and mask.held_out_cells.shape == (len(cells), 2)
+        with pytest.raises(ValueError):
+            mask.held_out_cells[0, 0] = 1
+        # the digest is the one computed from the cell set directly
+        payload = json.dumps({"shape": [40, 40], "cells": sorted(map(list, cells))}, separators=(",", ":"))
+        assert mask.digest() == hashlib.sha256(payload.encode()).hexdigest()
+        assert mask.digest() == mask.digest()
+        empty = ObservationMask.none_held_out(2, 3)
+        assert empty.held_out_sorted() == []
+        assert empty.held_out_cells.shape == (0, 2)
+
 
 class TestHyperParams:
     def test_defaults_match_documented_values(self):
@@ -139,6 +164,32 @@ class TestHyperParams:
     def test_c_may_be_negative_within_sigma(self):
         hp = HyperParams(c=-0.2, sigma=0.5)
         assert hp.c == -0.2
+
+    def test_no_exposure_mass_rejected(self):
+        # c + sigma near 0: the quadrature fails or misses its tolerance
+        for c in (-0.49999, -0.4999999, -0.49999999, MIN_C_PLUS_SIGMA / 2 - 0.5):
+            with pytest.raises(DomainError, match="c \\+ sigma"):
+                HyperParams(c=c, sigma=0.5)
+        # large c with the floor near 1: the mass underflows to zero
+        for eps in (0.8, 0.9, 0.99):
+            with pytest.raises(DomainError, match="exposure mass"):
+                HyperParams(c=500.0, sigma=0.5, eps_trunc=eps)
+        assert HyperParams(c=MIN_C_PLUS_SIGMA - 0.5, sigma=0.5).c + 0.5 >= MIN_C_PLUS_SIGMA
+        assert HyperParams(c=500.0, sigma=0.5, eps_trunc=0.7).eps_trunc == 0.7
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c_plus_sigma=st.floats(0.0, 600.0),
+        sigma=st.floats(0.0, 0.999),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_every_accepted_configuration_has_an_exposure_mass(self, c_plus_sigma, sigma, eps):
+        try:
+            hp = HyperParams(c=c_plus_sigma - sigma, sigma=sigma, eps_trunc=eps)
+        except DomainError:
+            return
+        mass = levy_exposure_mass(hp.eps_trunc, hp.c, hp.sigma)
+        assert np.isfinite(mass) and mass > 0
 
     def test_dict_round_trip_and_digest(self):
         hp = HyperParams(c=2.0, sigma=0.3, seed=11)
