@@ -8,7 +8,6 @@ samplers, the Gibbs/MH inference kernel, the evaluation suite, and a CLI.
 
 from .condbern import (
     LogESPTable,
-    gibbs_z_entry_logodds,
     inclusion_probs,
     log_esp,
     log_odds,
@@ -121,7 +120,6 @@ __all__ = [
     "inclusion_probs",
     "sample_row_given_sum",
     "restricted_row_log_prior",
-    "gibbs_z_entry_logodds",
     # priors
     "BinaryFeatureMatrix",
     "sample_ibp",

@@ -3,11 +3,10 @@
 For independent Bernoulli coordinates with weights pi and odds
 w_k = pi_k / (1 - pi_k), the probability that the vector sums to s is the
 Poisson binomial pmf e_s(w) prod_k (1 - pi_k), where e_s is the elementary
-symmetric polynomial of order s.  Conditioning a row on its sum, restricting
-the row-sum law to an arbitrary pmf f, and deriving entry-wise Gibbs odds
-all reduce to ratios of these polynomials, which are computed here with
-log-space recursions so they stay finite for weights spanning hundreds of
-orders of magnitude.
+symmetric polynomial of order s.  Conditioning a row on its sum and
+restricting the row-sum law to an arbitrary pmf f both reduce to ratios of
+these polynomials, which are computed here with log-space recursions so
+they stay finite for weights spanning hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "inclusion_probs",
     "sample_row_given_sum",
     "restricted_row_log_prior",
-    "gibbs_z_entry_logodds",
 ]
 
 _NEG_INF = -np.inf
@@ -133,32 +131,33 @@ def _suffix_log_esp(logw, s_max):
 
 
 def sample_row_given_sum(pi, s, rng):
-    """Draw a binary vector with exactly s ones from the conditional Bernoulli law.
+    """Draw binary rows with exactly s ones from the conditional Bernoulli law.
 
-    Sequential DP: coordinate i is included with probability
-    w_i e_{r-1}(w_{i+1..}) / e_r(w_{i..}) where r is the remaining quota.
-    Exact, no rejection.
+    ``s`` is one sum, giving one (K,) row, or a vector of sums, giving one
+    row per sum.  Sequential DP over the coordinates, every row at once:
+    coordinate i is included with probability
+    w_i e_{r-1}(w_{i+1..}) / e_r(w_{i..}), r the row's remaining quota, read
+    off one suffix table built for the largest sum.  Exact, no rejection;
+    one uniform per (row, coordinate).
     """
     pi = np.asarray(pi, dtype=np.float64)
     logw = log_odds(pi)
     k = pi.shape[0]
-    if not 0 <= s <= k:
-        raise DomainError(f"target sum {s} outside 0..{k}")
-    z = np.zeros(k, dtype=np.int8)
-    if s == 0:
-        return z
-    t = _suffix_log_esp(logw, s)
-    r = s
+    sums = np.asarray(s, dtype=np.int64)
+    if np.any((sums < 0) | (sums > k)):
+        raise DomainError(f"target sum outside 0..{k}")
+    r = np.atleast_1d(sums).copy()
+    z = np.zeros((r.shape[0], k), dtype=np.int8)
+    t = _suffix_log_esp(logw, int(r.max(initial=0)))
+    u = rng.random((r.shape[0], k))
     for i in range(k):
-        if r == 0:
-            break
-        p_in = np.exp(logw[i] + t[i + 1, r - 1] - t[i, r])
-        if rng.random() < p_in:
-            z[i] = 1
-            r -= 1
-    if r != 0:
+        p_in = np.exp(logw[i] + t[i + 1, np.maximum(r - 1, 0)] - t[i, r])
+        take = (r > 0) & (u[:, i] < p_in)
+        z[take, i] = 1
+        r -= take
+    if np.any(r != 0):
         raise NumericsError("conditional Bernoulli sweep failed to place all ones")
-    return z
+    return z if sums.ndim else z[0]
 
 
 def restricted_row_log_prior(z, pi, log_f, esp=None):
@@ -189,37 +188,3 @@ def restricted_row_log_prior(z, pi, log_f, esp=None):
     bern = float(np.where(z == 1, np.log(pi), log1m).sum())
     log_pb = float(table[s] + log1m.sum())
     return float(log_f[s]) + bern - log_pb
-
-
-def gibbs_z_entry_logodds(z_row, k, pi, log_f, loglik_ratio=0.0, esp=None):
-    """Full-conditional log odds of z_k = 1 given the rest of the row.
-
-    log f(s+1) - log f(s) + log w_k + log e_s(w) - log e_{s+1}(w) + likelihood
-    ratio, with s the sum of the other coordinates.  If f has no mass at
-    either reachable sum the state is contradictory and that is an error;
-    one-sided zero mass forces the entry deterministically (+-inf), taking
-    precedence over any likelihood ratio.
-    """
-    z_row = np.asarray(z_row)
-    pi = np.asarray(pi, dtype=np.float64)
-    log_f = np.asarray(log_f, dtype=np.float64)
-    kk = pi.shape[0]
-    if z_row.shape != (kk,) or log_f.shape != (kk + 1,):
-        raise DomainError("z_row, pi and log_f disagree on the number of coordinates")
-    if not 0 <= k < kk:
-        raise DomainError(f"feature index {k} outside 0..{kk - 1}")
-    if not np.isin(z_row, (0, 1)).all():
-        raise DomainError("z_row must be binary")
-    logw = log_odds(pi)
-    s_minus = int(z_row.sum()) - int(z_row[k])
-    lf0 = float(log_f[s_minus])
-    lf1 = float(log_f[s_minus + 1])
-    if lf0 == _NEG_INF and lf1 == _NEG_INF:
-        raise DomainError(f"row-sum law has no mass at either {s_minus} or {s_minus + 1}")
-    if lf1 == _NEG_INF:
-        return _NEG_INF
-    if lf0 == _NEG_INF:
-        return np.inf
-    table = _log_esp_from_logw(logw) if esp is None else esp.log_e
-    lo = lf1 - lf0 + float(logw[k]) + float(table[s_minus]) - float(table[s_minus + 1])
-    return lo + float(loglik_ratio)

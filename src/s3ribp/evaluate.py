@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .mcmc import predictive_log_lik, run_chain
+from .mcmc import _predictive_log_liks, run_chain
 from .model import CountMatrix, ObservationMask, poisson_log_pmf
 
 __all__ = [
@@ -34,41 +34,40 @@ __all__ = [
 ]
 
 
+def _held_out_counts(data, mask):
+    if not mask.n_held_out:
+        raise DomainError("mask holds nothing out; there is nothing to score")
+    rows, cols = mask.held_out[:, 0], mask.held_out[:, 1]
+    return rows, cols, data.counts_at(rows, cols)
+
+
 def log_perplexity(summary, data, mask):
     """Negative mean predictive log-likelihood over the held-out cells.
 
     Lower is better.  The predictive is the posterior mixture across the
-    summary's retained samples.
+    summary's retained samples.  A positive held-out cell whose rate is zero
+    in every retained sample (its row has no active feature in any of them)
+    has predictive probability zero, and the score is then +inf.
     """
-    cells = mask.held_out_sorted()
-    if not cells:
-        raise DomainError("mask holds nothing out; there is nothing to score")
-    total = 0.0
-    for n, d in cells:
-        total += predictive_log_lik(summary, (n, d), data.value(n, d))
-    return -total / len(cells)
+    rows, cols, x = _held_out_counts(data, mask)
+    return -float(_predictive_log_liks(summary, rows, cols, x).mean())
 
 
 def baseline_row_mean_log_perplexity(data, mask):
     """Held-out log-perplexity of a rate-only Poisson baseline.
 
     Each row's rate is its observed training mean; a row with no observed
-    cells falls back to the global training mean.
+    cells falls back to the global training mean.  A positive held-out cell
+    in a row whose training cells are all zero meets a rate of zero, and
+    the score is then +inf.
     """
-    cells = mask.held_out_sorted()
-    if not cells:
-        raise DomainError("mask holds nothing out; there is nothing to score")
-    x = data.dense.astype(np.float64)
-    obs = mask.training_dense
-    n_obs_row = obs.sum(axis=1)
-    row_tot = np.where(obs, x, 0.0).sum(axis=1)
+    rows, cols, x = _held_out_counts(data, mask)
+    n = data.n_rows
+    n_obs_row = data.n_cols - np.bincount(rows, minlength=n)
+    row_tot = np.bincount(data.rows, weights=data.counts, minlength=n) - np.bincount(rows, weights=x, minlength=n)
     global_mean = row_tot.sum() / max(int(n_obs_row.sum()), 1)
-    with np.errstate(invalid="ignore"):
-        row_mean = np.where(n_obs_row > 0, row_tot / np.maximum(n_obs_row, 1), global_mean)
-    total = 0.0
-    for n, d in cells:
-        total += float(poisson_log_pmf(data.value(n, d), row_mean[n]))
-    return -total / len(cells)
+    row_mean = np.where(n_obs_row > 0, row_tot / np.maximum(n_obs_row, 1), global_mean)
+    return -float(poisson_log_pmf(x, row_mean[rows]).mean())
 
 
 def _top_m_columns(weights, top_m):
@@ -94,29 +93,31 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     if live is None:
         live = np.ones(b_mean.shape[0], dtype=bool)
     live = np.asarray(live, dtype=bool)
-    present = data.dense > 0
-    doc = present.sum(axis=0).astype(np.float64)
-    co = (present.T.astype(np.float64) @ present.astype(np.float64))
+    doc = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
+    all_rows = np.arange(data.n_rows)[:, None]
     scores = []
     for k in range(b_mean.shape[0]):
         if not live[k] or not np.any(b_mean[k] > 0):
             continue
         cols = _top_m_columns(b_mean[k], top_m)
+        # co[i, j]: rows with a count in both top columns i and j
+        present = (data.counts_at(all_rows, cols[None, :]) > 0).astype(np.float64)
+        co = present.T @ present
         total = 0.0
         for m in range(1, len(cols)):
             for l in range(m):
                 d_l = doc[cols[l]]
                 if d_l == 0:
                     continue
-                total += math.log((co[cols[m], cols[l]] + 1.0) / d_l)
+                total += math.log((co[m, l] + 1.0) / d_l)
         scores.append(total)
     if not scores:
         raise DomainError("no live feature has positive weights; coherence is undefined")
     return float(np.mean(scores))
 
 
-def _sorted_row_nonzeros(x):
-    return np.sort((np.asarray(x) > 0).sum(axis=1))
+def _sorted_row_nonzeros(data):
+    return np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
 
 
 def qq_row_nonzeros(summary, data, n_draws, rng):
@@ -128,14 +129,13 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     """
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1")
-    empirical = _sorted_row_nonzeros(data.dense).astype(np.float64)
+    empirical = _sorted_row_nonzeros(data)
     acc = np.zeros_like(empirical)
     s_total = summary.n_samples
     for _ in range(n_draws):
         s = int(rng.integers(s_total))
         lam = summary.z_samples[s].astype(np.float64) @ summary.b_samples[s]
-        rep = rng.poisson(lam)
-        acc += _sorted_row_nonzeros(rep)
+        acc += np.sort(np.count_nonzero(rng.poisson(lam), axis=1))
     predicted = acc / n_draws
     return [(float(e), float(p)) for e, p in zip(empirical, predicted)]
 
@@ -149,15 +149,14 @@ def binomial_baseline_qq(data, n_draws, rng):
     """
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1")
-    present = data.dense > 0
-    k_n = present.sum(axis=1).astype(np.float64)
-    k_d = present.sum(axis=0).astype(np.float64)
-    w = float(present.sum())
+    k_n = np.bincount(data.rows, minlength=data.n_rows).astype(np.float64)
+    k_d = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
+    w = float(data.n_nonzero)
     if w > 0:
         p = np.minimum(1.0, np.outer(k_n, k_d) / w)
     else:
         p = np.zeros((data.n_rows, data.n_cols))
-    empirical = _sorted_row_nonzeros(data.dense).astype(np.float64)
+    empirical = _sorted_row_nonzeros(data)
     acc = np.zeros_like(empirical)
     for _ in range(n_draws):
         rep = rng.random(p.shape) < p

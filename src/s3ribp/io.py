@@ -93,7 +93,7 @@ def _load_dense(rows):
         if lab in seen_cols:
             raise ParseError(f"duplicate column label {lab!r}", line=header_no)
         seen_cols.add(lab)
-    row_labels, entries, values = [], {}, []
+    row_labels, values = [], []
     seen_rows = set()
     for lineno, cells in rows[1:]:
         if len(cells) != len(col_labels) + 1:
@@ -108,12 +108,7 @@ def _load_dense(rows):
         values.append([_parse_count(c, lineno) for c in cells[1:]])
     if not row_labels:
         raise ParseError("dense file has no data rows", line=header_no)
-    n, d = len(row_labels), len(col_labels)
-    for i, rowvals in enumerate(values):
-        for j, v in enumerate(rowvals):
-            if v > 0:
-                entries[(i, j)] = int(v)
-    return CountMatrix(n, d, entries, tuple(row_labels), tuple(col_labels))
+    return CountMatrix.from_dense(np.asarray(values, dtype=np.float64), tuple(row_labels), tuple(col_labels))
 
 
 def _load_triplet(rows):
@@ -123,32 +118,26 @@ def _load_triplet(rows):
     # A non-numeric count field marks a header line; a numeric-but-invalid
     # one (negative, fractional) is data and fails loudly below.
     start = 0 if _is_number(first[2]) else 1
-    row_labels, col_labels = [], []
     row_index, col_index = {}, {}
-    entries = {}
-    cell_line = {}
-    for lineno, cells in rows[start:]:
+    lines = rows[start:]
+    idx, counts = [], []
+    for lineno, cells in lines:
         if len(cells) != 3:
             raise ParseError(f"expected 3 fields, got {len(cells)}", line=lineno)
         r, c, v = cells
-        val = int(_parse_count(v, lineno))
-        if r not in row_index:
-            row_index[r] = len(row_labels)
-            row_labels.append(r)
-        if c not in col_index:
-            col_index[c] = len(col_labels)
-            col_labels.append(c)
-        key = (row_index[r], col_index[c])
-        if key in cell_line:
-            raise ParseError(
-                f"duplicate cell ({r!r}, {c!r}); first seen on line {cell_line[key]}", line=lineno
-            )
-        cell_line[key] = lineno
-        if val > 0:
-            entries[key] = val
-    if not row_labels:
+        counts.append(_parse_count(v, lineno))
+        idx.append((row_index.setdefault(r, len(row_index)), col_index.setdefault(c, len(col_index))))
+    if not lines:
         raise ParseError("triplet file has no data rows", line=1)
-    return CountMatrix(len(row_labels), len(col_labels), entries, tuple(row_labels), tuple(col_labels))
+    idx = np.asarray(idx, dtype=np.int64)
+    flat = idx[:, 0] * len(col_index) + idx[:, 1]
+    uniq, first = np.unique(flat, return_index=True)
+    if uniq.size < flat.size:
+        i = int(np.setdiff1d(np.arange(flat.size), first)[0])  # the earliest repeat
+        lineno, (r, c, _) = lines[i]
+        seen = lines[first[np.searchsorted(uniq, flat[i])]][0]
+        raise ParseError(f"duplicate cell ({r!r}, {c!r}); first seen on line {seen}", line=lineno)
+    return CountMatrix(len(row_index), len(col_index), idx[:, 0], idx[:, 1], counts, tuple(row_index), tuple(col_index))
 
 
 def load_counts(path, fmt="auto"):
@@ -207,7 +196,7 @@ def save_counts(data, path, fmt="dense"):
             lines.append("\t".join([lab] + [str(int(v)) for v in dense[i]]))
     elif fmt == "triplet":
         lines = ["row\tcol\tcount"]
-        for (n, d), v in sorted(data.entries.items()):
+        for n, d, v in zip(data.rows.tolist(), data.cols.tolist(), data.counts.tolist()):
             lines.append(f"{data.row_labels[n]}\t{data.col_labels[d]}\t{v}")
     else:
         raise DomainError(f"unknown format {fmt!r}; expected 'dense' or 'triplet'")
@@ -232,8 +221,7 @@ def make_splits(data, fraction, n_folds, seed):
     for fold in range(n_folds):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), fold]))
         flat = rng.choice(n_cells, size=n_held, replace=False)
-        cells = frozenset((int(i) // data.n_cols, int(i) % data.n_cols) for i in flat)
-        masks.append(ObservationMask(cells, data.n_rows, data.n_cols))
+        masks.append(ObservationMask(np.stack(np.divmod(flat, data.n_cols), axis=1), data.n_rows, data.n_cols))
     return masks
 
 

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit, logsumexp
 
 from .condbern import _log_esp_from_logw, log_odds, sample_row_given_sum
@@ -69,6 +70,10 @@ _STEP_MIN, _STEP_MAX = 1e-3, 50.0
 # positive count and NaNs the likelihood ratios, so loadings are floored at
 # the smallest normal double.
 _B_FLOOR = float(np.finfo(np.float64).tiny)
+
+# Held-out cells scored per pass over the retained samples: each pass holds
+# an (n_samples, chunk) array of log-likelihoods.
+_SCORE_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -194,22 +199,36 @@ def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     return accepted
 
 
-def predictive_log_lik(summary, cell, x):
-    """Posterior-predictive log likelihood of a single cell.
+def _predictive_log_liks(summary, rows, cols, x):
+    """Posterior-predictive log likelihood of each cell (rows[i], cols[i]) at count x[i].
 
     log of the average Poisson pmf across retained samples, evaluated at the
     per-sample rate Z_n . B_d; a rate of zero contributes the point mass at
-    zero.
+    zero, so a positive count whose rate is zero in every sample scores
+    -inf.  Loops over samples, vectorised over cells in chunks.
     """
-    n, d = cell
-    s = summary.n_samples
-    if s < 1:
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    x = np.asarray(x)
+    s_total = summary.n_samples
+    if s_total < 1:
         raise DomainError("summary holds no retained samples")
-    if not (0 <= n < summary.z_samples.shape[1] and 0 <= d < summary.b_samples.shape[2]):
-        raise DomainError(f"cell ({n}, {d}) outside the summary's shape")
-    lam = np.einsum("sk,sk->s", summary.z_samples[:, n, :].astype(np.float64), summary.b_samples[:, :, d])
-    lp = poisson_log_pmf(int(x), lam)
-    return float(logsumexp(lp) - math.log(s))
+    if np.any((rows < 0) | (rows >= summary.z_samples.shape[1]) | (cols < 0) | (cols >= summary.b_samples.shape[2])):
+        raise DomainError("a cell lies outside the summary's shape")
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _SCORE_CHUNK):
+        r, c, xc = rows[lo : lo + _SCORE_CHUNK], cols[lo : lo + _SCORE_CHUNK], x[lo : lo + _SCORE_CHUNK]
+        lp = np.empty((s_total, r.shape[0]))
+        for s in range(s_total):
+            lam = np.einsum("ik,ki->i", summary.z_samples[s][r].astype(np.float64), summary.b_samples[s][:, c])
+            lp[s] = poisson_log_pmf(xc, lam)
+        out[lo : lo + _SCORE_CHUNK] = logsumexp(lp, axis=0) - math.log(s_total)
+    return out
+
+
+def predictive_log_lik(summary, cell, x):
+    """Posterior-predictive log likelihood of a single cell (see ``_predictive_log_liks``)."""
+    n, d = cell
+    return float(_predictive_log_liks(summary, [n], [d], [x])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +264,13 @@ class ChainRunner:
         self._k = self._hp.k_max
         self._log_f = negbin_row_sum_log_pmf(self._hp.nb_r, self._hp.nb_p, self._k)
         self._levy_mass = levy_exposure_mass(self._hp.eps_trunc, self._hp.c, self._hp.sigma)
-        self._obs_f = mask.training_dense.astype(np.float64)
-        self._set_count_caches(data.dense)
+        # held-out indicator: the observed rate mass and activity are the
+        # all-cells sums minus its products
+        cells = mask.held_out
+        self._held = sparse.csr_matrix(
+            (np.ones(cells.shape[0]), (cells[:, 0], cells[:, 1])), shape=(self._n, self._d)
+        )
+        self._set_count_caches(data)
         self._retained = []
         self._runtime = 0.0
         if _restore is not None:
@@ -279,14 +303,11 @@ class ChainRunner:
 
     # -- workspace ---------------------------------------------------------
 
-    def _set_count_caches(self, x_dense):
-        x = np.asarray(x_dense, dtype=np.int64)
-        if x.shape != (self._n, self._d) or np.any(x < 0):
-            raise DomainError("count array must be non-negative with the data's shape")
+    def _set_count_caches(self, data):
         # observed positive cells in row-major order, the order the aux
         # stage draws their splits in
-        self._e_rows, self._e_cols = np.nonzero(self.mask.training_dense & (x > 0))
-        self._e_x = x[self._e_rows, self._e_cols]
+        observed = ~self.mask.is_held_out(data.rows, data.cols)
+        self._e_rows, self._e_cols, self._e_x = data.rows[observed], data.cols[observed], data.counts[observed]
         self._row_counts = np.bincount(self._e_rows, minlength=self._n)
         self._e_starts = np.flatnonzero(np.diff(self._e_rows, prepend=-1))
         self._e_flat = self._e_rows * self._d + self._e_cols
@@ -300,9 +321,11 @@ class ChainRunner:
 
         Used by calibration harnesses that resample data inside the loop.
         """
-        x = np.asarray(x_dense)
-        self._set_count_caches(x)
-        self.data = CountMatrix.from_dense(x, self.data.row_labels, self.data.col_labels)
+        data = CountMatrix.from_dense(x_dense, self.data.row_labels, self.data.col_labels)
+        if (data.n_rows, data.n_cols) != (self._n, self._d):
+            raise DomainError("count array must have the data's shape")
+        self._set_count_caches(data)
+        self.data = data
         self._refresh_aux_internal()
         self._validate_internal()
 
@@ -314,20 +337,17 @@ class ChainRunner:
         alpha = float(rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale))
         pi = sample_pi_truncated(alpha, hp.c, hp.sigma, self._k, hp.eps_trunc, rng)
         b = rng.gamma(hp.alpha_b, hp.mu_b / hp.alpha_b, size=(self._k, self._d))
-        z = np.zeros((self._n, self._k), dtype=np.int8)
-        for n in range(self._n):
-            s = int(min(rng.negative_binomial(hp.nb_r, hp.nb_p), self._k))
-            if self._row_counts[n]:
-                # a row with positive counts needs an active feature (loadings
-                # are floored above zero, so any one keeps the likelihood finite)
-                for _ in range(1000):
-                    if s:
-                        break
-                    s = int(min(rng.negative_binomial(hp.nb_r, hp.nb_p), self._k))
-                if not s:
-                    s = 1
-            if s:
-                z[n] = sample_row_given_sum(pi, s, rng)
+        s = np.minimum(rng.negative_binomial(hp.nb_r, hp.nb_p, size=self._n), self._k)
+        # a row with positive counts needs an active feature (loadings are
+        # floored above zero, so any one keeps the likelihood finite): a zero
+        # draw there is redrawn, up to 1000 times, then set to one
+        for _ in range(1000):
+            empty = (s == 0) & (self._row_counts > 0)
+            if not empty.any():
+                break
+            s[empty] = np.minimum(rng.negative_binomial(hp.nb_r, hp.nb_p, size=int(empty.sum())), self._k)
+        s[(s == 0) & (self._row_counts > 0)] = 1
+        z = sample_row_given_sum(pi, s, rng)
         self._set_state(z, b, pi, alpha)
 
     def _set_state(self, z, b, pi, alpha, logw=None):
@@ -367,7 +387,7 @@ class ChainRunner:
         s = self._row_sums
         # the prior log odds at each number s = 0..K-1 of other active features
         prior = self._log_f[1:] - self._log_f[:-1] + self._log_e[:-1] - self._log_e[1:]
-        obs_mass = self._obs_f @ b.T
+        obs_mass = b.sum(axis=1) - self._held @ b.T
         lam = (z.astype(np.float64) @ b).take(self._e_flat)
         u = self._rng.random((self._k, self._n))
         ll = np.zeros(self._n)
@@ -420,7 +440,8 @@ class ChainRunner:
         self._aux = np.bincount(flat, minlength=self._n_entries * self._k).reshape(self._n_entries, self._k)
 
     def _update_b_internal(self):
-        activity = self._z.astype(np.float64).T @ self._obs_f
+        z = self._z.astype(np.float64)
+        activity = z.sum(axis=0)[:, None] - (self._held.T @ z).T
         sums = np.bincount(self._flat_cols, weights=self._aux.ravel().astype(np.float64), minlength=self._d * self._k)
         self._b = gibbs_update_B(sums.reshape(self._d, self._k).T, activity, self._hp, self._rng)
 
@@ -539,8 +560,7 @@ class ChainRunner:
         return self._alpha
 
     def state_snapshot(self):
-        cells = zip(self._e_rows.tolist(), self._e_cols.tolist())
-        aux = {cell: split.copy() for cell, split in zip(cells, self._aux)}
+        aux = dict(zip(zip(self._e_rows.tolist(), self._e_cols.tolist()), self._aux.copy()))
         return LatentState(z=self._z.copy(), b=self._b.copy(), pi=self._pi.copy(), alpha=self._alpha, aux=aux)
 
     # -- checkpointing -------------------------------------------------------
@@ -558,7 +578,7 @@ class ChainRunner:
             "ret_pi": np.stack([r[2] for r in self._retained]) if n_ret else np.zeros((0, self._k)),
             "ret_alpha": np.array([r[3] for r in self._retained]),
             "ret_kplus": np.array([r[4] for r in self._retained], dtype=np.int64),
-            "mask_cells": self.mask.held_out_cells,
+            "mask_cells": self.mask.held_out,
         }
         meta = {
             "kind": "chain-checkpoint",
@@ -622,8 +642,7 @@ class ChainRunner:
         if data.digest() != meta["data_digest"]:
             raise CheckpointError("checkpoint was written against different data")
         if mask is None:
-            cells = frozenset((int(a), int(b)) for a, b in arrays["mask_cells"])
-            mask = ObservationMask(cells, data.n_rows, data.n_cols)
+            mask = ObservationMask(arrays["mask_cells"], data.n_rows, data.n_cols)
         if mask.digest() != meta["mask_digest"]:
             raise CheckpointError("checkpoint was written against a different observation mask")
         return cls(data, mask, config, _restore=(arrays, meta))

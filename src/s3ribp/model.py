@@ -68,17 +68,28 @@ def _check_labels(labels, n, kind):
     return labels
 
 
-@dataclass(frozen=True)
+def _lookup(sorted_flat, flat):
+    """Where each of ``flat`` sits in the ascending ``sorted_flat``, and
+    whether it is present there."""
+    i = np.searchsorted(sorted_flat, flat)
+    return i, np.append(sorted_flat, -1)[i] == flat
+
+
+@dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Sparse non-negative integer matrix with unique row/column labels.
 
-    ``entries`` maps (row, col) to a strictly positive count; absent cells
-    are zero.  Zero and empty cells are therefore interchangeable.
+    ``rows``, ``cols`` and ``counts`` are read-only int64 arrays holding the
+    strictly positive cells in row-major order; absent cells are zero, so
+    zero and empty cells are interchangeable.  The constructor drops zero
+    counts and sorts the cells; a repeated cell is an error.
     """
 
     n_rows: int
     n_cols: int
-    entries: dict
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
     row_labels: tuple
     col_labels: tuple
 
@@ -87,48 +98,64 @@ class CountMatrix:
             raise DomainError("matrix must have at least one row and one column")
         object.__setattr__(self, "row_labels", _check_labels(self.row_labels, self.n_rows, "row"))
         object.__setattr__(self, "col_labels", _check_labels(self.col_labels, self.n_cols, "column"))
-        clean = {}
-        for key, val in dict(self.entries).items():
-            n, d = key
-            if not (0 <= n < self.n_rows and 0 <= d < self.n_cols):
-                raise DomainError(f"entry index {key} outside {self.n_rows}x{self.n_cols}")
-            if isinstance(val, float) and not float(val).is_integer():
-                raise DomainError(f"count at {key} is not an integer: {val!r}")
-            val = int(val)
-            if val < 0:
-                raise DomainError(f"count at {key} is negative: {val}")
-            if val > 0:
-                clean[(int(n), int(d))] = val
-        object.__setattr__(self, "entries", clean)
+        try:
+            coo = np.array([np.ravel(a) for a in (self.rows, self.cols, self.counts)]).reshape(3, -1)
+        except ValueError:
+            raise DomainError("rows, cols and counts must have the same length") from None
+        if coo.dtype.kind not in "iu" and not np.all(np.isfinite(coo) & (coo == np.floor(coo))):
+            raise DomainError("a cell index or count is not an integer")
+        coo = coo.astype(np.int64)
+        rows, cols, counts = coo
+        outside = (rows < 0) | (rows >= self.n_rows) | (cols < 0) | (cols >= self.n_cols)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DomainError(f"entry index ({rows[i]}, {cols[i]}) outside {self.n_rows}x{self.n_cols}")
+        if np.any(counts < 0):
+            raise DomainError(f"count {counts.min()} is negative")
+        flat = rows * self.n_cols + cols
+        order = np.argsort(flat, kind="stable")
+        repeated = flat[order][1:][np.diff(flat[order]) == 0]
+        if repeated.size:
+            raise DomainError(f"cell {divmod(int(repeated[0]), self.n_cols)} is given more than once")
+        coo = coo[:, order[counts[order] > 0]]
+        coo.flags.writeable = False
+        for name, arr in zip(("rows", "cols", "counts"), coo):
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_dense(cls, arr, row_labels=None, col_labels=None):
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise DomainError("expected a 2-d array")
-        if arr.size and not np.all(np.isfinite(arr.astype(float))):
-            raise DomainError("counts must be finite")
-        if arr.size and np.any(arr.astype(float) != np.floor(arr.astype(float))):
-            raise DomainError("counts must be integers")
         n, d = arr.shape
         if row_labels is None:
             row_labels = tuple(f"r{i}" for i in range(n))
         if col_labels is None:
             col_labels = tuple(f"c{j}" for j in range(d))
         rows, cols = np.nonzero(arr)
-        entries = {(int(i), int(j)): int(arr[i, j]) for i, j in zip(rows, cols)}
-        return cls(n, d, entries, tuple(row_labels), tuple(col_labels))
+        return cls(n, d, rows, cols, arr[rows, cols], tuple(row_labels), tuple(col_labels))
+
+    @property
+    def dense(self):
+        """A new (n_rows, n_cols) int64 array of the counts, for io."""
+        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+        out[self.rows, self.cols] = self.counts
+        return out
+
+    def counts_at(self, rows, cols):
+        """The counts at cells (rows[i], cols[i]), zero where no count is stored."""
+        flat = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
+        i, hit = _lookup(self._flat, flat)
+        return np.where(hit, np.append(self.counts, 0)[i], 0)
 
     @cached_property
-    def dense(self):
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for (n, d), v in self.entries.items():
-            out[n, d] = v
-        return out
+    def _flat(self):
+        """The stored cells' row-major flat indices, ascending."""
+        return self.rows * self.n_cols + self.cols
 
     @property
     def n_nonzero(self):
-        return len(self.entries)
+        return int(self.counts.shape[0])
 
     @property
     def density(self):
@@ -140,9 +167,6 @@ class CountMatrix:
         """Share of cells that are zero (the complement of density)."""
         return 1.0 - self.density
 
-    def value(self, n, d):
-        return self.entries.get((n, d), 0)
-
     def digest(self):
         return self._digest
 
@@ -151,7 +175,7 @@ class CountMatrix:
         payload = json.dumps(
             {
                 "shape": [self.n_rows, self.n_cols],
-                "entries": sorted([k[0], k[1], v] for k, v in self.entries.items()),
+                "entries": np.stack([self.rows, self.cols, self.counts], axis=1).tolist(),
                 "rows": list(self.row_labels),
                 "cols": list(self.col_labels),
             },
@@ -160,55 +184,52 @@ class CountMatrix:
         return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Set of (row, col) cells held out from training.
+    """The (row, col) cells held out from training.
 
-    Cells not in ``held_out`` are observed (training) cells.  The shape is
+    ``held_out`` is a read-only (n_held_out, 2) int64 array of the cells,
+    sorted row-major and unique; the constructor takes any iterable of
+    pairs.  Cells not in it are observed (training) cells.  The shape is
     carried along so indices can be validated against the companion matrix.
     """
 
-    held_out: frozenset
+    held_out: np.ndarray
     n_rows: int
     n_cols: int
 
     def __post_init__(self):
-        object.__setattr__(self, "held_out", frozenset((int(a), int(b)) for a, b in self.held_out))
-        for n, d in self.held_out:
-            if not (0 <= n < self.n_rows and 0 <= d < self.n_cols):
-                raise DomainError(f"held-out cell ({n}, {d}) outside {self.n_rows}x{self.n_cols}")
+        cells = self.held_out if isinstance(self.held_out, np.ndarray) else list(self.held_out)
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        outside = ((cells < 0) | (cells >= (self.n_rows, self.n_cols))).any(axis=1)
+        if outside.any():
+            n, d = cells[np.argmax(outside)]
+            raise DomainError(f"held-out cell ({n}, {d}) outside {self.n_rows}x{self.n_cols}")
+        flat = np.unique(cells[:, 0] * self.n_cols + cells[:, 1])
+        cells = np.stack(np.divmod(flat, self.n_cols), axis=1)
+        cells.flags.writeable = False
+        object.__setattr__(self, "held_out", cells)
 
     @classmethod
     def none_held_out(cls, n_rows, n_cols):
-        return cls(frozenset(), n_rows, n_cols)
+        return cls(np.empty((0, 2), dtype=np.int64), n_rows, n_cols)
 
     @classmethod
     def all_held_out(cls, n_rows, n_cols):
-        cells = frozenset((n, d) for n in range(n_rows) for d in range(n_cols))
-        return cls(cells, n_rows, n_cols)
-
-    @cached_property
-    def training_dense(self):
-        """Boolean (n_rows, n_cols) array, True where the cell is observed."""
-        out = np.ones((self.n_rows, self.n_cols), dtype=bool)
-        for n, d in self.held_out:
-            out[n, d] = False
-        return out
+        return cls(np.stack(np.divmod(np.arange(n_rows * n_cols), n_cols), axis=1), n_rows, n_cols)
 
     @property
     def n_held_out(self):
-        return len(self.held_out)
+        return int(self.held_out.shape[0])
 
-    @cached_property
-    def held_out_cells(self):
-        """Read-only (n_held_out, 2) int64 array of the held-out cells, sorted."""
-        cells = np.array(sorted(self.held_out), dtype=np.int64).reshape(-1, 2)
-        cells.flags.writeable = False
-        return cells
+    def is_held_out(self, rows, cols):
+        """Boolean array: is cell (rows[i], cols[i]) held out?"""
+        flat = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
+        return _lookup(self.held_out[:, 0] * self.n_cols + self.held_out[:, 1], flat)[1]
 
     def held_out_sorted(self):
         """The held-out cells as a new sorted list of (row, col) tuples."""
-        return list(map(tuple, self.held_out_cells.tolist()))
+        return list(map(tuple, self.held_out.tolist()))
 
     def digest(self):
         return self._digest
@@ -216,7 +237,7 @@ class ObservationMask:
     @cached_property
     def _digest(self):
         payload = json.dumps(
-            {"shape": [self.n_rows, self.n_cols], "cells": self.held_out_cells.tolist()},
+            {"shape": [self.n_rows, self.n_cols], "cells": self.held_out.tolist()},
             separators=(",", ":"),
         ).encode()
         return hashlib.sha256(payload).hexdigest()
@@ -336,20 +357,25 @@ class LatentState:
             raise InvariantError("state shape disagrees with data shape")
         if np.any(self.pi < eps_trunc) or np.any(self.pi >= 1.0):
             raise InvariantError("a feature weight lies outside [eps_trunc, 1)")
-        training = mask.training_dense
-        for (r, c), vec in self.aux.items():
-            vec = np.asarray(vec)
-            if not training[r, c]:
-                raise InvariantError(f"aux stored for held-out cell ({r}, {c})")
-            if vec.shape != (k,) or np.any(vec < 0):
-                raise InvariantError(f"aux at ({r}, {c}) malformed")
-            if int(vec.sum()) != data.value(r, c):
-                raise InvariantError(f"aux at ({r}, {c}) does not sum to the observed count")
-            if np.any((vec > 0) & (self.z[r] == 0)):
-                raise InvariantError(f"aux at ({r}, {c}) allocates mass to an inactive feature")
-        for (r, c), val in data.entries.items():
-            if training[r, c] and val > 0 and (r, c) not in self.aux:
-                raise InvariantError(f"missing aux for observed positive cell ({r}, {c})")
+        cells = np.array(list(self.aux), dtype=np.int64).reshape(-1, 2)
+        try:
+            vecs = np.array(list(self.aux.values()), dtype=np.int64).reshape(cells.shape[0], k)
+        except ValueError:
+            raise InvariantError(f"aux vectors must each have shape ({k},)") from None
+        r, c = cells.T
+        for bad, what in (
+            (mask.is_held_out(r, c), "is stored for a held-out cell"),
+            ((vecs < 0).any(axis=1), "is malformed"),
+            (vecs.sum(axis=1) != data.counts_at(r, c), "does not sum to the observed count"),
+            (((vecs > 0) & (self.z[r] == 0)).any(axis=1), "allocates mass to an inactive feature"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise InvariantError(f"aux at ({r[i]}, {c[i]}) {what}")
+        missing = ~mask.is_held_out(data.rows, data.cols) & ~np.isin(data._flat, r * data.n_cols + c)
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise InvariantError(f"missing aux for observed positive cell ({data.rows[i]}, {data.cols[i]})")
 
 
 @dataclass

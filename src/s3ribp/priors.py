@@ -244,9 +244,7 @@ def sample_3r_ibp(hp, n_rows, rng, alpha=None):
     if clamped:
         log.warning("clamped %d of %d row feature counts to k_max=%d", clamped, n_rows, hp.k_max)
     sums = np.minimum(sums, hp.k_max)
-    z = np.zeros((n_rows, hp.k_max), dtype=np.int8)
-    for n in range(n_rows):
-        z[n] = sample_row_given_sum(pi, int(sums[n]), rng)
+    z = sample_row_given_sum(pi, sums, rng)
     live = z.any(axis=0)
     return BinaryFeatureMatrix(z[:, live])
 

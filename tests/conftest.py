@@ -35,6 +35,11 @@ def brute_force_inclusion(pi, s):
     return (probs[keep, None] * rows[keep]).sum(axis=0) / total
 
 
+def cells(data):
+    """A CountMatrix's stored cells as [row, col, count] lists, in stored order."""
+    return np.stack([data.rows, data.cols, data.counts], axis=1).tolist()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

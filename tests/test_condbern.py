@@ -9,7 +9,6 @@ from scipy import stats
 from s3ribp import (
     DomainError,
     LogESPTable,
-    gibbs_z_entry_logodds,
     inclusion_probs,
     log_esp,
     log_odds,
@@ -160,17 +159,28 @@ class TestSampleRowGivenSum:
         support = rows[keep]
         probs = np.prod(np.where(support == 1, pi, 1.0 - pi), axis=1)
         probs /= probs.sum()
-        draws = np.array([sample_row_given_sum(pi, s, rng) for _ in range(20000)])
-        codes = draws @ (1 << np.arange(4))
         support_codes = support @ (1 << np.arange(4))
-        counts = np.array([(codes == c).sum() for c in support_codes])
-        assert counts.sum() == 20000
-        chi2 = stats.chisquare(counts, probs * 20000)
-        assert chi2.pvalue > 0.01
+        # one row per call, and 20,000 rows from one call with a vector of
+        # sums, mixed with rows of other sums that must not disturb them
+        single = np.array([sample_row_given_sum(pi, s, rng) for _ in range(20000)])
+        sums = rng.permutation(np.repeat([s, 0, 1, 3, 4], [20000, 500, 500, 500, 500]))
+        vector = sample_row_given_sum(pi, sums, rng)
+        assert vector.shape == (sums.shape[0], 4) and vector.dtype == np.int8
+        np.testing.assert_array_equal(vector.sum(axis=1), sums)
+        for draws in (single, vector[sums == s]):
+            codes = draws @ (1 << np.arange(4))
+            counts = np.array([(codes == c).sum() for c in support_codes])
+            assert counts.sum() == 20000
+            chi2 = stats.chisquare(counts, probs * 20000)
+            assert chi2.pvalue > 0.01
 
     def test_out_of_range(self, rng):
         with pytest.raises(DomainError):
             sample_row_given_sum(np.array([0.5]), 2, rng)
+        with pytest.raises(DomainError):
+            sample_row_given_sum(np.array([0.5, 0.5]), np.array([1, 3]), rng)
+        with pytest.raises(DomainError):
+            sample_row_given_sum(np.array([0.5, 0.5]), np.array([-1, 0]), rng)
 
 
 class TestRestrictedRowLogPrior:
@@ -220,80 +230,19 @@ class TestRestrictedRowLogPrior:
             restricted_row_log_prior(np.array([1, 0]), pi, log_f[:2])
 
 
-class TestGibbsEntryLogOdds:
-    def brute_conditional_logodds(self, z_row, k, pi, log_f):
-        z1 = z_row.copy()
-        z1[k] = 1
-        z0 = z_row.copy()
-        z0[k] = 0
-        return restricted_row_log_prior(z1, pi, log_f) - restricted_row_log_prior(
-            z0, pi, log_f
-        )
-
-    def test_two_feature_hand_value(self):
-        # pi = (0.2, 0.6), uniform f over sums: with the other entry off,
-        # P(z_0 = 1) works out to 1/8, so the log odds are log(1/7)
-        pi = np.array([0.2, 0.6])
-        log_f = log_f_from_probs([1 / 3, 1 / 3, 1 / 3])
-        got = gibbs_z_entry_logodds(np.array([0, 0]), 0, pi, log_f)
-        sum_probs = brute_force_sum_probs(pi)
-        p1 = (1 / 3) * pi[0] * (1 - pi[1]) / sum_probs[1]
-        p0 = (1 / 3) * (1 - pi[0]) * (1 - pi[1]) / sum_probs[0]
-        np.testing.assert_allclose(got, np.log(p1 / p0), rtol=1e-12)
-        np.testing.assert_allclose(got, np.log(1 / 7), rtol=1e-12)
-
-    def test_matches_joint_ratio_randomized(self, rng):
-        for _ in range(40):
-            kk = int(rng.integers(2, 8))
-            pi = random_pi(rng, kk, lo=0.02, hi=0.98)
-            f = rng.dirichlet(np.ones(kk + 1))
-            log_f = log_f_from_probs(f)
-            z = (rng.random(kk) < 0.5).astype(np.int8)
-            k = int(rng.integers(kk))
-            got = gibbs_z_entry_logodds(z, k, pi, log_f)
-            want = self.brute_conditional_logodds(z, k, pi, log_f)
-            np.testing.assert_allclose(got, want, rtol=1e-9)
-
-    def test_likelihood_ratio_is_additive(self):
-        pi = np.array([0.3, 0.5, 0.2])
-        log_f = log_f_from_probs([0.25, 0.25, 0.25, 0.25])
-        z = np.array([0, 1, 0], dtype=np.int8)
-        base = gibbs_z_entry_logodds(z, 0, pi, log_f)
-        shifted = gibbs_z_entry_logodds(z, 0, pi, log_f, loglik_ratio=-2.5)
-        np.testing.assert_allclose(shifted, base - 2.5, rtol=1e-12)
-
-    def test_one_sided_zero_mass_forces_entry(self):
-        pi = np.array([0.4, 0.4])
-        # no mass at sum 2: an entry that would push the sum there is forced off
-        log_f = log_f_from_probs([0.5, 0.5, 0.0])
-        assert gibbs_z_entry_logodds(np.array([0, 1]), 0, pi, log_f) == -np.inf
-        # no mass at sum 0: with the other entry off, this one is forced on,
-        # regardless of how strongly the likelihood argues against it
-        log_f = log_f_from_probs([0.0, 0.5, 0.5])
-        assert gibbs_z_entry_logodds(np.array([0, 0]), 0, pi, log_f) == np.inf
-        assert (
-            gibbs_z_entry_logodds(np.array([0, 0]), 0, pi, log_f, loglik_ratio=-1e6)
-            == np.inf
-        )
-
-    def test_contradictory_row_sum_law(self):
-        pi = np.array([0.4, 0.4])
-        log_f = log_f_from_probs([0.0, 0.0, 1.0])
-        with pytest.raises(DomainError):
-            gibbs_z_entry_logodds(np.array([0, 0]), 0, pi, log_f)
-
-    def test_index_validation(self):
-        pi = np.array([0.4, 0.4])
-        log_f = log_f_from_probs([0.3, 0.4, 0.3])
-        with pytest.raises(DomainError):
-            gibbs_z_entry_logodds(np.array([0, 0]), 2, pi, log_f)
+def conditional_logodds(z_row, k, pi, log_f):
+    """Full-conditional log odds of z_k = 1 given the rest of the row, as a
+    ratio of restricted row priors."""
+    z1, z0 = z_row.copy(), z_row.copy()
+    z1[k], z0[k] = 1, 0
+    return restricted_row_log_prior(z1, pi, log_f) - restricted_row_log_prior(z0, pi, log_f)
 
 
 class TestKernelInvariance:
     def test_single_sweep_preserves_row_prior(self, rng):
-        # start rows at exact draws from the restricted prior, apply one
-        # systematic Gibbs sweep of entry updates, and check the resulting
-        # state histogram still matches the prior by chi-square
+        # start rows at exact draws from the restricted prior (one vector
+        # call), apply one systematic Gibbs sweep of entry updates, and check
+        # the resulting state histogram still matches the prior by chi-square
         pi = np.array([0.35, 0.6, 0.15])
         f = np.array([0.2, 0.4, 0.3, 0.1])
         log_f = log_f_from_probs(f)
@@ -303,11 +252,9 @@ class TestKernelInvariance:
         )
         n_chains = 20000
         sums = rng.choice(4, size=n_chains, p=f)
-        states = np.array([sample_row_given_sum(pi, int(s), rng) for s in sums])
+        states = sample_row_given_sum(pi, sums, rng)
         for k in range(3):
-            lo = np.array(
-                [gibbs_z_entry_logodds(z, k, pi, log_f) for z in states]
-            )
+            lo = np.array([conditional_logodds(z, k, pi, log_f) for z in states])
             p_on = 1.0 / (1.0 + np.exp(-lo))
             states[:, k] = (rng.random(n_chains) < p_on).astype(np.int8)
         codes = states @ (1 << np.arange(3))

@@ -1,6 +1,7 @@
 """Evaluation metrics: perplexity, coherence, qq tables, feature matching."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from s3ribp import (
     log_perplexity,
     make_splits,
     meta_features,
+    predictive_log_lik,
     qq_row_nonzeros,
     top_features,
     umass_coherence,
 )
+from s3ribp import mcmc
 from s3ribp.model import poisson_log_pmf
 from test_mcmc import make_summary, tiny_hyper
 
@@ -46,6 +49,42 @@ class TestLogPerplexity:
         with pytest.raises(DomainError):
             log_perplexity(summary, data, ObservationMask.none_held_out(1, 1))
 
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_equals_mean_of_per_cell_predictive(self, rng, monkeypatch, n_samples, chunk):
+        if chunk:
+            monkeypatch.setattr(mcmc, "_SCORE_CHUNK", chunk)
+        n, d, k = 6, 5, 3
+        z = rng.integers(0, 2, size=(n_samples, n, k))
+        z[:, 0] = 0  # row 0 has rate zero in every sample
+        b = rng.gamma(1.0, 1.0, size=(n_samples, k, d))
+        summary = make_summary(z, b)
+        x = rng.poisson(1.0, size=(n, d))
+        x[0] = 0  # ...and no counts, so its cells score log 1 = 0
+        x[2, :3] = 0
+        data = CountMatrix.from_dense(x)
+        held = [(0, 1), (0, 4), (1, 0), (2, 0), (2, 1), (2, 4), (3, 2), (4, 3), (5, 0), (5, 4)]
+        mask = ObservationMask(held, n, d)
+        # oracle: one predictive_log_lik call per held-out cell
+        per_cell = [predictive_log_lik(summary, (r, c), x[r, c]) for r, c in mask.held_out_sorted()]
+        assert per_cell[0] == per_cell[1] == 0.0
+        assert np.all(np.isfinite(per_cell))
+        np.testing.assert_allclose(log_perplexity(summary, data, mask), -np.mean(per_cell), rtol=1e-12)
+
+    def test_positive_cell_without_rate_scores_inf_not_nan(self, rng):
+        # row 0's only positive cell is held out, and no retained draw has a
+        # feature on in row 0: the model and the baseline both give that
+        # cell rate zero, so its probability is zero and both scores are +inf
+        x = np.array([[0, 2, 0, 0], [1, 0, 3, 1], [0, 1, 1, 2]])
+        data = CountMatrix.from_dense(x)
+        mask = ObservationMask([(0, 1), (0, 2), (1, 0), (2, 3)], 3, 4)
+        z = [[[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 1], [0, 1]], [[0, 0], [0, 1], [1, 1]]]
+        summary = make_summary(z, rng.gamma(2.0, 1.0, size=(3, 2, 4)))
+        assert predictive_log_lik(summary, (0, 1), 2) == -math.inf
+        assert predictive_log_lik(summary, (0, 2), 0) == 0.0
+        assert log_perplexity(summary, data, mask) == math.inf
+        assert baseline_row_mean_log_perplexity(data, mask) == math.inf
+
 
 class TestBaselinePerplexity:
     def test_hand_value(self):
@@ -65,6 +104,24 @@ class TestBaselinePerplexity:
         data = CountMatrix.from_dense(np.array([[1]]))
         with pytest.raises(DomainError):
             baseline_row_mean_log_perplexity(data, ObservationMask.none_held_out(1, 1))
+
+    def test_equals_per_cell_recomputation(self, rng):
+        x = rng.poisson(1.5, size=(5, 4))
+        x[:, :2] += 1  # every row keeps a positive training cell but row 0
+        data = CountMatrix.from_dense(x)
+        # every cell of row 0 is held out, so it falls back to the global mean
+        held = [(0, 0), (0, 1), (0, 2), (0, 3), (2, 1), (3, 0), (3, 3), (4, 2)]
+        mask = ObservationMask(held, 5, 4)
+        train = np.ones(x.shape, dtype=bool)
+        for r, c in held:
+            train[r, c] = False
+        global_mean = x[train].sum() / train.sum()
+        want = []
+        for r, c in held:
+            rate = x[r, train[r]].mean() if train[r].any() else global_mean
+            want.append(float(poisson_log_pmf(x[r, c], rate)))
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(baseline_row_mean_log_perplexity(data, mask), -np.mean(want), rtol=1e-12)
 
 
 class TestUmassCoherence:
@@ -360,7 +417,8 @@ class TestEvaluateFolds:
 
         summary = run_chain(data, masks[0], ChainConfig(hyper=hp))
         held = log_perplexity(summary, data, masks[0])
-        train_cells = masks[1].held_out - masks[0].held_out
-        train_mask = ObservationMask(frozenset(train_cells), data.n_rows, data.n_cols)
+        second = masks[1].held_out
+        train_cells = second[~masks[0].is_held_out(second[:, 0], second[:, 1])]
+        train_mask = ObservationMask(train_cells, data.n_rows, data.n_cols)
         train = log_perplexity(summary, data, train_mask)
         assert train <= held * 1.05

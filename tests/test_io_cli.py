@@ -34,6 +34,7 @@ from s3ribp.container import (
     write_records,
 )
 
+from conftest import cells
 from test_mcmc import tiny_data, tiny_hyper
 
 
@@ -49,7 +50,7 @@ class TestLoadCountsDense:
         data = load_counts(path)
         assert (data.n_rows, data.n_cols) == (2, 2)
         assert data.n_nonzero == 3
-        assert data.entries == {(0, 0): 1, (1, 0): 2, (1, 1): 3}
+        assert cells(data) == [[0, 0, 1], [1, 0, 2], [1, 1, 3]]
         assert data.row_labels == ("r0", "r1")
         assert data.col_labels == ("c0", "c1")
 
@@ -57,7 +58,7 @@ class TestLoadCountsDense:
         path = write_file(tmp_path / "m.csv", ",a,b\nx,1,2\ny,0,4\n")
         data = load_counts(path)
         assert data.col_labels == ("a", "b")
-        assert data.value(1, 1) == 4
+        assert data.counts_at([1], [1]).tolist() == [4]
 
     def test_duplicate_row_label_reports_line(self, tmp_path):
         path = write_file(tmp_path / "m.tsv", "\tc0\nr0\t1\nr0\t2\n")
@@ -107,7 +108,7 @@ class TestLoadCountsDense:
     def test_blank_lines_skipped(self, tmp_path):
         path = write_file(tmp_path / "m.tsv", "\tc0\n\nr0\t2\n\n")
         data = load_counts(path)
-        assert data.value(0, 0) == 2
+        assert data.counts_at([0], [0]).tolist() == [2]
 
 
 class TestLoadCountsTriplet:
@@ -115,7 +116,7 @@ class TestLoadCountsTriplet:
         path = write_file(tmp_path / "t.tsv", "row\tcol\tcount\na\tx\t2\nb\ty\t1\n")
         data = load_counts(path)
         assert (data.n_rows, data.n_cols) == (2, 2)
-        assert data.entries == {(0, 0): 2, (1, 1): 1}
+        assert cells(data) == [[0, 0, 2], [1, 1, 1]]
         assert data.row_labels == ("a", "b")
 
     def test_without_header(self, tmp_path):
@@ -130,7 +131,7 @@ class TestLoadCountsTriplet:
         data = load_counts(path)
         assert data.row_labels == ("b", "a")
         assert data.col_labels == ("y", "x")
-        assert data.value(1, 1) == 3
+        assert data.counts_at([1], [1]).tolist() == [3]
 
     def test_duplicate_cell_reports_both_lines(self, tmp_path):
         path = write_file(
@@ -149,8 +150,8 @@ class TestLoadCountsTriplet:
         path = write_file(tmp_path / "t.tsv", "a\tx\t0\nb\ty\t3\n")
         data = load_counts(path)
         assert (data.n_rows, data.n_cols) == (2, 2)
-        assert data.entries == {(1, 1): 3}
-        assert data.value(0, 0) == 0
+        assert cells(data) == [[1, 1, 3]]
+        assert data.counts_at([0], [0]).tolist() == [0]
 
     def test_fractional_count_reports_line(self, tmp_path):
         path = write_file(tmp_path / "t.tsv", "a\tx\t1\nb\ty\t2.5\n")
@@ -176,7 +177,7 @@ class TestFormatDetection:
         path = write_file(tmp_path / "t.tsv", "row\tcol\tcount\na\tx\t5\n")
         data = load_counts(path)
         assert (data.n_rows, data.n_cols) == (1, 1)
-        assert data.value(0, 0) == 5
+        assert data.counts_at([0], [0]).tolist() == [5]
 
     def test_ambiguous_two_column_dense_needs_explicit_format(self, tmp_path):
         # a dense file whose corner carries a label is indistinguishable from
@@ -187,7 +188,7 @@ class TestFormatDetection:
         assert auto.row_labels == ("r0",)
         dense = load_counts(path, fmt="dense")
         assert (dense.n_rows, dense.n_cols) == (1, 2)
-        assert dense.value(0, 1) == 2
+        assert dense.counts_at([0], [1]).tolist() == [2]
 
     def test_unknown_format_rejected(self, tmp_path):
         path = write_file(tmp_path / "m.tsv", "\tc0\nr0\t1\n")
@@ -214,7 +215,7 @@ class TestSaveLoadRoundTrip:
         data = self.build_matrix(rng)
         save_counts(data, tmp_path / "m.tsv", fmt="dense")
         back = load_counts(tmp_path / "m.tsv")
-        assert back.entries == data.entries
+        assert cells(back) == cells(data)
         assert back.row_labels == data.row_labels
         assert back.col_labels == data.col_labels
 
@@ -223,13 +224,13 @@ class TestSaveLoadRoundTrip:
         save_counts(data, tmp_path / "m.tsv", fmt="dense")
         back = load_counts(tmp_path / "m.tsv")
         assert (back.n_rows, back.n_cols) == (2, 2)
-        assert back.entries == {(1, 0): 3}
+        assert cells(back) == [[1, 0, 3]]
 
     def test_triplet_round_trip(self, tmp_path, rng):
         data = self.build_matrix(rng)
         save_counts(data, tmp_path / "t.tsv", fmt="triplet")
         back = load_counts(tmp_path / "t.tsv")
-        assert back.entries == data.entries
+        assert cells(back) == cells(data)
         assert back.row_labels == data.row_labels
         assert back.col_labels == data.col_labels
 
@@ -243,11 +244,12 @@ class TestSparsityReport:
     def test_trade_shaped_file_profile(self, tmp_path, rng, caplog):
         n, d, nnz = 126, 744, 16000
         flat = rng.choice(n * d, size=nnz, replace=False)
-        entries = {(int(i) // d, int(i) % d): int(rng.integers(1, 10)) for i in flat}
         data = CountMatrix(
             n,
             d,
-            entries,
+            flat // d,
+            flat % d,
+            rng.integers(1, 10, size=nnz),
             tuple(f"r{i}" for i in range(n)),
             tuple(f"c{j}" for j in range(d)),
         )
@@ -311,10 +313,10 @@ class TestMakeSplits:
         first = make_splits(data, 0.2, 3, seed=11)
         second = make_splits(data, 0.2, 3, seed=11)
         for a, b in zip(first, second):
-            assert a.held_out == b.held_out
-        assert first[0].held_out != first[1].held_out
+            np.testing.assert_array_equal(a.held_out, b.held_out)
+        assert first[0].held_out.tolist() != first[1].held_out.tolist()
         other = make_splits(data, 0.2, 3, seed=12)
-        assert first[0].held_out != other[0].held_out
+        assert first[0].held_out.tolist() != other[0].held_out.tolist()
 
     def test_fraction_bounds(self):
         data = CountMatrix.from_dense(np.ones((4, 4), dtype=int))

@@ -239,7 +239,7 @@ class TestSweepZ:
         rates = rows.astype(np.float64) @ b
         want = []
         for n in range(2):
-            seen = mask.training_dense[n]
+            seen = ~mask.is_held_out(np.full(3, n), np.arange(3))
             log_p = prior + poisson_log_pmf(x[n][seen], rates[:, seen]).sum(axis=1)
             p = np.exp(log_p - log_p.max())
             want.append(p / p.sum())
@@ -289,7 +289,8 @@ class TestSweepZ:
         x[3] = 0
         mask = ObservationMask(frozenset({(0, 0), (5, 7), (9, 2)}), 30, 12)
         runner = ChainRunner(CountMatrix.from_dense(x), mask, ChainConfig(hyper=tiny_hyper(k_max=6)))
-        positive = (x * mask.training_dense).sum(axis=1) > 0
+        r, c = np.nonzero(x)
+        positive = np.bincount(r[~mask.is_held_out(r, c)], minlength=30) > 0
         for _ in range(200):
             runner._sweep_z_internal()
             np.testing.assert_array_equal(runner._row_sums, runner.z.sum(axis=1))
@@ -409,14 +410,14 @@ class TestRefreshAux:
         runner._refresh_aux_internal()
         state = runner.state_snapshot()
         state.validate_against(data, mask, hp.eps_trunc)
-        training = mask.training_dense
-        x = data.dense
-        for (n, d), vec in state.aux.items():
-            assert training[n, d]
-            assert vec.sum() == x[n, d]
-        for (n, d), xv in data.entries.items():
-            if training[n, d] and xv > 0:
-                assert (n, d) in state.aux
+        cells = np.array(list(state.aux)).reshape(-1, 2)
+        assert not mask.is_held_out(cells[:, 0], cells[:, 1]).any()
+        splits = np.array(list(state.aux.values()))
+        np.testing.assert_array_equal(splits.sum(axis=1), data.counts_at(cells[:, 0], cells[:, 1]))
+        # every observed positive cell has a split
+        training = ~mask.is_held_out(data.rows, data.cols)
+        want = list(zip(data.rows[training].tolist(), data.cols[training].tolist()))
+        assert sorted(map(tuple, cells.tolist())) == want
 
     def test_zero_membership_with_positive_count_is_an_error(self):
         with pytest.raises(InvariantError):

@@ -29,18 +29,35 @@ from s3ribp import (
 )
 from s3ribp.model import MIN_C_PLUS_SIGMA, SIGMA_CEILING
 
+from conftest import cells
+
 
 class TestCountMatrix:
     def test_from_dense_stores_only_positive_cells(self):
         data = CountMatrix.from_dense([[1, 0], [2, 3]])
         assert data.n_nonzero == 3
-        assert data.entries == {(0, 0): 1, (1, 0): 2, (1, 1): 3}
+        assert cells(data) == [[0, 0, 1], [1, 0, 2], [1, 1, 3]]
+        for arr in (data.rows, data.cols, data.counts):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[0] = 9
 
     def test_zero_entries_are_dropped(self):
-        data = CountMatrix(2, 2, {(0, 0): 5, (1, 1): 0}, ("a", "b"), ("x", "y"))
-        assert (1, 1) not in data.entries
-        assert data.value(1, 1) == 0
-        assert data.value(0, 0) == 5
+        data = CountMatrix(2, 2, [0, 1], [0, 1], [5, 0], ("a", "b"), ("x", "y"))
+        assert cells(data) == [[0, 0, 5]]
+        assert data.counts_at([1, 0], [1, 0]).tolist() == [0, 5]
+
+    def test_cells_are_sorted_row_major(self):
+        data = CountMatrix(2, 3, [1, 0, 1, 0], [0, 2, 2, 1], [4, 3, 2.0, 1], ("a", "b"), ("x", "y", "z"))
+        assert cells(data) == [[0, 1, 1], [0, 2, 3], [1, 0, 4], [1, 2, 2]]
+        assert data.counts_at([[0], [1]], [[0, 1, 2]]).tolist() == [[0, 1, 3], [4, 0, 2]]
+
+    def test_repeated_cell_rejected(self):
+        with pytest.raises(DomainError, match=r"cell \(1, 0\) is given more than once"):
+            CountMatrix(2, 2, [1, 0, 1], [0, 1, 0], [1, 2, 3], ("a", "b"), ("x", "y"))
+        # a repeat is an error even when one of the two counts is zero
+        with pytest.raises(DomainError, match="more than once"):
+            CountMatrix(2, 2, [0, 0], [1, 1], [0, 2], ("a", "b"), ("x", "y"))
 
     def test_dense_round_trip(self, rng):
         x = rng.poisson(1.0, size=(6, 4))
@@ -49,19 +66,28 @@ class TestCountMatrix:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DomainError, match="duplicate row label"):
-            CountMatrix(2, 1, {}, ("a", "a"), ("x",))
+            CountMatrix(2, 1, [], [], [], ("a", "a"), ("x",))
         with pytest.raises(DomainError, match="duplicate column label"):
-            CountMatrix(1, 2, {}, ("a",), ("x", "x"))
+            CountMatrix(1, 2, [], [], [], ("a",), ("x", "x"))
 
     def test_negative_and_fractional_counts_rejected(self):
         with pytest.raises(DomainError, match="negative"):
-            CountMatrix(1, 1, {(0, 0): -1}, ("a",), ("x",))
+            CountMatrix(1, 1, [0], [0], [-1], ("a",), ("x",))
         with pytest.raises(DomainError, match="not an integer"):
-            CountMatrix(1, 1, {(0, 0): 1.5}, ("a",), ("x",))
+            CountMatrix(1, 1, [0], [0], [1.5], ("a",), ("x",))
+        with pytest.raises(DomainError, match="not an integer"):
+            CountMatrix(1, 1, [0], [0], [np.nan], ("a",), ("x",))
+        with pytest.raises(DomainError, match="same length"):
+            CountMatrix(1, 1, [0], [0], [1, 2], ("a",), ("x",))
+        for bad in (1.5, np.nan, np.inf):
+            with pytest.raises(DomainError, match="not an integer"):
+                CountMatrix.from_dense([[0.0, bad]])
 
     def test_out_of_bounds_entry_rejected(self):
         with pytest.raises(DomainError, match="outside"):
-            CountMatrix(2, 2, {(2, 0): 1}, ("a", "b"), ("x", "y"))
+            CountMatrix(2, 2, [2], [0], [1], ("a", "b"), ("x", "y"))
+        with pytest.raises(DomainError, match="outside"):
+            CountMatrix(2, 2, [0], [-1], [1], ("a", "b"), ("x", "y"))
 
     def test_density_and_zero_share(self):
         data = CountMatrix.from_dense([[1, 0], [2, 3]])
@@ -76,24 +102,48 @@ class TestCountMatrix:
         assert a.digest() != b.digest()
         assert a.digest() != c.digest()
 
+    def test_digest_payload_is_unchanged(self):
+        # checkpoints store this digest, so its payload must not move: the
+        # sorted [row, col, count] triples, the shape and the labels
+        data = CountMatrix(2, 3, [1, 0, 1], [2, 1, 0], [4, 2, 7], ("a", "b"), ("x", "y", "z"))
+        payload = json.dumps(
+            {
+                "shape": [2, 3],
+                "entries": [[0, 1, 2], [1, 0, 7], [1, 2, 4]],
+                "rows": ["a", "b"],
+                "cols": ["x", "y", "z"],
+            },
+            separators=(",", ":"),
+        )
+        assert data.digest() == hashlib.sha256(payload.encode()).hexdigest()
+        # a fixed value, because checkpoints already written store it
+        assert data.digest() == "64b3eaabd439378284f86053122007a3a8f8c9672051f526263a7eb868d6525a"
+
     def test_needs_at_least_one_row_and_column(self):
         with pytest.raises(DomainError):
-            CountMatrix(0, 3, {}, (), ("a", "b", "c"))
+            CountMatrix(0, 3, [], [], [], (), ("a", "b", "c"))
 
 
 class TestObservationMask:
-    def test_training_dense_complements_held_out(self):
+    def test_held_out_array_and_membership(self):
         mask = ObservationMask(frozenset({(0, 1), (1, 0)}), 2, 2)
-        np.testing.assert_array_equal(mask.training_dense, [[True, False], [False, True]])
+        np.testing.assert_array_equal(mask.held_out, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(mask.is_held_out([0, 0, 1, 1], [0, 1, 0, 1]), [False, True, True, False])
         assert mask.n_held_out == 2
         assert mask.held_out_sorted() == [(0, 1), (1, 0)]
+
+    def test_any_iterable_of_pairs_is_sorted_and_deduplicated(self):
+        for given in ([(1, 0), (0, 1), (1, 0)], np.array([[1, 0], [0, 1]]), iter([(0, 1), (1, 0)])):
+            mask = ObservationMask(given, 2, 2)
+            assert mask.held_out.tolist() == [[0, 1], [1, 0]]
 
     def test_constructors(self):
         none = ObservationMask.none_held_out(3, 2)
         every = ObservationMask.all_held_out(3, 2)
         assert none.n_held_out == 0
         assert every.n_held_out == 6
-        assert not every.training_dense.any()
+        assert every.is_held_out(*np.divmod(np.arange(6), 2)).all()
+        assert not none.is_held_out(*np.divmod(np.arange(6), 2)).any()
 
     def test_out_of_range_cell_rejected(self):
         with pytest.raises(DomainError, match="outside"):
@@ -112,17 +162,24 @@ class TestObservationMask:
         # each call returns a new list, so a caller's edits stay its own
         first.pop()
         assert mask.held_out_sorted() == sorted(cells)
-        np.testing.assert_array_equal(mask.held_out_cells, sorted(cells))
-        assert mask.held_out_cells.dtype == np.int64 and mask.held_out_cells.shape == (len(cells), 2)
+        np.testing.assert_array_equal(mask.held_out, sorted(cells))
+        assert mask.held_out.dtype == np.int64 and mask.held_out.shape == (len(cells), 2)
         with pytest.raises(ValueError):
-            mask.held_out_cells[0, 0] = 1
+            mask.held_out[0, 0] = 1
         # the digest is the one computed from the cell set directly
         payload = json.dumps({"shape": [40, 40], "cells": sorted(map(list, cells))}, separators=(",", ":"))
         assert mask.digest() == hashlib.sha256(payload.encode()).hexdigest()
         assert mask.digest() == mask.digest()
         empty = ObservationMask.none_held_out(2, 3)
         assert empty.held_out_sorted() == []
-        assert empty.held_out_cells.shape == (0, 2)
+        assert empty.held_out.shape == (0, 2)
+
+    def test_digest_payload_is_unchanged(self):
+        mask = ObservationMask([(2, 1), (0, 3)], 3, 4)
+        payload = json.dumps({"shape": [3, 4], "cells": [[0, 3], [2, 1]]}, separators=(",", ":"))
+        assert mask.digest() == hashlib.sha256(payload.encode()).hexdigest()
+        # a fixed value, because checkpoints already written store it
+        assert mask.digest() == "17aa484b0a4a2af3849181f77e91bed17423385a0ce986aeabd87966192e2339"
 
 
 class TestHyperParams:
@@ -231,6 +288,18 @@ class TestLatentState:
         mask = ObservationMask.none_held_out(2, 2)
         with pytest.raises(InvariantError, match="inactive"):
             state.validate_against(data, mask, eps_trunc=0.01)
+
+    def test_validate_against_rejects_held_out_and_missing_cells(self):
+        data = CountMatrix.from_dense([[2, 0], [0, 4]])
+        with pytest.raises(InvariantError, match=r"\(0, 0\) is stored for a held-out cell"):
+            _tiny_state().validate_against(data, ObservationMask([(0, 0)], 2, 2), eps_trunc=0.01)
+        state = _tiny_state()
+        del state.aux[(1, 1)]
+        with pytest.raises(InvariantError, match=r"missing aux for observed positive cell \(1, 1\)"):
+            state.validate_against(data, ObservationMask.none_held_out(2, 2), eps_trunc=0.01)
+        state.aux[(1, 1)] = np.array([1, 3, 0])
+        with pytest.raises(InvariantError, match="shape"):
+            state.validate_against(data, ObservationMask.none_held_out(2, 2), eps_trunc=0.01)
 
     def test_validate_against_rejects_pi_outside_support(self):
         state = _tiny_state()
@@ -386,12 +455,12 @@ class TestRCA:
     def test_round_mode(self):
         raw = np.array([[2.0, 0.0], [1.0, 1.0]])
         data = rca_transform(raw, mode="round")
-        assert data.entries == {(0, 0): 1, (1, 0): 1, (1, 1): 2}
+        assert cells(data) == [[0, 0, 1], [1, 0, 1], [1, 1, 2]]
 
     def test_binary_mode(self):
         raw = np.array([[2.0, 0.0], [1.0, 1.0]])
         data = rca_transform(raw, mode="binary")
-        assert data.entries == {(0, 0): 1, (1, 1): 1}
+        assert cells(data) == [[0, 0, 1], [1, 1, 1]]
 
     def test_zero_row_total_rejected_with_label(self):
         raw = np.array([[0.0, 0.0], [1.0, 1.0]])
