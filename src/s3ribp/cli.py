@@ -275,10 +275,7 @@ def _cmd_eval(args):
     report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=args.top_m, qq_draws=args.draws)
     atomic_write_text(os.path.join(args.out, "report.json"), report.to_json() + "\n")
     atomic_write_text(os.path.join(args.out, "report.txt"), report.to_text())
-    print(
-        f"eval finished over {n_folds} folds: log-perplexity "
-        f"{report.log_perplexity_mean:.4f} +/- {report.log_perplexity_std:.4f}"
-    )
+    print(f"eval finished over {n_folds} folds: {report.perplexity_line()}")
     return 0
 
 

@@ -41,6 +41,11 @@ def _held_out_counts(data, mask):
     return rows, cols, data.counts_at(rows, cols)
 
 
+def _held_out_log_liks(summary, data, mask):
+    """Predictive log likelihood of every held-out cell, -inf where its probability is zero."""
+    return _predictive_log_liks(summary, *_held_out_counts(data, mask))
+
+
 def log_perplexity(summary, data, mask):
     """Negative mean predictive log-likelihood over the held-out cells.
 
@@ -49,8 +54,7 @@ def log_perplexity(summary, data, mask):
     in every retained sample (its row has no active feature in any of them)
     has predictive probability zero, and the score is then +inf.
     """
-    rows, cols, x = _held_out_counts(data, mask)
-    return -float(_predictive_log_liks(summary, rows, cols, x).mean())
+    return -float(_held_out_log_liks(summary, data, mask).mean())
 
 
 def baseline_row_mean_log_perplexity(data, mask):
@@ -273,13 +277,20 @@ def meta_features(summary, config):
     return run_chain(meta_data, mask, config)
 
 
+def _fmt(value):
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Cross-fold evaluation results with provenance per fold.
 
     ``folds`` holds one record per fold: fold index, chain seed, mask
-    digest, log-perplexity, baseline perplexity, and coherence.  Feature
-    matches compare every later fold's top-column sets against fold 0's.
+    digest, log-perplexity, the number of held-out cells whose predictive
+    probability is zero (each makes the log-perplexity +inf) and the
+    log-perplexity over the other cells (None if there are none), baseline
+    perplexity, and coherence.  Feature matches compare every later fold's
+    top-column sets against fold 0's.
     """
 
     folds: tuple
@@ -295,6 +306,15 @@ class EvalReport:
     @property
     def n_folds(self):
         return len(self.folds)
+
+    def perplexity_line(self):
+        """The log-perplexity line of the report and the CLI, zero-probability cells set apart."""
+        finite = [f["log_perplexity_finite"] for f in self.folds if f["log_perplexity_finite"] is not None]
+        return (
+            f"log-perplexity: {self.log_perplexity_mean:.4f} +/- {self.log_perplexity_std:.4f}; "
+            f"{sum(f['infinite_cells'] for f in self.folds)} held-out cells with zero probability, "
+            f"finite cells {_fmt(float(np.mean(finite)) if finite else None)}"
+        )
 
     def to_json(self):
         return json.dumps(
@@ -324,16 +344,17 @@ class EvalReport:
     def to_text(self):
         lines = [
             f"folds: {self.n_folds}",
-            f"log-perplexity: {self.log_perplexity_mean:.4f} +/- {self.log_perplexity_std:.4f}",
+            self.perplexity_line(),
             f"coherence (closer to zero is better): {self.coherence_mean:.4f} +/- {self.coherence_std:.4f}",
             "baseline is the rate-only row-mean Poisson model, not a literature reproduction",
             "",
-            "fold  seed        perplexity  baseline    coherence",
+            "fold  seed        perplexity  inf cells  finite      baseline    coherence",
         ]
         for f in self.folds:
             lines.append(
-                f"{f['fold']:>4}  {f['seed']:<10}  {f['log_perplexity']:<10.4f}"
-                f"  {f['baseline_log_perplexity']:<10.4f}  {f['coherence']:.4f}"
+                f"{f['fold']:>4}  {f['seed']:<10}  {f['log_perplexity']:<10.4f}  {f['infinite_cells']:<9}"
+                f"  {_fmt(f['log_perplexity_finite']):<10}  {f['baseline_log_perplexity']:<10.4f}"
+                f"  {f['coherence']:.4f}"
             )
         if self.feature_matches:
             lines.append("")
@@ -364,12 +385,16 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
         live = live_features(summary.z_mean)
         report = top_features(summary.b_mean, data.col_labels, top_m, live=live)
         top_sets.append([frozenset(label for label, _ in pairs) for _, pairs in report])
+        log_liks = _held_out_log_liks(summary, data, mask)
+        finite = np.isfinite(log_liks)
         folds.append(
             {
                 "fold": i,
                 "seed": hp.seed,
                 "mask_digest": mask.digest(),
-                "log_perplexity": log_perplexity(summary, data, mask),
+                "log_perplexity": -float(log_liks.mean()),
+                "infinite_cells": int(log_liks.size - finite.sum()),
+                "log_perplexity_finite": -float(log_liks[finite].mean()) if finite.any() else None,
                 "baseline_log_perplexity": baseline_row_mean_log_perplexity(data, mask),
                 "coherence": umass_coherence(summary.b_mean, data, top_m, live=live),
                 "k_plus_mode": int(np.bincount(summary.kplus_trace).argmax()),

@@ -8,15 +8,17 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
    the Poisson likelihood marginalized over auxiliary counts;
 2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space;
 3. aux split (``_refresh_aux_internal``): every observed positive cell's
-   count split across active features, x'_ndk ~ Poisson(z_nk b_kd), which
-   restores Gamma conjugacy for B;
+   count split across its row's active features, x'_ndk ~ Poisson(z_nk b_kd),
+   which restores Gamma conjugacy for B.  The split works on (entry, active
+   feature) pairs, so it costs entries x active features, not entries x K;
 4. B draw (``_update_b_internal``): the conjugate loading draw;
 5. alpha draw (``_update_alpha_internal``): the conjugate mass draw;
 6. invariant check (``_validate_internal``).
 
 No stage reads the auxiliary split before the aux stage redraws it whole
 from (Z, B), so a chain started from any (Z, B, pi, alpha) needs no stored
-split: ``ChainRunner.from_state`` draws a fresh one.
+split: ``ChainRunner.from_state`` draws a fresh one, and a chain restored
+from a checkpoint holds none until its next aux stage.
 
 The driver is deterministic given the seed: one numpy Generator drives every
 draw in a fixed order, and checkpoints capture the full generator state, so
@@ -29,6 +31,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -60,7 +63,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 _ADAPT_EVERY = 100
 _ADAPT_LO, _ADAPT_HI = 0.20, 0.40
 _STEP_MIN, _STEP_MAX = 1e-3, 50.0
@@ -231,6 +234,23 @@ def predictive_log_lik(summary, cell, x):
     return float(_predictive_log_liks(summary, [n], [d], [x])[0])
 
 
+class _AuxSplit(NamedTuple):
+    """One draw of the auxiliary split, held over (entry, active feature) pairs.
+
+    Observed entry e owns pairs ``starts[e]`` up to the next entry's start:
+    its row's active features, ascending, in ``feature``.  ``counts`` is
+    each pair's share of the entry's count, ``unit_pair`` the pair each
+    count unit went to, and ``sums[k, d]`` the mass feature k received in
+    column d, which the B stage reads.
+    """
+
+    starts: np.ndarray
+    feature: np.ndarray
+    counts: np.ndarray
+    unit_pair: np.ndarray
+    sums: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # chain driver
 
@@ -243,7 +263,8 @@ class ChainRunner:
     (the constructor), from a given state (``from_state``) or mid-trajectory
     from a checkpoint (``from_checkpoint``).  The aux stage redraws every
     auxiliary split from (Z, B) before anything reads it, so a start state
-    needs no split of its own.
+    needs no split of its own, and a restored chain holds none (``_split``
+    is None) until its first aux stage.
 
     All randomness flows through one generator in a fixed order (column
     sweeps, atom proposals, auxiliary allocation, loading and mass draws),
@@ -313,8 +334,10 @@ class ChainRunner:
         self._e_flat = self._e_rows * self._d + self._e_cols
         self._n_entries = self._e_x.shape[0]
         self._unit_entry = np.repeat(np.arange(self._n_entries), self._e_x)
+        self._unit_rows, self._unit_cols = self._e_rows[self._unit_entry], self._e_cols[self._unit_entry]
         self._total_units = int(self._e_x.sum())
-        self._flat_cols = (self._e_cols[:, None] * self._k + np.arange(self._k)).ravel()
+        # no split until the aux stage draws one for these counts
+        self._split = None
 
     def set_data_counts(self, x_dense):
         """Swap the observed counts (same shape/mask) and refresh aux splits.
@@ -427,33 +450,67 @@ class ChainRunner:
             self._post_acc += n_acc
 
     def _refresh_aux_internal(self):
-        cum = np.cumsum(self._z[self._e_rows] * self._b[:, self._e_cols].T, axis=1)
-        tot = cum[:, -1]
-        if np.any(tot <= 0):
-            bad = int(np.argmax(tot <= 0))
+        """Split every observed entry's count across its row's active features.
+
+        Unit i of entry (n, d) goes to the first active feature k, in
+        ascending order, whose cumulative rate reaches (1 - u_i) times the
+        entry's total rate: the inverse CDF of the rates z_nk b_kd, one
+        uniform per unit.  Each entry's pair rates are normalised to sum to
+        one and the running sum restarts at every entry, so its rounding
+        stays at the scale of one entry, whatever the entry's index and
+        however small its loadings (floored ones included).
+        """
+        active = self._row_sums[self._e_rows]
+        if not active.all():
+            bad = int(np.argmin(active))
             raise InvariantError(
                 f"positive count with all-zero rates at cell ({self._e_rows[bad]}, {self._e_cols[bad]})"
             )
-        u = (1.0 - self._rng.random(self._total_units)) * tot[self._unit_entry]
-        cats = (cum[self._unit_entry] < u[:, None]).sum(axis=1)
-        flat = self._unit_entry * self._k + cats
-        self._aux = np.bincount(flat, minlength=self._n_entries * self._k).reshape(self._n_entries, self._k)
+        ends = np.cumsum(active)
+        starts = ends - active
+        n_pairs = int(active.sum())
+        # pair p of entry e holds its row's active feature number p - starts[e]
+        row_starts = np.cumsum(self._row_sums) - self._row_sums
+        feats = np.flatnonzero(self._z) % self._k
+        feature = feats[np.repeat(row_starts[self._e_rows] - starts, active) + np.arange(n_pairs)]
+        rate = self._b.ravel().take(feature * self._d + np.repeat(self._e_cols, active))
+        rate /= np.repeat(np.add.reduceat(rate, starts), active)
+        first = rate[starts]
+        # each entry's rates sum to one, so subtracting one at the next
+        # entry's first pair restarts the running sum near zero
+        rate[starts[1:]] -= 1.0
+        cum = np.cumsum(rate, out=rate)
+        # entry e's normalised cumulative rate at pair p is cum[p] - base[e];
+        # its last pair takes any unit that rounding leaves above the total
+        base = cum[starts] - first
+        cum[ends - 1] = np.inf
+        key = base[self._unit_entry] + (1.0 - self._rng.random(self._total_units))
+        # per-unit binary search for the first pair of its entry with cum >= key
+        lo, hi = starts[self._unit_entry], (ends - 1)[self._unit_entry]
+        for _ in range(int(active.max(initial=1) - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            right = cum[mid] < key
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        sums = np.bincount(feature[lo] * self._d + self._unit_cols, minlength=self._k * self._d)
+        self._split = _AuxSplit(starts, feature, np.bincount(lo, minlength=n_pairs), lo, sums.reshape(self._k, self._d))
 
     def _update_b_internal(self):
         z = self._z.astype(np.float64)
         activity = z.sum(axis=0)[:, None] - (self._held.T @ z).T
-        sums = np.bincount(self._flat_cols, weights=self._aux.ravel().astype(np.float64), minlength=self._d * self._k)
-        self._b = gibbs_update_B(sums.reshape(self._d, self._k).T, activity, self._hp, self._rng)
+        self._b = gibbs_update_B(self._split.sums, activity, self._hp, self._rng)
 
     def _update_alpha_internal(self):
         k_plus = int(self._z.any(axis=0).sum())
         self._alpha = sample_alpha(k_plus, self._levy_mass, self._hp, self._rng)
 
     def _validate_internal(self):
-        if not np.array_equal(self._aux.sum(axis=1), self._e_x):
-            raise InvariantError("auxiliary counts do not sum to the observed counts")
-        if np.any((self._aux > 0) & (self._z[self._e_rows] == 0)):
-            raise InvariantError("auxiliary mass allocated to an inactive feature")
+        split = self._split
+        if split is not None:
+            if not np.array_equal(np.add.reduceat(split.counts, split.starts), self._e_x):
+                raise InvariantError("auxiliary counts do not sum to the observed counts")
+            if not self._z.ravel().take(self._unit_rows * self._k + split.feature[split.unit_pair]).all():
+                raise InvariantError("auxiliary mass allocated to an inactive feature")
         if np.any(self._pi < self._hp.eps_trunc) or np.any(self._pi > PI_CEILING):
             raise InvariantError("a feature weight left its support")
 
@@ -560,7 +617,14 @@ class ChainRunner:
         return self._alpha
 
     def state_snapshot(self):
-        aux = dict(zip(zip(self._e_rows.tolist(), self._e_cols.tolist()), self._aux.copy()))
+        """A copy of the state; ``aux`` maps each observed positive cell to its length-K split."""
+        split = self._split
+        if split is None:
+            raise DomainError("no auxiliary split since the checkpoint was restored; step the chain first")
+        aux = np.zeros((self._n_entries, self._k), dtype=np.int64)
+        pair_entry = np.repeat(np.arange(self._n_entries), np.diff(split.starts, append=split.counts.shape[0]))
+        aux[pair_entry, split.feature] = split.counts
+        aux = dict(zip(zip(self._e_rows.tolist(), self._e_cols.tolist()), aux))
         return LatentState(z=self._z.copy(), b=self._b.copy(), pi=self._pi.copy(), alpha=self._alpha, aux=aux)
 
     # -- checkpointing -------------------------------------------------------
@@ -572,7 +636,6 @@ class ChainRunner:
             "b": self._b,
             "pi": self._pi,
             "logw": self._logw,
-            "aux": self._aux,
             "ret_z": np.stack([r[0] for r in self._retained]) if n_ret else np.zeros((0, self._n, self._k), np.int8),
             "ret_b": np.stack([r[1] for r in self._retained]) if n_ret else np.zeros((0, self._k, self._d)),
             "ret_pi": np.stack([r[2] for r in self._retained]) if n_ret else np.zeros((0, self._k)),
@@ -602,7 +665,6 @@ class ChainRunner:
     def _restore_from(self, payload):
         arrays, meta = payload
         self._set_state(arrays["z"], arrays["b"], arrays["pi"], meta["alpha"], logw=arrays["logw"])
-        self._aux = arrays["aux"].astype(np.int64)
         self._iteration = int(meta["iteration"])
         self._step = float(meta["step"])
         self._win_prop = int(meta["win_prop"])

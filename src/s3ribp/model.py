@@ -323,9 +323,11 @@ class HyperParams:
 class LatentState:
     """One configuration of the sampler: Z, B, pi, alpha and aux counts.
 
-    ``aux`` maps an observed (row, col) cell with a positive count to an
-    integer vector over features splitting that count; cells absent from
-    the map carry an all-zero split.
+    ``aux`` maps an observed (row, col) cell with a positive count to a
+    length-K integer vector splitting that count over features; cells
+    absent from the map carry an all-zero split.  The sampler holds its
+    split over (cell, active feature) pairs and builds this map only in
+    ``ChainRunner.state_snapshot``; ``ChainRunner.from_state`` ignores it.
     """
 
     z: np.ndarray

@@ -22,6 +22,7 @@ from s3ribp import (
     meta_features,
     predictive_log_lik,
     qq_row_nonzeros,
+    run_chain,
     top_features,
     umass_coherence,
 )
@@ -399,6 +400,33 @@ class TestEvaluateFolds:
         assert "baseline is the rate-only row-mean Poisson model" in text
         assert len(report.feature_matches) <= 1
 
+    def test_infinite_cells_counted_and_finite_mean_reported(self):
+        # row 0's only positive cell is held out in fold 0; with no training
+        # count there, every retained draw at this seed leaves row 0 empty,
+        # so the cell scores -inf and the fold's log-perplexity is +inf
+        x = np.random.default_rng(0).poisson(2.0, size=(8, 5)) + 1
+        x[0] = 0
+        x[0, 3] = 4
+        data = CountMatrix.from_dense(x)
+        masks = [ObservationMask([(0, 3), (2, 1), (5, 4)], 8, 5), ObservationMask([(1, 1), (6, 0)], 8, 5)]
+        hp = tiny_hyper(seed=2, k_max=3, burn_in=20, n_samples=4)
+        report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=2, qq_draws=2)
+        for fold, mask in zip(report.folds, masks):
+            summary = run_chain(data, mask, ChainConfig(hyper=hp.replace(seed=fold["seed"])))
+            per_cell = np.array([predictive_log_lik(summary, (r, c), x[r, c]) for r, c in mask.held_out_sorted()])
+            finite = np.isfinite(per_cell)
+            assert fold["infinite_cells"] == int((~finite).sum())
+            assert fold["log_perplexity"] == log_perplexity(summary, data, mask)
+            np.testing.assert_allclose(fold["log_perplexity_finite"], -per_cell[finite].mean(), rtol=1e-12)
+        assert [f["infinite_cells"] for f in report.folds] == [1, 0]
+        assert report.folds[0]["log_perplexity"] == math.inf
+        assert math.isfinite(report.folds[0]["log_perplexity_finite"])
+        parsed = json.loads(report.to_json())
+        assert [f["infinite_cells"] for f in parsed["folds"]] == [1, 0]
+        assert parsed["folds"][1]["log_perplexity_finite"] == report.folds[1]["log_perplexity_finite"]
+        finite_mean = np.mean([f["log_perplexity_finite"] for f in report.folds])
+        assert f"1 held-out cells with zero probability, finite cells {finite_mean:.4f}" in report.to_text()
+
     def test_needs_masks(self, rng):
         data = CountMatrix.from_dense(rng.poisson(1.0, size=(4, 3)))
         with pytest.raises(DomainError):
@@ -413,8 +441,6 @@ class TestEvaluateFolds:
         data = CountMatrix.from_dense(x)
         masks = make_splits(data, 0.1, 2, seed=0)
         hp = tiny_hyper(seed=4, k_max=4, burn_in=500, n_samples=150)
-        from s3ribp import run_chain
-
         summary = run_chain(data, masks[0], ChainConfig(hyper=hp))
         held = log_perplexity(summary, data, masks[0])
         second = masks[1].held_out

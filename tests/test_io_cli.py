@@ -614,7 +614,7 @@ class TestCliCommands:
         assert meta_summary.z_samples.shape[1] == 12
         assert os.path.exists(os.path.join(meta_out, "meta_topics.txt"))
 
-    def test_eval_two_folds(self, block_file, tmp_path):
+    def test_eval_two_folds(self, block_file, tmp_path, capsys):
         out = str(tmp_path / "eval")
         argv = ["eval", "--data", block_file, "--out", out, "--folds", "2",
                 "--holdout", "0.1", "--draws", "10",
@@ -625,10 +625,14 @@ class TestCliCommands:
         with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
             report = json.load(fh)
         assert len(report["folds"]) == 2
-        assert {"log_perplexity", "coherence", "k_plus_mode"} <= set(report["folds"][0])
+        assert {"log_perplexity", "infinite_cells", "log_perplexity_finite", "coherence", "k_plus_mode"} <= set(
+            report["folds"][0]
+        )
         with open(os.path.join(out, "report.txt"), encoding="utf-8") as fh:
             text = fh.read()
         assert "folds: 2" in text
+        infinite = sum(f["infinite_cells"] for f in report["folds"])
+        assert f"{infinite} held-out cells with zero probability" in capsys.readouterr().out
 
     def test_fit_with_default_hyperparameters(self, tmp_path):
         # the defaults (c=50, sigma=0.999, eps_trunc=1e-6) once broke the

@@ -27,6 +27,7 @@ from s3ribp import (
     restricted_row_log_prior,
     run_chain,
     sample_alpha,
+    save_summary,
 )
 from s3ribp.container import read_records, write_records
 from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
@@ -127,7 +128,7 @@ class TestSampleAuxCounts:
         draws = np.empty(20000)
         for i in range(draws.shape[0]):
             runner._refresh_aux_internal()
-            draws[i] = runner._aux[0, 0]
+            draws[i] = runner.state_snapshot().aux[(0, 0)][0]
         se = draws.std(ddof=1) / np.sqrt(draws.shape[0])
         assert abs(draws.mean() - 1.0) < 3 * se
 
@@ -602,7 +603,7 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 2
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 3
         assert meta["hyper_digest"] == hp.digest()
         loaded = ChainRunner.from_checkpoint(path, data)
         assert loaded.iteration == 3
@@ -648,7 +649,45 @@ class TestCheckpointing:
             ChainRunner.from_checkpoint(path, tiny_data(rng))
 
     def test_old_schema_rejected(self, tmp_path, rng):
+        # schema 2 stored the aux split, which a schema-3 reader never reads
         path = str(tmp_path / "old.bin")
-        write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": 1})
-        with pytest.raises(CheckpointError, match="schema 1"):
-            ChainRunner.from_checkpoint(path, tiny_data(rng))
+        for old in (1, 2):
+            write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
+            with pytest.raises(CheckpointError, match=f"schema {old}"):
+                ChainRunner.from_checkpoint(path, tiny_data(rng))
+
+    def test_checkpoint_has_no_aux_record(self, rng, tmp_path):
+        path = str(tmp_path / "chain.bin")
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper()))
+        runner.step_once()
+        runner.save_checkpoint(path)
+        arrays, _ = read_records(path)
+        assert set(arrays) == {
+            "z", "b", "pi", "logw", "ret_z", "ret_b", "ret_pi", "ret_alpha", "ret_kplus", "mask_cells"
+        }
+
+    def test_restored_runner_has_no_split_then_resumes_byte_identically(self, rng, tmp_path):
+        data = tiny_data(rng)
+        mask = ObservationMask(frozenset({(1, 2), (4, 0)}), 6, 4)
+        path = str(tmp_path / "chain.bin")
+        hp = tiny_hyper(burn_in=5, n_samples=6, thin=1)
+        plain = run_chain(data, mask, ChainConfig(hyper=hp))
+        runner = ChainRunner(data, mask, ChainConfig(hyper=hp))
+        for _ in range(7):
+            runner.step_once()
+            runner._maybe_retain()
+        runner.save_checkpoint(path)
+        restored = ChainRunner.from_checkpoint(path, data)
+        # no split until the first aux stage; the restored state still validates
+        assert restored._split is None
+        restored._validate_internal()
+        with pytest.raises(DomainError, match="no auxiliary split"):
+            restored.state_snapshot()
+        restored.step_once()
+        restored.state_snapshot().validate_against(data, mask, hp.eps_trunc)
+        restored._maybe_retain()
+        resumed = restored.run()
+        want, got = str(tmp_path / "plain.bin"), str(tmp_path / "resumed.bin")
+        save_summary(plain, want)
+        save_summary(resumed, got)
+        assert open(got, "rb").read() == open(want, "rb").read()
