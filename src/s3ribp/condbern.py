@@ -49,7 +49,8 @@ class LogESPTable:
 
 
 def _log_esp_from_logw(logw):
-    """Log-space Newton-girard style DP: e_s^(j) = e_s^(j-1) + w_j e_{s-1}^(j-1)."""
+    """log e_s(w) for s = 0..K by the plain ESP recurrence, in log space:
+    e_s^(j) = e_s^(j-1) + w_j e_{s-1}^(j-1) over the atoms j."""
     out = np.full(logw.shape[0] + 1, _NEG_INF)
     out[0] = 0.0
     for lw in logw:

@@ -130,16 +130,24 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     The empirical side is the sorted vector of each row's non-zero count.
     The predicted side averages, over n_draws replicate matrices drawn
     Poisson(Z B) at randomly chosen retained samples, the same sorted vector.
+    A replicate cell is non-zero with probability 1 - exp(-lam), so each
+    replicate draws one uniform per cell instead of a Poisson count; its
+    three N x D buffers are reused across replicates.
     """
     if n_draws < 1:
         raise DomainError("n_draws must be at least 1")
     empirical = _sorted_row_nonzeros(data)
     acc = np.zeros_like(empirical)
     s_total = summary.n_samples
+    shape = (summary.z_samples.shape[1], summary.b_samples.shape[2])
+    p_nonzero, u, hit = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     for _ in range(n_draws):
         s = int(rng.integers(s_total))
-        lam = summary.z_samples[s].astype(np.float64) @ summary.b_samples[s]
-        acc += np.sort(np.count_nonzero(rng.poisson(lam), axis=1))
+        np.matmul(summary.z_samples[s].astype(np.float64), summary.b_samples[s], out=p_nonzero)
+        # -expm1(-lam), in place
+        np.negative(np.expm1(np.negative(p_nonzero, out=p_nonzero), out=p_nonzero), out=p_nonzero)
+        np.less(rng.random(out=u), p_nonzero, out=hit)
+        acc += np.sort(np.count_nonzero(hit, axis=1))
     predicted = acc / n_draws
     return [(float(e), float(p)) for e, p in zip(empirical, predicted)]
 
@@ -289,13 +297,14 @@ class EvalReport:
     digest, log-perplexity, the number of held-out cells whose predictive
     probability is zero (each makes the log-perplexity +inf) and the
     log-perplexity over the other cells (None if there are none), baseline
-    perplexity, and coherence.  Feature matches compare every later fold's
-    top-column sets against fold 0's.
+    perplexity, and coherence.  The spread of the fold log-perplexities is
+    None when any of them is +inf.  Feature matches compare every later
+    fold's top-column sets against fold 0's.
     """
 
     folds: tuple
     log_perplexity_mean: float
-    log_perplexity_std: float
+    log_perplexity_std: float | None
     coherence_mean: float
     coherence_std: float
     qq_points: tuple
@@ -311,7 +320,7 @@ class EvalReport:
         """The log-perplexity line of the report and the CLI, zero-probability cells set apart."""
         finite = [f["log_perplexity_finite"] for f in self.folds if f["log_perplexity_finite"] is not None]
         return (
-            f"log-perplexity: {self.log_perplexity_mean:.4f} +/- {self.log_perplexity_std:.4f}; "
+            f"log-perplexity: {self.log_perplexity_mean:.4f} +/- {_fmt(self.log_perplexity_std)}; "
             f"{sum(f['infinite_cells'] for f in self.folds)} held-out cells with zero probability, "
             f"finite cells {_fmt(float(np.mean(finite)) if finite else None)}"
         )
@@ -421,7 +430,7 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
     return EvalReport(
         folds=tuple(folds),
         log_perplexity_mean=float(perp.mean()),
-        log_perplexity_std=float(perp.std()),
+        log_perplexity_std=None if np.isinf(perp).any() else float(perp.std()),
         coherence_mean=float(coh.mean()),
         coherence_std=float(coh.std()),
         qq_points=tuple(qq),

@@ -6,7 +6,9 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
 1. Z sweep (``_sweep_z_internal``): column-blocked Gibbs over the binary
    feature matrix, each feature's column redrawn for all rows at once, with
    the Poisson likelihood marginalized over auxiliary counts;
-2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space;
+2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space, an
+   O(K) pi sweep: each proposal's ESP ratio is read off one prefix and one
+   suffix table, so the full ESP recursion runs once per sweep;
 3. aux split (``_refresh_aux_internal``): every observed positive cell's
    count split across its row's active features, x'_ndk ~ Poisson(z_nk b_kd),
    which restores Gamma conjugacy for B.  The split works on (entry, active
@@ -37,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, logsumexp
 
-from .condbern import _log_esp_from_logw, log_odds, sample_row_given_sum
+from .condbern import _NEG_INF, _log_esp_from_logw, _suffix_log_esp, log_odds, sample_row_given_sum
 from .container import read_records, write_records
 from .errors import CheckpointError, DomainError, InvariantError
 from .model import (
@@ -167,38 +169,72 @@ def sample_alpha(k_plus, exposure_mass, hp, rng):
     return float(rng.gamma(shape, 1.0 / rate))
 
 
+def _log_convolve(a, b):
+    """Log-space product of two polynomials, truncated to a's length.
+
+    ``a`` and ``b`` hold log coefficients (-inf for zero); entry j of the
+    result is log sum_i exp(a_i + b_{j-i}), i = 0..j.  An order with no
+    non-zero term comes out -inf, without a warning.
+    """
+    n = a.shape[0]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    # the lags of i > j read the -inf appended after b
+    lag[lag < 0] = b.shape[0]
+    t = a + np.append(b, _NEG_INF)[lag]
+    top = t.max(axis=1)
+    top[top == _NEG_INF] = 0.0
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+
+
 def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     """Random-walk MH pass over atoms in ascending index order, in place.
 
     The target is the atom prior times every row's restricted prior; the
     pieces that depend on atom k collapse to m_k log w_k minus the summed
     log ESP normalizers at the observed row sums, plus the logit Jacobian.
-    Returns a boolean acceptance vector.
+    With E the ESPs of every other atom, e_s(w) = E_s + w_k E_{s-1}, so
+    both sides of the ratio come from one E per proposal (Chen, Dempster &
+    Liu 1994).  E is the product of a prefix polynomial, over the atoms
+    before k at their values after their own proposals, and one row of a
+    suffix table built once per sweep; both stop at the largest row sum,
+    since no row reads a higher order.  The sweep is O(K) ESP work, and
+    ``log_e`` is rebuilt once at its end.  Each atom draws one normal, then
+    one uniform, in ascending order.  Returns a boolean acceptance vector.
     """
     k = pi.shape[0]
+    draws = np.array([(rng.standard_normal(), rng.random()) for _ in range(k)])
+    u_prop = logw + step * draws[:, 0]
+    p_prop = expit(u_prop)
+    inside = (hp.eps_trunc <= p_prop) & (p_prop <= PI_CEILING)
+    # the atom prior and logit Jacobian terms, for the proposals in support
+    p_in, p_old = p_prop[inside], pi[inside]
+    rest = np.zeros(k)
+    rest[inside] = atom_log_prior(p_in, alpha, hp.c, hp.sigma, hp.k_max) - atom_log_prior(
+        p_old, alpha, hp.c, hp.sigma, hp.k_max
+    )
+    rest[inside] += (np.log(p_in) + np.log1p(-p_in)) - (np.log(p_old) + np.log1p(-p_old))
+    with np.errstate(divide="ignore"):
+        log_u = np.log(draws[:, 1])
+    s_max = int(np.flatnonzero(s_hist)[-1]) if s_hist.any() else 0
+    h = s_hist[1 : s_max + 1]
+    suffix = _suffix_log_esp(logw, s_max)
+    prefix = np.full(s_max + 1, _NEG_INF)
+    prefix[0] = 0.0
     accepted = np.zeros(k, dtype=bool)
     for kk in range(k):
-        noise = rng.standard_normal()
-        u_accept = rng.random()
-        u_old = logw[kk]
-        u_prop = u_old + step * noise
-        p_prop = float(expit(u_prop))
-        if not (hp.eps_trunc <= p_prop <= PI_CEILING):
-            continue
-        p_old = float(pi[kk])
-        logw[kk] = u_prop
-        le_prop = _log_esp_from_logw(logw)
-        logw[kk] = u_old
-        delta = float(m[kk]) * (u_prop - u_old) - float(s_hist @ (le_prop - log_e))
-        delta += atom_log_prior(p_prop, alpha, hp.c, hp.sigma, hp.k_max) - atom_log_prior(
-            p_old, alpha, hp.c, hp.sigma, hp.k_max
-        )
-        delta += (math.log(p_prop) + math.log1p(-p_prop)) - (math.log(p_old) + math.log1p(-p_old))
-        if u_accept <= 0.0 or math.log(u_accept) < delta:
-            pi[kk] = p_prop
-            logw[kk] = u_prop
-            log_e[:] = le_prop
-            accepted[kk] = True
+        if inside[kk]:
+            u_old = logw[kk]
+            others = _log_convolve(prefix, suffix[kk + 1])
+            d_le = np.logaddexp(others[1:], u_prop[kk] + others[:-1]) - np.logaddexp(others[1:], u_old + others[:-1])
+            delta = float(m[kk]) * (u_prop[kk] - u_old) - float(h @ d_le) + rest[kk]
+            # a zero uniform has log -inf and accepts
+            if log_u[kk] < delta:
+                pi[kk] = p_prop[kk]
+                logw[kk] = u_prop[kk]
+                accepted[kk] = True
+        prefix[1:] = np.logaddexp(prefix[1:], logw[kk] + prefix[:-1])
+    log_e[:] = _log_esp_from_logw(logw)
     return accepted
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestQQRowNonzeros:
         with pytest.raises(DomainError):
             qq_row_nonzeros(summary, data, 0, rng)
 
+    def test_zero_rate_never_and_rate_fifty_always_nonzero(self, rng):
+        # row 0 has no active feature; row 1's one cell of rate 50 is zero
+        # with probability e^-50 and its cell of rate 0 never scores
+        summary = make_summary(z_samples=[[[0], [1]], [[0], [1]]], b_samples=[[[50.0, 0.0]], [[50.0, 0.0]]])
+        data = CountMatrix.from_dense(np.array([[0, 0], [3, 0]]))
+        points = qq_row_nonzeros(summary, data, 200, rng)
+        assert points == [(0.0, 0.0), (1.0, 1.0)]
+
+    def test_one_integer_and_one_uniform_per_cell_each_replicate(self, rng):
+        # the same draws as P(Poisson(lam) > 0) = -expm1(-lam) tested against
+        # one N x D uniform array per replicate, after one sample index
+        z = rng.integers(0, 2, size=(3, 5, 2))
+        b = rng.gamma(1.0, 0.5, size=(3, 2, 4))
+        summary = make_summary(z, b)
+        data = CountMatrix.from_dense(rng.poisson(1.0, size=(5, 4)))
+        got = qq_row_nonzeros(summary, data, 30, np.random.default_rng(4))
+        gen = np.random.default_rng(4)
+        acc = np.zeros(5)
+        for _ in range(30):
+            s = int(gen.integers(3))
+            lam = z[s].astype(np.float64) @ b[s]
+            acc += np.sort(np.count_nonzero(gen.random(lam.shape) < -np.expm1(-lam), axis=1))
+        np.testing.assert_array_equal([p[1] for p in got], acc / 30)
+
 
 class TestBinomialBaselineQQ:
     def test_saturated_matrix_is_exact_diagonal(self, rng):
@@ -410,7 +435,10 @@ class TestEvaluateFolds:
         data = CountMatrix.from_dense(x)
         masks = [ObservationMask([(0, 3), (2, 1), (5, 4)], 8, 5), ObservationMask([(1, 1), (6, 0)], 8, 5)]
         hp = tiny_hyper(seed=2, k_max=3, burn_in=20, n_samples=4)
-        report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=2, qq_draws=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=2, qq_draws=2)
+            text = report.to_text()
         for fold, mask in zip(report.folds, masks):
             summary = run_chain(data, mask, ChainConfig(hyper=hp.replace(seed=fold["seed"])))
             per_cell = np.array([predictive_log_lik(summary, (r, c), x[r, c]) for r, c in mask.held_out_sorted()])
@@ -421,11 +449,16 @@ class TestEvaluateFolds:
         assert [f["infinite_cells"] for f in report.folds] == [1, 0]
         assert report.folds[0]["log_perplexity"] == math.inf
         assert math.isfinite(report.folds[0]["log_perplexity_finite"])
+        # an infinite fold has no spread: None, printed "n/a", never NaN
+        assert report.log_perplexity_std is None
         parsed = json.loads(report.to_json())
+        assert parsed["log_perplexity"]["std"] is None
         assert [f["infinite_cells"] for f in parsed["folds"]] == [1, 0]
         assert parsed["folds"][1]["log_perplexity_finite"] == report.folds[1]["log_perplexity_finite"]
         finite_mean = np.mean([f["log_perplexity_finite"] for f in report.folds])
-        assert f"1 held-out cells with zero probability, finite cells {finite_mean:.4f}" in report.to_text()
+        assert "log-perplexity: inf +/- n/a; " in text
+        assert "nan" not in text.lower()
+        assert f"1 held-out cells with zero probability, finite cells {finite_mean:.4f}" in text
 
     def test_needs_masks(self, rng):
         data = CountMatrix.from_dense(rng.poisson(1.0, size=(4, 3)))
