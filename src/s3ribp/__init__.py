@@ -63,15 +63,11 @@ from .model import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
-    gamma_draw_shape_mean,
-    gamma_log_pdf_shape_mean,
     negbin_log_pmf,
-    negbin_mean,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     rca_index,
     rca_transform,
-    row_rate,
 )
 from .priors import (
     BinaryFeatureMatrix,
@@ -104,12 +100,8 @@ __all__ = [
     "PI_CEILING",
     "SIGMA_CEILING",
     "poisson_log_pmf",
-    "gamma_log_pdf_shape_mean",
-    "gamma_draw_shape_mean",
     "negbin_log_pmf",
-    "negbin_mean",
     "negbin_row_sum_log_pmf",
-    "row_rate",
     "rca_index",
     "rca_transform",
     # conditional Bernoulli

@@ -120,8 +120,27 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     return float(np.mean(scores))
 
 
-def _sorted_row_nonzeros(data):
-    return np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
+def _replicate_qq(data, n_draws, rng, cell_probs):
+    """qq pairs of per-row non-zero counts: the data's, sorted, against the
+    mean over n_draws replicates of the same sorted vector.
+
+    Each replicate calls ``cell_probs()`` for an N x D array of non-zero
+    probabilities and draws one uniform per cell; the uniform and hit
+    buffers are reused across replicates.
+    """
+    if n_draws < 1:
+        raise DomainError("n_draws must be at least 1")
+    empirical = np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
+    acc = np.zeros_like(empirical)
+    shape = (data.n_rows, data.n_cols)
+    u, hit = np.empty(shape), np.empty(shape, dtype=bool)
+    for _ in range(n_draws):
+        # cell_probs may draw from rng too, before the uniforms
+        p = cell_probs()
+        np.less(rng.random(out=u), p, out=hit)
+        acc += np.sort(np.count_nonzero(hit, axis=1))
+    predicted = acc / n_draws
+    return [(float(e), float(q)) for e, q in zip(empirical, predicted)]
 
 
 def qq_row_nonzeros(summary, data, n_draws, rng):
@@ -131,25 +150,19 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     The predicted side averages, over n_draws replicate matrices drawn
     Poisson(Z B) at randomly chosen retained samples, the same sorted vector.
     A replicate cell is non-zero with probability 1 - exp(-lam), so each
-    replicate draws one uniform per cell instead of a Poisson count; its
-    three N x D buffers are reused across replicates.
+    replicate draws one integer for its sample, then one uniform per cell
+    instead of a Poisson count.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be at least 1")
-    empirical = _sorted_row_nonzeros(data)
-    acc = np.zeros_like(empirical)
     s_total = summary.n_samples
-    shape = (summary.z_samples.shape[1], summary.b_samples.shape[2])
-    p_nonzero, u, hit = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    for _ in range(n_draws):
+    p_nonzero = np.empty((data.n_rows, data.n_cols))
+
+    def cell_probs():
         s = int(rng.integers(s_total))
         np.matmul(summary.z_samples[s].astype(np.float64), summary.b_samples[s], out=p_nonzero)
         # -expm1(-lam), in place
-        np.negative(np.expm1(np.negative(p_nonzero, out=p_nonzero), out=p_nonzero), out=p_nonzero)
-        np.less(rng.random(out=u), p_nonzero, out=hit)
-        acc += np.sort(np.count_nonzero(hit, axis=1))
-    predicted = acc / n_draws
-    return [(float(e), float(p)) for e, p in zip(empirical, predicted)]
+        return np.negative(np.expm1(np.negative(p_nonzero, out=p_nonzero), out=p_nonzero), out=p_nonzero)
+
+    return _replicate_qq(data, n_draws, rng, cell_probs)
 
 
 def binomial_baseline_qq(data, n_draws, rng):
@@ -159,8 +172,6 @@ def binomial_baseline_qq(data, n_draws, rng):
     and k_d are the row and column non-zero counts and W the matrix total;
     an empty matrix gives probability zero everywhere.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be at least 1")
     k_n = np.bincount(data.rows, minlength=data.n_rows).astype(np.float64)
     k_d = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
     w = float(data.n_nonzero)
@@ -168,13 +179,7 @@ def binomial_baseline_qq(data, n_draws, rng):
         p = np.minimum(1.0, np.outer(k_n, k_d) / w)
     else:
         p = np.zeros((data.n_rows, data.n_cols))
-    empirical = _sorted_row_nonzeros(data)
-    acc = np.zeros_like(empirical)
-    for _ in range(n_draws):
-        rep = rng.random(p.shape) < p
-        acc += np.sort(rep.sum(axis=1))
-    predicted = acc / n_draws
-    return [(float(e), float(q)) for e, q in zip(empirical, predicted)]
+    return _replicate_qq(data, n_draws, rng, lambda: p)
 
 
 def _jaccard(a, b):

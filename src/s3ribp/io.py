@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,12 +33,12 @@ __all__ = [
     "RunConfig",
     "save_summary",
     "load_summary",
-    "save_report_text",
 ]
 
 log = logging.getLogger(__name__)
 
 _FORMATS = ("auto", "dense", "triplet")
+_SUMMARY_SCHEMA = 1
 
 
 def _split_line(line):
@@ -249,16 +249,7 @@ class RunConfig:
             raise DomainError(f"unknown format {self.fmt!r}")
 
     def to_dict(self):
-        return {
-            "dataset": self.dataset,
-            "fmt": self.fmt,
-            "preproc": self.preproc,
-            "holdout": self.holdout,
-            "n_folds": self.n_folds,
-            "hyper": self.hyper.to_dict(),
-            "out_dir": self.out_dir,
-            "options": dict(self.options),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -285,53 +276,16 @@ class RunConfig:
 def save_summary(summary, path):
     """Serialize a posterior summary to a deterministic container file.
 
-    The wall-clock field is volatile and is not written, so two summaries of
-    identical chains produce identical bytes.
+    ``PosteriorSummary.to_records`` leaves out the volatile wall-clock
+    field, so two summaries of identical chains produce identical bytes.
     """
-    arrays = {
-        "z_samples": summary.z_samples,
-        "b_samples": summary.b_samples,
-        "pi_samples": summary.pi_samples,
-        "alpha_samples": summary.alpha_samples,
-        "kplus_trace": summary.kplus_trace,
-        "z_mean": summary.z_mean,
-        "b_mean": summary.b_mean,
-    }
-    meta = {
-        "kind": "posterior-summary",
-        "schema_version": 1,
-        "pi_accept_rate": summary.pi_accept_rate,
-        "mh_step_final": summary.mh_step_final,
-        "burn_in": summary.burn_in,
-        "thin": summary.thin,
-        "seed": summary.seed,
-        "hyper": summary.hyper.to_dict(),
-    }
-    write_records(path, arrays, meta)
+    arrays, meta = summary.to_records()
+    write_records(path, arrays, {"kind": "posterior-summary", "schema_version": _SUMMARY_SCHEMA, **meta})
 
 
 def load_summary(path):
     """Inverse of save_summary (wall-clock time comes back as zero)."""
     arrays, meta = read_records(path)
-    if meta.get("kind") != "posterior-summary":
-        raise ParseError(f"{path} is not a posterior summary file")
-    return PosteriorSummary(
-        z_samples=arrays["z_samples"].astype(np.int8),
-        b_samples=arrays["b_samples"],
-        pi_samples=arrays["pi_samples"],
-        alpha_samples=arrays["alpha_samples"],
-        kplus_trace=arrays["kplus_trace"].astype(np.int64),
-        z_mean=arrays["z_mean"],
-        b_mean=arrays["b_mean"],
-        pi_accept_rate=float(meta["pi_accept_rate"]),
-        mh_step_final=float(meta["mh_step_final"]),
-        burn_in=int(meta["burn_in"]),
-        thin=int(meta["thin"]),
-        seed=int(meta["seed"]),
-        hyper=HyperParams.from_dict(meta["hyper"]),
-        runtime_seconds=0.0,
-    )
-
-
-def save_report_text(text, path):
-    atomic_write_text(path, text)
+    if meta.get("kind") != "posterior-summary" or meta.get("schema_version") != _SUMMARY_SCHEMA:
+        raise ParseError(f"{path} is not a posterior summary file of schema {_SUMMARY_SCHEMA}")
+    return PosteriorSummary.from_records(arrays, meta)

@@ -24,7 +24,8 @@ from a checkpoint holds none until its next aux stage.
 
 The driver is deterministic given the seed: one numpy Generator drives every
 draw in a fixed order, and checkpoints capture the full generator state, so
-a resumed chain reproduces the uninterrupted trajectory exactly.
+a resumed chain reproduces the uninterrupted trajectory exactly; the
+retained draws are stored, and checkpointed, under the summary's field names.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +66,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
+# The chain's scalar state: runner attribute ``_<name>`` is checkpointed
+# under ``name``.
+_CHAIN_SCALARS = ("iteration", "alpha", "step", "win_prop", "win_acc", "post_prop", "post_acc", "runtime", "n_retained")
 _ADAPT_EVERY = 100
 _ADAPT_LO, _ADAPT_HI = 0.20, 0.40
 _STEP_MIN, _STEP_MAX = 1e-3, 50.0
@@ -119,12 +123,7 @@ class ChainConfig:
         return self.burn_in + self.n_samples * self.thin
 
     def to_dict(self):
-        return {
-            "hyper": self.hyper.to_dict(),
-            "checkpoint_path": self.checkpoint_path,
-            "checkpoint_interval": self.checkpoint_interval,
-            "log_every": self.log_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -305,7 +304,8 @@ class ChainRunner:
     All randomness flows through one generator in a fixed order (column
     sweeps, atom proposals, auxiliary allocation, loading and mass draws),
     which is what makes fixed-seed reruns and checkpoint resumes bit-for-bit
-    equal.
+    equal.  ``_draws`` holds ``n_samples`` rows of each of the summary's
+    per-draw fields (``_draw``), the first ``_n_retained`` filled.
     """
 
     def __init__(self, data, mask, config, _restore=None, _state=None):
@@ -328,19 +328,19 @@ class ChainRunner:
             (np.ones(cells.shape[0]), (cells[:, 0], cells[:, 1])), shape=(self._n, self._d)
         )
         self._set_count_caches(data)
-        self._retained = []
-        self._runtime = 0.0
         if _restore is not None:
             self._restore_from(_restore)
         else:
             self._rng = np.random.default_rng(self._hp.seed)
             self._iteration = 0
             self._step = float(self._hp.mh_step)
-            self._win_prop = self._win_acc = self._post_prop = self._post_acc = 0
+            self._runtime = 0.0
+            self._win_prop = self._win_acc = self._post_prop = self._post_acc = self._n_retained = 0
             if _state is None:
                 self._init_state()
             else:
                 self._set_state(_state.z, _state.b, _state.pi, _state.alpha)
+            self._draws = self._empty_draws()
             self._refresh_aux_internal()
         self._validate_internal()
 
@@ -570,19 +570,28 @@ class ChainRunner:
 
     # -- retention and results ----------------------------------------------
 
+    def _draw(self):
+        """The current state's retained draw, keyed by the summary's field names."""
+        return {
+            "z_samples": self._z,
+            "b_samples": self._b,
+            "pi_samples": self._pi,
+            "alpha_samples": np.float64(self._alpha),
+            "kplus_trace": np.int64(self._z.any(axis=0).sum()),
+        }
+
+    def _empty_draws(self):
+        """The draw store: ``n_samples`` zero rows per field of ``_draw``."""
+        n = self.config.n_samples
+        return {name: np.zeros((n, *np.shape(v)), np.result_type(v)) for name, v in self._draw().items()}
+
     def _maybe_retain(self):
         cfg = self.config
         past = self._iteration - cfg.burn_in
-        if past > 0 and past % cfg.thin == 0 and len(self._retained) < cfg.n_samples:
-            self._retained.append(
-                (
-                    self._z.copy(),
-                    self._b.copy(),
-                    self._pi.copy(),
-                    float(self._alpha),
-                    int(self._z.any(axis=0).sum()),
-                )
-            )
+        if past > 0 and past % cfg.thin == 0 and self._n_retained < cfg.n_samples:
+            for name, value in self._draw().items():
+                self._draws[name][self._n_retained] = value
+            self._n_retained += 1
 
     def run(self):
         cfg = self.config
@@ -605,22 +614,14 @@ class ChainRunner:
         return self.summary()
 
     def summary(self):
-        if not self._retained:
+        if not self._n_retained:
             raise DomainError("no retained samples; run the chain first")
-        z_s = np.stack([r[0] for r in self._retained])
-        b_s = np.stack([r[1] for r in self._retained])
-        pi_s = np.stack([r[2] for r in self._retained])
-        a_s = np.array([r[3] for r in self._retained])
-        kp = np.array([r[4] for r in self._retained], dtype=np.int64)
+        draws = {name: rows[: self._n_retained].copy() for name, rows in self._draws.items()}
         rate = self._post_acc / self._post_prop if self._post_prop else 0.0
         return PosteriorSummary(
-            z_samples=z_s,
-            b_samples=b_s,
-            pi_samples=pi_s,
-            alpha_samples=a_s,
-            kplus_trace=kp,
-            z_mean=z_s.mean(axis=0),
-            b_mean=b_s.mean(axis=0),
+            **draws,
+            z_mean=draws["z_samples"].mean(axis=0),
+            b_mean=draws["b_samples"].mean(axis=0),
             pi_accept_rate=float(rate),
             mh_step_final=float(self._step),
             burn_in=self.config.burn_in,
@@ -666,30 +667,12 @@ class ChainRunner:
     # -- checkpointing -------------------------------------------------------
 
     def save_checkpoint(self, path):
-        n_ret = len(self._retained)
-        arrays = {
-            "z": self._z,
-            "b": self._b,
-            "pi": self._pi,
-            "logw": self._logw,
-            "ret_z": np.stack([r[0] for r in self._retained]) if n_ret else np.zeros((0, self._n, self._k), np.int8),
-            "ret_b": np.stack([r[1] for r in self._retained]) if n_ret else np.zeros((0, self._k, self._d)),
-            "ret_pi": np.stack([r[2] for r in self._retained]) if n_ret else np.zeros((0, self._k)),
-            "ret_alpha": np.array([r[3] for r in self._retained]),
-            "ret_kplus": np.array([r[4] for r in self._retained], dtype=np.int64),
-            "mask_cells": self.mask.held_out,
-        }
+        arrays = {"z": self._z, "b": self._b, "pi": self._pi, "logw": self._logw, "mask_cells": self.mask.held_out}
+        arrays.update((name, rows[: self._n_retained]) for name, rows in self._draws.items())
         meta = {
             "kind": "chain-checkpoint",
             "schema_version": CHECKPOINT_SCHEMA,
-            "iteration": self._iteration,
-            "alpha": self._alpha,
-            "step": self._step,
-            "win_prop": self._win_prop,
-            "win_acc": self._win_acc,
-            "post_prop": self._post_prop,
-            "post_acc": self._post_acc,
-            "runtime": self._runtime,
+            **{name: getattr(self, "_" + name) for name in _CHAIN_SCALARS},
             "rng_state": self._rng.bit_generator.state,
             "config": self.config.to_dict(),
             "hyper_digest": self._hp.digest(),
@@ -700,27 +683,14 @@ class ChainRunner:
 
     def _restore_from(self, payload):
         arrays, meta = payload
-        self._set_state(arrays["z"], arrays["b"], arrays["pi"], meta["alpha"], logw=arrays["logw"])
-        self._iteration = int(meta["iteration"])
-        self._step = float(meta["step"])
-        self._win_prop = int(meta["win_prop"])
-        self._win_acc = int(meta["win_acc"])
-        self._post_prop = int(meta["post_prop"])
-        self._post_acc = int(meta["post_acc"])
-        self._runtime = float(meta["runtime"])
-        self._retained = [
-            (
-                arrays["ret_z"][i].astype(np.int8),
-                arrays["ret_b"][i],
-                arrays["ret_pi"][i],
-                float(arrays["ret_alpha"][i]),
-                int(arrays["ret_kplus"][i]),
-            )
-            for i in range(arrays["ret_z"].shape[0])
-        ]
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = meta["rng_state"]
-        self._rng = rng
+        for name in _CHAIN_SCALARS:
+            setattr(self, "_" + name, meta[name])
+        self._set_state(arrays["z"], arrays["b"], arrays["pi"], self._alpha, logw=arrays["logw"])
+        self._draws = self._empty_draws()
+        for name, rows in self._draws.items():
+            rows[: self._n_retained] = arrays[name]
+        self._rng = np.random.default_rng(0)
+        self._rng.bit_generator.state = meta["rng_state"]
 
     @classmethod
     def from_checkpoint(cls, path, data, mask=None, config=None):

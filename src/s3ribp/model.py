@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,12 +35,8 @@ __all__ = [
     "LatentState",
     "PosteriorSummary",
     "poisson_log_pmf",
-    "gamma_log_pdf_shape_mean",
-    "gamma_draw_shape_mean",
     "negbin_log_pmf",
-    "negbin_mean",
     "negbin_row_sum_log_pmf",
-    "row_rate",
     "rca_index",
     "rca_transform",
 ]
@@ -384,6 +380,7 @@ class LatentState:
 class PosteriorSummary:
     """Retained samples and their running summaries.
 
+    The fields declare the summary file's format (``to_records``).
     ``runtime_seconds`` is wall-clock metadata and is deliberately excluded
     from the canonical serialized payload so fixed-seed reruns are
     byte-identical.
@@ -427,6 +424,20 @@ class PosteriorSummary:
     def n_samples(self):
         return int(self.z_samples.shape[0])
 
+    def to_records(self):
+        """The summary as (arrays, meta) for ``write_records``: array fields
+        become arrays, ``hyper`` a dict and ``runtime_seconds`` is left out."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime_seconds"}
+        arrays = {name: v for name, v in values.items() if isinstance(v, np.ndarray)}
+        meta = {name: v for name, v in values.items() if name not in arrays}
+        return arrays, {**meta, "hyper": self.hyper.to_dict()}
+
+    @classmethod
+    def from_records(cls, arrays, meta):
+        """Inverse of ``to_records`` (wall-clock time comes back as zero)."""
+        records = {**meta, **arrays, "hyper": HyperParams.from_dict(meta["hyper"])}
+        return cls(**{f.name: records[f.name] for f in fields(cls) if f.name != "runtime_seconds"})
+
 
 # ---------------------------------------------------------------------------
 # densities
@@ -458,27 +469,6 @@ def poisson_log_pmf(x, lam):
     return out
 
 
-def gamma_log_pdf_shape_mean(b, shape, mean):
-    """log Gamma density under a (shape, mean) parameterization (rate = shape/mean)."""
-    b = np.asarray(b, dtype=np.float64)
-    if not (shape > 0 and mean > 0):
-        raise DomainError("shape and mean must be positive")
-    if np.any(b <= 0) or not np.all(np.isfinite(b)):
-        raise DomainError("gamma density requires positive finite arguments")
-    rate = shape / mean
-    out = shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(b) - rate * b
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def gamma_draw_shape_mean(rng, shape, mean, size=None):
-    """Draw from Gamma with the same (shape, mean) convention as the density."""
-    if not (np.all(np.asarray(shape) > 0) and np.all(np.asarray(mean) > 0)):
-        raise DomainError("shape and mean must be positive")
-    return rng.gamma(shape, np.asarray(mean, dtype=np.float64) / shape, size=size)
-
-
 def negbin_log_pmf(s, r, p):
     """log negative binomial pmf: P(s) = G(s+r)/(G(r) s!) p^r (1-p)^s.
 
@@ -492,12 +482,6 @@ def negbin_log_pmf(s, r, p):
     return float(
         math.lgamma(s + r) - math.lgamma(r) - math.lgamma(s + 1) + r * math.log(p) + s * math.log1p(-p)
     )
-
-
-def negbin_mean(r, p):
-    if not (r > 0 and 0.0 < p < 1.0):
-        raise DomainError("need r > 0 and p in (0, 1)")
-    return r * (1.0 - p) / p
 
 
 def negbin_row_sum_log_pmf(r, p, k_max):
@@ -515,14 +499,6 @@ def negbin_row_sum_log_pmf(r, p, k_max):
     out = body.copy()
     out[-1] = math.log(tail)
     return out
-
-
-def row_rate(state, n, d):
-    """Poisson rate of cell (n, d) under the state: Z_n . B_d."""
-    z = state.z
-    if not (0 <= n < z.shape[0] and 0 <= d < state.b.shape[1]):
-        raise DomainError(f"cell ({n}, {d}) outside the state's shape")
-    return float(np.dot(z[n].astype(np.float64), state.b[:, d]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from s3ribp import (
     sample_row_given_sum,
     save_summary,
 )
-from s3ribp.model import gamma_draw_shape_mean
 
 from _acceptance_log import record
 from conftest import brute_force_inclusion, enumerate_rows
@@ -210,7 +209,7 @@ class TestCriterion5Geweke:
             s = int(min(rng.negative_binomial(hp.nb_r, hp.nb_p), hp.k_max))
             if s:
                 z[i] = sample_row_given_sum(pi, s, rng)
-        b = gamma_draw_shape_mean(rng, hp.alpha_b, hp.mu_b, size=(hp.k_max, self.D))
+        b = rng.gamma(hp.alpha_b, hp.mu_b / hp.alpha_b, size=(hp.k_max, self.D))
         return alpha, pi, z, b
 
     @staticmethod

@@ -1,5 +1,6 @@
 """File formats, splits, run configuration, serialization, and the CLI."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -14,6 +15,7 @@ from s3ribp import (
     DomainError,
     HyperParams,
     ParseError,
+    PosteriorSummary,
     RunConfig,
     SIGMA_CEILING,
     load_counts,
@@ -400,9 +402,32 @@ class TestSummarySerialization:
             second = fh.read()
         assert first == second
 
+    def test_every_field_but_runtime_survives(self, summary, tmp_path):
+        # iterates the declared fields, so a field added later cannot be
+        # dropped from the file silently
+        assert summary.runtime_seconds > 0
+        save_summary(summary, tmp_path / "s.bin")
+        back = load_summary(tmp_path / "s.bin")
+        for f in dataclasses.fields(PosteriorSummary):
+            want, got = getattr(summary, f.name), getattr(back, f.name)
+            if f.name == "runtime_seconds":
+                assert got == 0.0
+            elif isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                assert np.array_equal(got, want), f.name
+            else:
+                assert type(got) is type(want) and got == want, f.name
+
     def test_wrong_kind_rejected(self, tmp_path):
         write_records(tmp_path / "x.bin", {"a": np.arange(3)}, {"kind": "other"})
         with pytest.raises(ParseError, match="not a posterior summary"):
+            load_summary(tmp_path / "x.bin")
+
+    def test_unknown_schema_rejected(self, summary, tmp_path):
+        save_summary(summary, tmp_path / "s.bin")
+        arrays, meta = read_records(tmp_path / "s.bin")
+        write_records(tmp_path / "x.bin", arrays, {**meta, "schema_version": 2})
+        with pytest.raises(ParseError, match="not a posterior summary file of schema 1"):
             load_summary(tmp_path / "x.bin")
 
 

@@ -603,7 +603,7 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 3
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 4
         assert meta["hyper_digest"] == hp.digest()
         loaded = ChainRunner.from_checkpoint(path, data)
         assert loaded.iteration == 3
@@ -649,9 +649,10 @@ class TestCheckpointing:
             ChainRunner.from_checkpoint(path, tiny_data(rng))
 
     def test_old_schema_rejected(self, tmp_path, rng):
-        # schema 2 stored the aux split, which a schema-3 reader never reads
+        # schema 2 stored the aux split and schema 3 named the retained draws
+        # ret_*; a schema-4 reader reads neither
         path = str(tmp_path / "old.bin")
-        for old in (1, 2):
+        for old in (1, 2, 3):
             write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
             with pytest.raises(CheckpointError, match=f"schema {old}"):
                 ChainRunner.from_checkpoint(path, tiny_data(rng))
@@ -663,8 +664,25 @@ class TestCheckpointing:
         runner.save_checkpoint(path)
         arrays, _ = read_records(path)
         assert set(arrays) == {
-            "z", "b", "pi", "logw", "ret_z", "ret_b", "ret_pi", "ret_alpha", "ret_kplus", "mask_cells"
+            "z", "b", "pi", "logw", "z_samples", "b_samples", "pi_samples", "alpha_samples", "kplus_trace", "mask_cells"
         }
+
+    def test_checkpoint_after_last_draw_resumes_to_identical_summary(self, rng, tmp_path):
+        data = tiny_data(rng)
+        path = str(tmp_path / "chain.bin")
+        hp = tiny_hyper(burn_in=3, n_samples=4, thin=2)
+        cfg = ChainConfig(hyper=hp, checkpoint_path=path, checkpoint_interval=hp.burn_in + hp.n_samples * hp.thin)
+        plain = run_chain(data, None, cfg)
+        restored = ChainRunner.from_checkpoint(path, data)
+        assert restored.iteration == cfg.total_iterations
+        # restoring and saving again writes the same checkpoint
+        again = str(tmp_path / "again.bin")
+        restored.save_checkpoint(again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+        want, got = str(tmp_path / "plain.bin"), str(tmp_path / "resumed.bin")
+        save_summary(plain, want)
+        save_summary(restored.run(), got)
+        assert open(got, "rb").read() == open(want, "rb").read()
 
     def test_restored_runner_has_no_split_then_resumes_byte_identically(self, rng, tmp_path):
         data = tiny_data(rng)

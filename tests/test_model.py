@@ -16,16 +16,12 @@ from s3ribp import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
-    gamma_draw_shape_mean,
-    gamma_log_pdf_shape_mean,
     levy_exposure_mass,
     negbin_log_pmf,
-    negbin_mean,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     rca_index,
     rca_transform,
-    row_rate,
 )
 from s3ribp.model import MIN_C_PLUS_SIGMA, SIGMA_CEILING
 
@@ -382,27 +378,6 @@ class TestPoissonLogPmf:
             poisson_log_pmf(1.5, 1.0)
 
 
-class TestGammaShapeMean:
-    def test_matches_scipy_parameterization(self, rng):
-        for _ in range(20):
-            shape = float(rng.gamma(2.0, 1.0)) + 0.1
-            mean = float(rng.gamma(2.0, 1.0)) + 0.1
-            b = float(rng.gamma(2.0, 1.0)) + 0.01
-            expected = scipy.stats.gamma.logpdf(b, shape, scale=mean / shape)
-            np.testing.assert_allclose(gamma_log_pdf_shape_mean(b, shape, mean), expected, rtol=1e-10)
-
-    def test_draw_matches_mean(self, rng):
-        draws = gamma_draw_shape_mean(rng, 2.0, 3.0, size=200_000)
-        se = draws.std() / math.sqrt(draws.size)
-        assert abs(draws.mean() - 3.0) < 3 * se
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            gamma_log_pdf_shape_mean(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            gamma_log_pdf_shape_mean(1.0, -1.0, 1.0)
-
-
 class TestNegativeBinomial:
     def test_matches_scipy(self, rng):
         for _ in range(20):
@@ -412,10 +387,6 @@ class TestNegativeBinomial:
             np.testing.assert_allclose(
                 negbin_log_pmf(s, r, p), scipy.stats.nbinom.logpmf(s, r, p), rtol=1e-10
             )
-
-    def test_mean(self):
-        assert negbin_mean(1.0, 0.5) == pytest.approx(1.0)
-        assert negbin_mean(2.0, 0.1) == pytest.approx(18.0)
 
     def test_clamped_row_sum_pmf(self):
         log_f = negbin_row_sum_log_pmf(1.0, 0.5, 4)
@@ -437,13 +408,6 @@ class TestNegativeBinomial:
         log_f = negbin_row_sum_log_pmf(1.0, 0.999, 10)
         assert np.isfinite(log_f[10])
         assert np.exp(log_f).sum() == pytest.approx(1.0)
-
-
-class TestRowRate:
-    def test_rate_is_active_loading_sum(self):
-        state = _tiny_state()
-        assert row_rate(state, 0, 0) == pytest.approx(1.0)
-        assert row_rate(state, 1, 1) == pytest.approx(6.0)
 
 
 class TestRCA:
