@@ -5,7 +5,8 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
 
 1. Z sweep (``_sweep_z_internal``): column-blocked Gibbs over the binary
    feature matrix, each feature's column redrawn for all rows at once, with
-   the Poisson likelihood marginalized over auxiliary counts;
+   the Poisson likelihood marginalized over auxiliary counts; one per-entry
+   rate buffer is updated in place, column by column;
 2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space, an
    O(K) pi sweep: each proposal's ESP ratio is read off one prefix and one
    suffix table, so the full ESP recursion runs once per sweep;
@@ -13,6 +14,8 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
    count split across its row's active features, x'_ndk ~ Poisson(z_nk b_kd),
    which restores Gamma conjugacy for B.  The split works on (entry, active
    feature) pairs, so it costs entries x active features, not entries x K;
+   each unit finds its pair by a fixed-step lower bound, and the previous
+   split is freed before the next one is built;
 4. B draw (``_update_b_internal``): the conjugate loading draw;
 5. alpha draw (``_update_alpha_internal``): the conjugate mass draw;
 6. invariant check (``_validate_internal``).
@@ -365,6 +368,7 @@ class ChainRunner:
         # stage draws their splits in
         observed = ~self.mask.is_held_out(data.rows, data.cols)
         self._e_rows, self._e_cols, self._e_x = data.rows[observed], data.cols[observed], data.counts[observed]
+        self._e_xf = self._e_x.astype(np.float64)
         self._row_counts = np.bincount(self._e_rows, minlength=self._n)
         self._e_starts = np.flatnonzero(np.diff(self._e_rows, prepend=-1))
         self._e_flat = self._e_rows * self._d + self._e_cols
@@ -438,16 +442,23 @@ class ChainRunner:
         The rates are rebuilt from (Z, B) once per sweep, so no rounding
         drift outlives a sweep, and are exactly zero in a row with no other
         active feature, which keeps a feature on in a row with a count.
+
+        One rate buffer is updated in place per column: b_kd is subtracted
+        at the entries whose row has z_nk on, and added back where the new
+        draw is on.  At the other entries z_nk b_kd is 0.0, and adding or
+        subtracting 0.0 leaves a non-negative rate unchanged, so the masked
+        updates give the rates of the unmasked ones bit for bit.  One ratio
+        buffer holds the divide, log1p and product.
         """
-        z, b = self._z, self._b
-        cols, counts = self._e_cols, self._row_counts
-        x = self._e_x.astype(np.float64)
+        z, b = self._z.view(bool), self._b
+        cols, counts, x = self._e_cols, self._row_counts, self._e_xf
         has_entries = counts > 0
         s = self._row_sums
         # the prior log odds at each number s = 0..K-1 of other active features
         prior = self._log_f[1:] - self._log_f[:-1] + self._log_e[:-1] - self._log_e[1:]
         obs_mass = b.sum(axis=1) - self._held @ b.T
-        lam = (z.astype(np.float64) @ b).take(self._e_flat)
+        lam = (self._z.astype(np.float64) @ b).take(self._e_flat)
+        ratio = np.empty_like(lam)
         u = self._rng.random((self._k, self._n))
         ll = np.zeros(self._n)
         for k in range(self._k):
@@ -456,20 +467,23 @@ class ChainRunner:
             s_minus = s - zk
             # entries are row-major, so np.repeat(v, counts) spreads a
             # per-row v over the row's entries
-            lam_minus = np.maximum(lam - np.repeat(zk, counts) * b_e, 0.0)
+            np.subtract(lam, b_e, out=lam, where=np.repeat(zk, counts))
+            np.maximum(lam, 0.0, out=lam)
             alone = (s_minus == 0) & has_entries
             if alone.any():
-                lam_minus[np.repeat(alone, counts)] = 0.0
+                lam[np.repeat(alone, counts)] = 0.0
             with np.errstate(divide="ignore", over="ignore"):
-                ratio = x * np.log1p(b_e / lam_minus)
+                np.divide(b_e, lam, out=ratio)
+                np.log1p(ratio, out=ratio)
+            ratio *= x
             ll[has_entries] = np.add.reduceat(ratio, self._e_starts)
             lo = prior[s_minus] + self._logw[k] + ll - obs_mass[:, k]
             if np.any(np.isnan(lo)):
                 raise InvariantError("NaN in likelihood ratio; the current state has zero likelihood")
-            new = (u[k] < expit(lo)).astype(np.int8)
+            new = u[k] < expit(lo)
             z[:, k] = new
             s = s_minus + new
-            lam = lam_minus + np.repeat(new, counts) * b_e
+            np.add(lam, b_e, out=lam, where=np.repeat(new, counts))
         self._row_sums = s
 
     def _mh_pi_internal(self):
@@ -495,6 +509,12 @@ class ChainRunner:
         one and the running sum restarts at every entry, so its rounding
         stays at the scale of one entry, whatever the entry's index and
         however small its loadings (floored ones included).
+
+        The previous split is dropped before the new pair arrays are built,
+        and each index array is freed once read, so at most one split's
+        worth of pair arrays is alive.  Each unit finds its pair by a
+        fixed-step lower bound inside its entry: steps 2^j, j descending,
+        each taken while the probed cumulative rate is below the key.
         """
         active = self._row_sums[self._e_rows]
         if not active.all():
@@ -502,14 +522,21 @@ class ChainRunner:
             raise InvariantError(
                 f"positive count with all-zero rates at cell ({self._e_rows[bad]}, {self._e_cols[bad]})"
             )
+        self._split = None
         ends = np.cumsum(active)
         starts = ends - active
         n_pairs = int(active.sum())
         # pair p of entry e holds its row's active feature number p - starts[e]
         row_starts = np.cumsum(self._row_sums) - self._row_sums
         feats = np.flatnonzero(self._z) % self._k
-        feature = feats[np.repeat(row_starts[self._e_rows] - starts, active) + np.arange(n_pairs)]
-        rate = self._b.ravel().take(feature * self._d + np.repeat(self._e_cols, active))
+        idx = np.arange(n_pairs)
+        idx += np.repeat(row_starts[self._e_rows] - starts, active)
+        feature = feats.take(idx)
+        del idx, feats
+        flat = feature * self._d
+        flat += np.repeat(self._e_cols, active)
+        rate = self._b.ravel().take(flat)
+        del flat
         rate /= np.repeat(np.add.reduceat(rate, starts), active)
         first = rate[starts]
         # each entry's rates sum to one, so subtracting one at the next
@@ -521,13 +548,13 @@ class ChainRunner:
         base = cum[starts] - first
         cum[ends - 1] = np.inf
         key = base[self._unit_entry] + (1.0 - self._rng.random(self._total_units))
-        # per-unit binary search for the first pair of its entry with cum >= key
-        lo, hi = starts[self._unit_entry], (ends - 1)[self._unit_entry]
-        for _ in range(int(active.max(initial=1) - 1).bit_length()):
-            mid = (lo + hi) >> 1
-            right = cum[mid] < key
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
+        # per-unit lower bound: the first pair of its entry with cum >= key.
+        # cum rises within an entry and is +inf at its last pair, so a probe
+        # clipped to the last pair never steps past the answer
+        lo, last = starts[self._unit_entry], (ends - 1)[self._unit_entry]
+        for j in reversed(range(int(active.max(initial=1) - 1).bit_length())):
+            step = 1 << j
+            lo += (cum.take(np.minimum(lo + (step - 1), last)) < key) * step
         sums = np.bincount(feature[lo] * self._d + self._unit_cols, minlength=self._k * self._d)
         self._split = _AuxSplit(starts, feature, np.bincount(lo, minlength=n_pairs), lo, sums.reshape(self._k, self._d))
 

@@ -52,6 +52,9 @@ PI_CEILING = 1.0 - 1e-15
 # quadrature fails or misses its tolerance (by 1e-2 at c + sigma = 1e-7).
 MIN_C_PLUS_SIGMA = 1e-3
 
+# Aux vectors checked per pass in ``LatentState.validate_against``.
+_VALIDATE_CHUNK = 4096
+
 
 def _check_labels(labels, n, kind):
     labels = tuple(str(x) for x in labels)
@@ -62,6 +65,56 @@ def _check_labels(labels, n, kind):
         dup = next(x for x in labels if x in seen or seen.add(x))
         raise DomainError(f"duplicate {kind} label {dup!r}")
     return labels
+
+
+# The four decimal digits of 0..9999 as ASCII bytes, for ``_json_int_rows``.
+_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+
+
+def _json_int_rows(a):
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` as bytes, for a 2-d
+    array of non-negative integers, built in numpy.
+
+    Each value becomes a row of a byte table: an opening bracket if it starts
+    a row, its digits right-aligned (four at a time from ``_DIGITS4``), then
+    a comma, or a closing bracket and a comma if it ends a row (no comma
+    after the last); a mask keeps the bytes in use.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n, m = a.shape
+    if n == 0:
+        return b"[]"
+    v = a.ravel()
+    width = np.searchsorted(10 ** np.arange(1, 19), v, side="right") + 1
+    w = 4 * -(-int(width.max()) // 4)
+    table = np.empty((v.shape[0], w + 3), dtype=np.uint8)
+    table[:, 0] = ord("[")
+    for end in range(w, 0, -4):
+        # the lowest four digits left fill the four bytes that end at ``end``
+        v, low = np.divmod(v, 10_000) if end > 4 else (None, v)
+        table[:, end - 3 : end + 1] = _DIGITS4[low]
+    table[:, w + 1] = ord(",")
+    table[m - 1 :: m, w + 1] = ord("]")
+    table[:, w + 2] = ord(",")
+    keep = np.zeros(table.shape, dtype=bool)
+    keep[::m, 0] = True
+    keep[:, 1 : w + 1] = np.arange(w) >= w - width[:, None]
+    keep[:, w + 1] = True
+    keep[m - 1 : -1 : m, w + 2] = True
+    return b"[" + table[keep].tobytes() + b"]"
+
+
+def _json_digest(fields):
+    """sha256 hex of ``json.dumps(fields, separators=(",", ":"))``, each
+    array value encoded as the nested list of its rows (``_json_int_rows``)."""
+    parts = []
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            body = _json_int_rows(value)
+        else:
+            body = json.dumps(value, separators=(",", ":")).encode()
+        parts.append(json.dumps(name).encode() + b":" + body)
+    return hashlib.sha256(b"{" + b",".join(parts) + b"}").hexdigest()
 
 
 def _lookup(sorted_flat, flat):
@@ -168,16 +221,14 @@ class CountMatrix:
 
     @cached_property
     def _digest(self):
-        payload = json.dumps(
+        return _json_digest(
             {
                 "shape": [self.n_rows, self.n_cols],
-                "entries": np.stack([self.rows, self.cols, self.counts], axis=1).tolist(),
+                "entries": np.stack([self.rows, self.cols, self.counts], axis=1),
                 "rows": list(self.row_labels),
                 "cols": list(self.col_labels),
-            },
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
+            }
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +283,7 @@ class ObservationMask:
 
     @cached_property
     def _digest(self):
-        payload = json.dumps(
-            {"shape": [self.n_rows, self.n_cols], "cells": self.held_out.tolist()},
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return _json_digest({"shape": [self.n_rows, self.n_cols], "cells": self.held_out})
 
 
 @dataclass(frozen=True)
@@ -356,16 +403,26 @@ class LatentState:
         if np.any(self.pi < eps_trunc) or np.any(self.pi >= 1.0):
             raise InvariantError("a feature weight lies outside [eps_trunc, 1)")
         cells = np.array(list(self.aux), dtype=np.int64).reshape(-1, 2)
-        try:
-            vecs = np.array(list(self.aux.values()), dtype=np.int64).reshape(cells.shape[0], k)
-        except ValueError:
-            raise InvariantError(f"aux vectors must each have shape ({k},)") from None
         r, c = cells.T
+        vectors = list(self.aux.values())
+        observed = data.counts_at(r, c)
+        malformed, bad_sum, inactive = (np.zeros(cells.shape[0], dtype=bool) for _ in range(3))
+        # the vectors are read _VALIDATE_CHUNK at a time, so no (cells x K)
+        # array is built
+        for lo in range(0, cells.shape[0], _VALIDATE_CHUNK):
+            part = slice(lo, lo + _VALIDATE_CHUNK)
+            try:
+                vecs = np.array(vectors[part], dtype=np.int64).reshape(len(vectors[part]), k)
+            except ValueError:
+                raise InvariantError(f"aux vectors must each have shape ({k},)") from None
+            malformed[part] = (vecs < 0).any(axis=1)
+            bad_sum[part] = vecs.sum(axis=1) != observed[part]
+            inactive[part] = ((vecs > 0) & (self.z[r[part]] == 0)).any(axis=1)
         for bad, what in (
             (mask.is_held_out(r, c), "is stored for a held-out cell"),
-            ((vecs < 0).any(axis=1), "is malformed"),
-            (vecs.sum(axis=1) != data.counts_at(r, c), "does not sum to the observed count"),
-            (((vecs > 0) & (self.z[r] == 0)).any(axis=1), "allocates mass to an inactive feature"),
+            (malformed, "is malformed"),
+            (bad_sum, "does not sum to the observed count"),
+            (inactive, "allocates mass to an inactive feature"),
         ):
             if bad.any():
                 i = int(np.argmax(bad))

@@ -8,6 +8,7 @@ rates z_nk b_kd.
 """
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from s3ribp import ObservationMask
@@ -52,6 +53,41 @@ def observed_entries(runner):
     return data.rows[keep], data.cols[keep], data.counts[keep]
 
 
+def assert_split_matches_dense(runner):
+    """Split once from the runner's generator state and from a copy of it
+    with the dense oracle; returns the snapshot's aux map."""
+    rows, cols, counts = observed_entries(runner)
+    oracle_rng = np.random.default_rng()
+    oracle_rng.bit_generator.state = runner._rng.bit_generator.state
+    want = dense_split(runner.z, runner.b, rows, cols, counts, oracle_rng)
+    runner._refresh_aux_internal()
+    runner._validate_internal()
+    assert runner._rng.bit_generator.state == oracle_rng.bit_generator.state
+    aux = runner.state_snapshot().aux
+    assert list(aux) == list(zip(rows.tolist(), cols.tolist()))
+    np.testing.assert_array_equal(np.array(list(aux.values())).reshape(want.shape), want)
+    np.testing.assert_array_equal(runner._split.sums, column_sums(want, cols, runner.data.n_cols))
+    return aux
+
+
+def boundary_state(rng, n_active, k):
+    """Row r has n_active[r] active features.  Column 2r gives a loading
+    above the floor only to row r's first active feature and column 2r + 1
+    only to its last, so every unit of entry (r, 2r) lands on its first
+    pair and every unit of (r, 2r + 1) on its last; elsewhere loadings are
+    Gamma draws."""
+    n = len(n_active)
+    z = np.zeros((n, k), dtype=np.int8)
+    for r, m in enumerate(n_active):
+        z[r, rng.choice(k, size=m, replace=False)] = 1
+    b = rng.gamma(0.5, 2.0, size=(k, 2 * n + 2))
+    b[:, : 2 * n] = _B_FLOOR
+    for r in range(n):
+        on = np.flatnonzero(z[r])
+        b[on[0], 2 * r] = b[on[-1], 2 * r + 1] = 1.0
+    return rng.integers(1, 51, size=(n, 2 * n + 2)), z, b
+
+
 class TestAgainstDenseOracle:
     def test_same_split_from_the_same_generator_state(self, rng):
         for _ in range(60):
@@ -59,18 +95,23 @@ class TestAgainstDenseOracle:
             n, d = x.shape
             held = [(int(rng.integers(n)), int(rng.integers(d)))]
             runner = runner_at(x, z, b, np.full(z.shape[1], 0.5), mask=ObservationMask(held, n, d))
-            rows, cols, counts = observed_entries(runner)
             for _ in range(3):
-                oracle_rng = np.random.default_rng()
-                oracle_rng.bit_generator.state = runner._rng.bit_generator.state
-                want = dense_split(runner.z, runner.b, rows, cols, counts, oracle_rng)
-                runner._refresh_aux_internal()
-                runner._validate_internal()
-                assert runner._rng.bit_generator.state == oracle_rng.bit_generator.state
-                aux = runner.state_snapshot().aux
-                assert list(aux) == list(zip(rows.tolist(), cols.tolist()))
-                np.testing.assert_array_equal(np.array(list(aux.values())).reshape(want.shape), want)
-                np.testing.assert_array_equal(runner._split.sums, column_sums(want, cols, d))
+                assert_split_matches_dense(runner)
+
+    @pytest.mark.parametrize("k", [9, 50])
+    def test_search_step_boundaries(self, rng, k):
+        # 2^j and 2^j + 1 active features, and all K: the lower bound takes
+        # one more step past each power of two
+        sizes = [m for m in (1, 2, 3, 4, 5, 8, 9, 16, 17) if m < k] + [k]
+        for n_active in [[m] * 3 for m in sizes] + [sizes]:
+            x, z, b = boundary_state(rng, n_active, k)
+            runner = runner_at(x, z, b, np.full(k, 0.5))
+            for _ in range(3):
+                aux = assert_split_matches_dense(runner)
+                for r, row in enumerate(z):
+                    on = np.flatnonzero(row)
+                    assert aux[(r, 2 * r)][on[0]] == x[r, 2 * r]
+                    assert aux[(r, 2 * r + 1)][on[-1]] == x[r, 2 * r + 1]
 
     def test_floored_cell_keeps_its_mass(self, rng):
         # cell (0, 1) comes after a cell of ordinary rates, and both its

@@ -23,7 +23,7 @@ from s3ribp import (
     rca_index,
     rca_transform,
 )
-from s3ribp.model import MIN_C_PLUS_SIGMA, SIGMA_CEILING
+from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING, _json_int_rows
 
 from conftest import cells
 
@@ -178,6 +178,33 @@ class TestObservationMask:
         assert mask.digest() == "17aa484b0a4a2af3849181f77e91bed17423385a0ce986aeabd87966192e2339"
 
 
+_EDGES = [0, 9, 10, 99, 100] + [v for j in range(3, 19) for v in (10**j - 1, 10**j)] + [2**63 - 1]
+
+
+class TestJsonIntRows:
+    """The digests' numpy encoder against json.dumps over the nested lists."""
+
+    @staticmethod
+    def dumps(a):
+        return json.dumps(a.tolist(), separators=(",", ":")).encode()
+
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (1, 1)])
+    def test_every_edge_value_at_each_shape(self, shape):
+        n, m = shape
+        a = np.resize(np.array(_EDGES, dtype=np.int64), n * m).reshape(n, m)
+        assert _json_int_rows(a) == self.dumps(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(1, 3),
+        st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**63 - 1)), min_size=18, max_size=18),
+    )
+    def test_matches_json_dumps(self, n, m, values):
+        a = np.array(values[: n * m], dtype=np.int64).reshape(n, m)
+        assert _json_int_rows(a) == self.dumps(a)
+
+
 class TestHyperParams:
     def test_defaults_match_documented_values(self):
         hp = HyperParams()
@@ -303,6 +330,44 @@ class TestLatentState:
         mask = ObservationMask.none_held_out(2, 2)
         with pytest.raises(InvariantError, match="weight"):
             state.validate_against(data, mask, eps_trunc=0.3)
+
+    def test_validate_against_past_the_first_chunk(self):
+        # 10,000 cells in row-major order: cell (60, 50) is vector 6050, in
+        # the second _VALIDATE_CHUNK of 4096, and (90, 0) is in the third
+        assert _VALIDATE_CHUNK < 6050 < 2 * _VALIDATE_CHUNK < 9000
+        x = np.arange(10_000).reshape(100, 100) % 7 + 1
+        data = CountMatrix.from_dense(x)
+        none = ObservationMask.none_held_out(100, 100)
+        cell, count = (60, 50), int(x[60, 50])
+
+        def state(changed):
+            """A valid state, then each cell of ``changed`` given its vector or, for None, dropped."""
+            aux = {(int(r), int(c)): np.array([x[r, c], 0]) for r, c in zip(data.rows, data.cols)}
+            for at, vec in changed.items():
+                if vec is None:
+                    del aux[at]
+                else:
+                    aux[at] = np.array(vec)
+            z = np.ones((100, 2), dtype=np.int8)
+            return LatentState(z=z, b=np.ones((2, 100)), pi=np.full(2, 0.5), alpha=1.0, aux=aux)
+
+        state({}).validate_against(data, none, eps_trunc=0.01)
+        for changed, mask, message in (
+            ({cell: [1, 2, 3]}, none, "shape"),
+            ({}, ObservationMask([cell], 100, 100), r"\(60, 50\) is stored for a held-out cell"),
+            ({cell: [-1, count + 1]}, none, r"\(60, 50\) is malformed"),
+            # the first of two bad cells, in two chunks, is named
+            ({cell: [count + 1, 0], (90, 0): [0, 0]}, none, r"\(60, 50\) does not sum"),
+            ({cell: None}, none, r"missing aux for observed positive cell \(60, 50\)"),
+            # a held-out cell is reported before an earlier malformed one
+            ({(0, 0): [-1, 2]}, ObservationMask([cell], 100, 100), r"\(60, 50\) is stored for a held-out cell"),
+        ):
+            with pytest.raises(InvariantError, match=message):
+                state(changed).validate_against(data, mask, eps_trunc=0.01)
+        inactive = state({cell: [0, count]})
+        inactive.z[60, 1] = 0
+        with pytest.raises(InvariantError, match=r"\(60, 50\) allocates mass to an inactive feature"):
+            inactive.validate_against(data, none, eps_trunc=0.01)
 
     def test_non_binary_z_rejected(self):
         with pytest.raises(DomainError):
