@@ -9,10 +9,10 @@ an atomic rename.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -21,10 +21,11 @@ from .errors import ParseError
 
 MAGIC = b"S3RB\x00\x01\x00\x00"
 
-__all__ = ["write_records", "read_records", "canonical_bytes", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["write_records", "read_records", "canonical_bytes", "digest", "atomic_write_bytes", "atomic_write_text"]
 
 
-def _encode(arrays, meta):
+def canonical_bytes(arrays, meta):
+    """Deterministic byte encoding of the payload (no I/O)."""
     buf = io.BytesIO()
     index = {}
     offset = 0
@@ -35,12 +36,13 @@ def _encode(arrays, meta):
         buf.write(raw)
         offset += len(raw)
     header = json.dumps({"meta": meta, "arrays": index}, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + struct.pack("<Q", len(header)) + header + buf.getvalue()
+    return MAGIC + len(header).to_bytes(8, "little") + header + buf.getvalue()
 
 
-def canonical_bytes(arrays, meta):
-    """Deterministic byte encoding of the payload (no I/O)."""
-    return _encode(arrays, meta)
+def digest(arrays, meta):
+    """sha256 hex of ``canonical_bytes(arrays, meta)``: how the program
+    identifies its data, masks and hyperparameters."""
+    return hashlib.sha256(canonical_bytes(arrays, meta)).hexdigest()
 
 
 def atomic_write_bytes(path, payload):
@@ -63,7 +65,7 @@ def atomic_write_text(path, text):
 
 
 def write_records(path, arrays, meta):
-    atomic_write_bytes(path, _encode(arrays, meta))
+    atomic_write_bytes(path, canonical_bytes(arrays, meta))
 
 
 def read_records(path):
@@ -71,18 +73,21 @@ def read_records(path):
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ParseError(f"{path}: not a record container (bad magic)")
-    (hlen,) = struct.unpack("<Q", blob[len(MAGIC) : len(MAGIC) + 8])
     start = len(MAGIC) + 8
+    hlen = int.from_bytes(blob[len(MAGIC) : start], "little")
+    if start + hlen > len(blob):
+        raise ParseError(f"{path}: truncated container header")
     try:
         header = json.loads(blob[start : start + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: corrupt container header ({exc})") from exc
+        index, meta = header["arrays"], header["meta"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: corrupt container header ({exc!r})") from exc
     body = blob[start + hlen :]
     arrays = {}
-    for name, spec in header["arrays"].items():
+    for name, spec in index.items():
         dt = np.dtype(spec["dtype"])
         n0, n1 = spec["offset"], spec["offset"] + spec["nbytes"]
         if n1 > len(body):
             raise ParseError(f"{path}: truncated container (array {name!r})")
         arrays[name] = np.frombuffer(body[n0:n1], dtype=dt).reshape(spec["shape"]).copy()
-    return arrays, header["meta"]
+    return arrays, meta

@@ -23,7 +23,7 @@ import numpy as np
 
 from .container import atomic_write_text, read_records, write_records
 from .errors import DomainError, ParseError
-from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary
+from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, dataclass_from_dict
 
 __all__ = [
     "load_counts",
@@ -253,9 +253,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["hyper"] = HyperParams.from_dict(d["hyper"])
-        return cls(**d)
+        return dataclass_from_dict(cls, d)
 
     def to_json(self, version=None):
         payload = self.to_dict()

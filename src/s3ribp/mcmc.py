@@ -53,6 +53,7 @@ from .model import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
+    dataclass_from_dict,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
 )
@@ -69,7 +70,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 # The chain's scalar state: runner attribute ``_<name>`` is checkpointed
 # under ``name``.
 _CHAIN_SCALARS = ("iteration", "alpha", "step", "win_prop", "win_acc", "post_prop", "post_acc", "runtime", "n_retained")
@@ -130,9 +131,7 @@ class ChainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["hyper"] = HyperParams.from_dict(d["hyper"])
-        return cls(**d)
+        return dataclass_from_dict(cls, d)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +693,7 @@ class ChainRunner:
     # -- checkpointing -------------------------------------------------------
 
     def save_checkpoint(self, path):
-        arrays = {"z": self._z, "b": self._b, "pi": self._pi, "logw": self._logw, "mask_cells": self.mask.held_out}
+        arrays = {"z": self._z, "b": self._b, "pi": self._pi, "logw": self._logw}
         arrays.update((name, rows[: self._n_retained]) for name, rows in self._draws.items())
         meta = {
             "kind": "chain-checkpoint",
@@ -721,7 +720,7 @@ class ChainRunner:
 
     @classmethod
     def from_checkpoint(cls, path, data, mask=None, config=None):
-        """Rebuild a runner mid-trajectory; mask=None restores the stored one."""
+        """Rebuild a runner mid-trajectory; mask=None means none held out."""
         arrays, meta = read_records(path)
         if meta.get("kind") != "chain-checkpoint":
             raise CheckpointError(f"{path} is not a chain checkpoint")
@@ -737,9 +736,9 @@ class ChainRunner:
         if data.digest() != meta["data_digest"]:
             raise CheckpointError("checkpoint was written against different data")
         if mask is None:
-            mask = ObservationMask(arrays["mask_cells"], data.n_rows, data.n_cols)
+            mask = ObservationMask.none_held_out(data.n_rows, data.n_cols)
         if mask.digest() != meta["mask_digest"]:
-            raise CheckpointError("checkpoint was written against a different observation mask")
+            raise CheckpointError("checkpoint mask disagrees; pass the mask the chain was fitted with")
         return cls(data, mask, config, _restore=(arrays, meta))
 
 

@@ -16,8 +16,6 @@ densities are computed in log space.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -26,6 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
+from . import container
 from .errors import DomainError, InvariantError, NumericsError
 
 __all__ = [
@@ -65,56 +64,6 @@ def _check_labels(labels, n, kind):
         dup = next(x for x in labels if x in seen or seen.add(x))
         raise DomainError(f"duplicate {kind} label {dup!r}")
     return labels
-
-
-# The four decimal digits of 0..9999 as ASCII bytes, for ``_json_int_rows``.
-_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-
-
-def _json_int_rows(a):
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` as bytes, for a 2-d
-    array of non-negative integers, built in numpy.
-
-    Each value becomes a row of a byte table: an opening bracket if it starts
-    a row, its digits right-aligned (four at a time from ``_DIGITS4``), then
-    a comma, or a closing bracket and a comma if it ends a row (no comma
-    after the last); a mask keeps the bytes in use.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    n, m = a.shape
-    if n == 0:
-        return b"[]"
-    v = a.ravel()
-    width = np.searchsorted(10 ** np.arange(1, 19), v, side="right") + 1
-    w = 4 * -(-int(width.max()) // 4)
-    table = np.empty((v.shape[0], w + 3), dtype=np.uint8)
-    table[:, 0] = ord("[")
-    for end in range(w, 0, -4):
-        # the lowest four digits left fill the four bytes that end at ``end``
-        v, low = np.divmod(v, 10_000) if end > 4 else (None, v)
-        table[:, end - 3 : end + 1] = _DIGITS4[low]
-    table[:, w + 1] = ord(",")
-    table[m - 1 :: m, w + 1] = ord("]")
-    table[:, w + 2] = ord(",")
-    keep = np.zeros(table.shape, dtype=bool)
-    keep[::m, 0] = True
-    keep[:, 1 : w + 1] = np.arange(w) >= w - width[:, None]
-    keep[:, w + 1] = True
-    keep[m - 1 : -1 : m, w + 2] = True
-    return b"[" + table[keep].tobytes() + b"]"
-
-
-def _json_digest(fields):
-    """sha256 hex of ``json.dumps(fields, separators=(",", ":"))``, each
-    array value encoded as the nested list of its rows (``_json_int_rows``)."""
-    parts = []
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            body = _json_int_rows(value)
-        else:
-            body = json.dumps(value, separators=(",", ":")).encode()
-        parts.append(json.dumps(name).encode() + b":" + body)
-    return hashlib.sha256(b"{" + b",".join(parts) + b"}").hexdigest()
 
 
 def _lookup(sorted_flat, flat):
@@ -221,13 +170,9 @@ class CountMatrix:
 
     @cached_property
     def _digest(self):
-        return _json_digest(
-            {
-                "shape": [self.n_rows, self.n_cols],
-                "entries": np.stack([self.rows, self.cols, self.counts], axis=1),
-                "rows": list(self.row_labels),
-                "cols": list(self.col_labels),
-            }
+        return container.digest(
+            {"rows": self.rows, "cols": self.cols, "counts": self.counts},
+            {"shape": [self.n_rows, self.n_cols], "rows": self.row_labels, "cols": self.col_labels},
         )
 
 
@@ -283,7 +228,7 @@ class ObservationMask:
 
     @cached_property
     def _digest(self):
-        return _json_digest({"shape": [self.n_rows, self.n_cols], "cells": self.held_out})
+        return container.digest({"cells": self.held_out}, {"shape": [self.n_rows, self.n_cols]})
 
 
 @dataclass(frozen=True)
@@ -352,14 +297,26 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return dataclass_from_dict(cls, d)
 
     def replace(self, **kw):
         return replace(self, **kw)
 
     def digest(self):
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return container.digest({}, self.to_dict())
+
+
+def dataclass_from_dict(cls, d):
+    """Build the dataclass ``cls`` from a dict read from JSON; a ``hyper``
+    entry becomes a HyperParams.  A key that names no field is a DomainError."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{cls.__name__} must be given as a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DomainError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    if "hyper" in d:
+        d = {**d, "hyper": HyperParams.from_dict(d["hyper"])}
+    return cls(**d)
 
 
 @dataclass

@@ -167,6 +167,20 @@ class TestLoadCountsTriplet:
             load_counts(path, fmt="triplet")
 
 
+class TestDigestAcrossReaders:
+    def test_one_digest_whatever_the_reader(self, tmp_path):
+        # a checkpoint written after one reader resumes after another
+        counts = [[1, 0, 2], [0, 3, 0]]
+        want = CountMatrix.from_dense(counts, ("a", "b"), ("x", "y", "z")).digest()
+        dense = write_file(tmp_path / "d.tsv", "\tx\ty\tz\na\t1\t0\t2\nb\t0\t3\t0\n")
+        triplet = write_file(tmp_path / "t.tsv", "a\tx\t1\na\ty\t0\na\tz\t2\nb\ty\t3\n")
+        assert load_counts(dense).digest() == want
+        assert load_counts(triplet).digest() == want
+        # the same cells with labels first seen in another order
+        other = write_file(tmp_path / "o.tsv", "b\ty\t3\na\tx\t1\na\tz\t2\n")
+        assert load_counts(other).digest() != want
+
+
 class TestFormatDetection:
     def test_empty_corner_means_dense(self, tmp_path):
         # two columns + row label = 3 fields per line, but the empty corner
@@ -365,6 +379,16 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="format"):
             RunConfig(dataset="x", fmt="xml")
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(DomainError, match="unknown RunConfig key.*'colour'"):
+            RunConfig.from_dict({"dataset": "x", "colour": 1})
+        with pytest.raises(DomainError, match="unknown HyperParams key.*'bogus'"):
+            RunConfig.from_dict({"dataset": "x", "hyper": {"seed": 1, "bogus": 2}})
+        with pytest.raises(DomainError, match="unknown ChainConfig key.*'every'"):
+            ChainConfig.from_dict({"hyper": {}, "every": 3})
+        with pytest.raises(DomainError, match="JSON object"):
+            RunConfig.from_json('{"dataset": "x", "hyper": 3}')
+
     def test_replace(self):
         config = RunConfig(dataset="x")
         assert config.replace(holdout=0.3).holdout == 0.3
@@ -471,6 +495,22 @@ class TestContainer:
         with open(path, "wb") as fh:
             fh.write(MAGIC + struct.pack("<Q", 4) + b"nope")
         with pytest.raises(ParseError, match="corrupt container header"):
+            read_records(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            MAGIC + b"\x01",  # the header length itself is cut short
+            MAGIC + (100).to_bytes(8, "little") + b"{}",  # the header overruns the file
+            MAGIC + (13).to_bytes(8, "little") + b'{"arrays":{}}',  # no "meta"
+            MAGIC + (11).to_bytes(8, "little") + b'{"meta":{}}',  # no "arrays"
+        ],
+        ids=["short-length", "header-overrun", "no-meta", "no-arrays"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "c.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="container header"):
             read_records(path)
 
     def test_failed_write_leaves_no_file(self, tmp_path):
@@ -723,6 +763,14 @@ class TestCliErrors:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ParseError"
+
+    def test_unknown_config_key_exits_one(self, block_file, tmp_path, capsys):
+        config = write_file(tmp_path / "c.json", '{"dataset": "x", "hyper": {"seed": 1, "bogus": 2}}')
+        code = cli_dispatch(["fit", "--data", block_file, "--config", config, "--out", str(tmp_path / "o")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+        assert "'bogus'" in payload["message"]
 
     def test_parse_error_in_data_exits_one(self, tmp_path, capsys):
         bad = write_file(tmp_path / "bad.tsv", "\tc0\nr0\t-1\n")

@@ -603,7 +603,7 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 4
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 5
         assert meta["hyper_digest"] == hp.digest()
         loaded = ChainRunner.from_checkpoint(path, data)
         assert loaded.iteration == 3
@@ -649,10 +649,11 @@ class TestCheckpointing:
             ChainRunner.from_checkpoint(path, tiny_data(rng))
 
     def test_old_schema_rejected(self, tmp_path, rng):
-        # schema 2 stored the aux split and schema 3 named the retained draws
-        # ret_*; a schema-4 reader reads neither
+        # schema 2 stored the aux split, schema 3 named the retained draws
+        # ret_* and schema 4 stored the mask's cells; a schema-5 reader reads
+        # none of them
         path = str(tmp_path / "old.bin")
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
             with pytest.raises(CheckpointError, match=f"schema {old}"):
                 ChainRunner.from_checkpoint(path, tiny_data(rng))
@@ -664,7 +665,7 @@ class TestCheckpointing:
         runner.save_checkpoint(path)
         arrays, _ = read_records(path)
         assert set(arrays) == {
-            "z", "b", "pi", "logw", "z_samples", "b_samples", "pi_samples", "alpha_samples", "kplus_trace", "mask_cells"
+            "z", "b", "pi", "logw", "z_samples", "b_samples", "pi_samples", "alpha_samples", "kplus_trace"
         }
 
     def test_checkpoint_after_last_draw_resumes_to_identical_summary(self, rng, tmp_path):
@@ -695,7 +696,11 @@ class TestCheckpointing:
             runner.step_once()
             runner._maybe_retain()
         runner.save_checkpoint(path)
-        restored = ChainRunner.from_checkpoint(path, data)
+        # the checkpoint holds the mask's digest, not its cells, so a masked
+        # chain resumes only with its mask
+        with pytest.raises(CheckpointError, match="pass the mask"):
+            ChainRunner.from_checkpoint(path, data)
+        restored = ChainRunner.from_checkpoint(path, data, mask)
         # no split until the first aux stage; the restored state still validates
         assert restored._split is None
         restored._validate_internal()

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,8 @@ from s3ribp import (
     rca_index,
     rca_transform,
 )
-from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING, _json_int_rows
+from s3ribp.container import canonical_bytes
+from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING
 
 from conftest import cells
 
@@ -99,21 +99,17 @@ class TestCountMatrix:
         assert a.digest() != c.digest()
 
     def test_digest_payload_is_unchanged(self):
-        # checkpoints store this digest, so its payload must not move: the
-        # sorted [row, col, count] triples, the shape and the labels
+        # checkpoints store this digest, so within a checkpoint schema its
+        # payload must not move: the sorted cell arrays, the shape and the
+        # labels, in the container's canonical bytes
         data = CountMatrix(2, 3, [1, 0, 1], [2, 1, 0], [4, 2, 7], ("a", "b"), ("x", "y", "z"))
-        payload = json.dumps(
-            {
-                "shape": [2, 3],
-                "entries": [[0, 1, 2], [1, 0, 7], [1, 2, 4]],
-                "rows": ["a", "b"],
-                "cols": ["x", "y", "z"],
-            },
-            separators=(",", ":"),
+        payload = canonical_bytes(
+            {"rows": np.array([0, 1, 1]), "cols": np.array([1, 0, 2]), "counts": np.array([2, 7, 4])},
+            {"shape": [2, 3], "rows": ["a", "b"], "cols": ["x", "y", "z"]},
         )
-        assert data.digest() == hashlib.sha256(payload.encode()).hexdigest()
-        # a fixed value, because checkpoints already written store it
-        assert data.digest() == "64b3eaabd439378284f86053122007a3a8f8c9672051f526263a7eb868d6525a"
+        assert data.digest() == hashlib.sha256(payload).hexdigest()
+        # a fixed value, because schema-5 checkpoints store it
+        assert data.digest() == "e787754d763f19f1cb6844bf7c542227de190bd5c690a9895ccfa6d78145e2ff"
 
     def test_needs_at_least_one_row_and_column(self):
         with pytest.raises(DomainError):
@@ -163,8 +159,8 @@ class TestObservationMask:
         with pytest.raises(ValueError):
             mask.held_out[0, 0] = 1
         # the digest is the one computed from the cell set directly
-        payload = json.dumps({"shape": [40, 40], "cells": sorted(map(list, cells))}, separators=(",", ":"))
-        assert mask.digest() == hashlib.sha256(payload.encode()).hexdigest()
+        payload = canonical_bytes({"cells": np.array(sorted(cells))}, {"shape": [40, 40]})
+        assert mask.digest() == hashlib.sha256(payload).hexdigest()
         assert mask.digest() == mask.digest()
         empty = ObservationMask.none_held_out(2, 3)
         assert empty.held_out_sorted() == []
@@ -172,37 +168,10 @@ class TestObservationMask:
 
     def test_digest_payload_is_unchanged(self):
         mask = ObservationMask([(2, 1), (0, 3)], 3, 4)
-        payload = json.dumps({"shape": [3, 4], "cells": [[0, 3], [2, 1]]}, separators=(",", ":"))
-        assert mask.digest() == hashlib.sha256(payload.encode()).hexdigest()
-        # a fixed value, because checkpoints already written store it
-        assert mask.digest() == "17aa484b0a4a2af3849181f77e91bed17423385a0ce986aeabd87966192e2339"
-
-
-_EDGES = [0, 9, 10, 99, 100] + [v for j in range(3, 19) for v in (10**j - 1, 10**j)] + [2**63 - 1]
-
-
-class TestJsonIntRows:
-    """The digests' numpy encoder against json.dumps over the nested lists."""
-
-    @staticmethod
-    def dumps(a):
-        return json.dumps(a.tolist(), separators=(",", ":")).encode()
-
-    @pytest.mark.parametrize("shape", [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (1, 1)])
-    def test_every_edge_value_at_each_shape(self, shape):
-        n, m = shape
-        a = np.resize(np.array(_EDGES, dtype=np.int64), n * m).reshape(n, m)
-        assert _json_int_rows(a) == self.dumps(a)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 6),
-        st.integers(1, 3),
-        st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**63 - 1)), min_size=18, max_size=18),
-    )
-    def test_matches_json_dumps(self, n, m, values):
-        a = np.array(values[: n * m], dtype=np.int64).reshape(n, m)
-        assert _json_int_rows(a) == self.dumps(a)
+        payload = canonical_bytes({"cells": np.array([[0, 3], [2, 1]])}, {"shape": [3, 4]})
+        assert mask.digest() == hashlib.sha256(payload).hexdigest()
+        # a fixed value, because schema-5 checkpoints store it
+        assert mask.digest() == "a9d85bce432c282a78ac9f5de0504a60ef95c6c2877f892cd22886838c4a0c80"
 
 
 class TestHyperParams:
@@ -277,6 +246,11 @@ class TestHyperParams:
         assert again == hp
         assert again.digest() == hp.digest()
         assert hp.replace(seed=12).digest() != hp.digest()
+        assert hp.digest() == hashlib.sha256(canonical_bytes({}, hp.to_dict())).hexdigest()
+
+    def test_from_dict_names_unknown_keys(self):
+        with pytest.raises(DomainError, match="unknown HyperParams key.*'bogus', 'extra'"):
+            HyperParams.from_dict({"seed": 1, "extra": 0, "bogus": 2})
 
 
 def _tiny_state():
