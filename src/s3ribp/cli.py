@@ -43,46 +43,44 @@ __all__ = ["cli_dispatch", "main"]
 
 log = logging.getLogger(__name__)
 
-_HYPER_FLAGS = {
-    "seed": "seed",
-    "k_max": "k_max",
-    "burn_in": "burn_in",
-    "samples": "n_samples",
-    "thin": "thin",
-    "alpha_b": "alpha_b",
-    "mu_b": "mu_b",
-    "c": "c",
-    "sigma": "sigma",
-    "nb_r": "nb_r",
-    "nb_p": "nb_p",
-    "eps_trunc": "eps_trunc",
-    "mh_step": "mh_step",
-    "alpha_shape": "alpha_prior_shape",
-    "alpha_scale": "alpha_prior_scale",
-}
+# (flag, HyperParams field, help).  A flag's type and the default its help
+# states come from HyperParams(); its value lands on args.<field>.
+_HYPER_FLAGS = (
+    ("--seed", "seed", "chain seed"),
+    ("--k-max", "k_max", "feature truncation"),
+    ("--burn-in", "burn_in", "burn-in iterations"),
+    ("--samples", "n_samples", "retained samples"),
+    ("--thin", "thin", "retention stride"),
+    ("--alpha-b", "alpha_b", "loading shape"),
+    ("--mu-b", "mu_b", "loading mean"),
+    ("--c", "c", "concentration"),
+    ("--sigma", "sigma", "stable exponent in [0,1); 1 clamps just below"),
+    ("--nb-r", "nb_r", "row-count NB size"),
+    ("--nb-p", "nb_p", "row-count NB probability"),
+    ("--eps-trunc", "eps_trunc", "atom floor"),
+    ("--mh-step", "mh_step", "logit proposal scale"),
+    ("--alpha-shape", "alpha_prior_shape", "mass prior shape"),
+    ("--alpha-scale", "alpha_prior_scale", "mass prior scale"),
+)
 
 
 def _add_hyper_flags(p):
-    p.add_argument("--seed", type=int, default=None, help="chain seed (default 0)")
-    p.add_argument("--k-max", type=int, default=None, dest="k_max", help="feature truncation (default 50)")
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in", help="burn-in iterations (default 30000)")
-    p.add_argument("--samples", type=int, default=None, help="retained samples (default 1000)")
-    p.add_argument("--thin", type=int, default=None, help="retention stride (default 1)")
-    p.add_argument("--alpha-b", type=float, default=None, dest="alpha_b", help="loading shape (default 0.01)")
-    p.add_argument("--mu-b", type=float, default=None, dest="mu_b", help="loading mean (default 1)")
-    p.add_argument("--c", type=float, default=None, help="concentration (default 50)")
-    p.add_argument("--sigma", type=float, default=None, help="stable exponent in [0,1); 1 clamps just below")
-    p.add_argument("--nb-r", type=float, default=None, dest="nb_r", help="row-count NB size (default 1)")
-    p.add_argument("--nb-p", type=float, default=None, dest="nb_p", help="row-count NB probability (default 0.1)")
-    p.add_argument("--eps-trunc", type=float, default=None, dest="eps_trunc", help="atom floor (default 1e-6)")
-    p.add_argument("--mh-step", type=float, default=None, dest="mh_step", help="logit proposal scale (default 0.5)")
-    p.add_argument("--alpha-shape", type=float, default=None, dest="alpha_shape", help="mass prior shape (default 1)")
-    p.add_argument("--alpha-scale", type=float, default=None, dest="alpha_scale", help="mass prior scale (default 1)")
+    defaults = HyperParams()
+    for flag, name, text in _HYPER_FLAGS:
+        value = getattr(defaults, name)
+        p.add_argument(
+            flag,
+            type=type(value),
+            default=None,
+            dest=name,
+            metavar=flag[2:].replace("-", "_").upper(),
+            help=f"{text} (default {value:g})",
+        )
 
 
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="count file (dense or triplet)")
-    p.add_argument("--format", default=None, choices=["auto", "dense", "triplet"], help="input format")
+    p.add_argument("--format", default=None, dest="fmt", choices=["auto", "dense", "triplet"], help="input format")
     p.add_argument("--preproc", default=None, choices=["none", "rca-round", "rca-binary"], help="preprocessing")
 
 
@@ -91,19 +89,22 @@ def _build_parser():
     top.add_argument("--version", action="version", version=f"s3ribp {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="forward-sample a prior to a matrix file")
+    def command(name, handler, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
+        return p
+
+    gen = command("generate", _cmd_generate, "forward-sample a prior to a matrix file")
     gen.add_argument("--prior", default="s3r", choices=["ibp", "3p", "s3r"], help="which process to sample")
     gen.add_argument("--alpha", type=float, default=None, help="mass parameter (s3r: pins the prior draw)")
     gen.add_argument("--rows", type=int, default=100, help="number of rows to sample")
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
-    gen.add_argument("--format", default=None, choices=["dense", "triplet"], help="matrix file format")
+    gen.add_argument("--format", default="dense", dest="fmt", choices=["dense", "triplet"], help="matrix file format")
     _add_hyper_flags(gen)
 
-    fit = sub.add_parser("fit", help="run one chain on a count file")
+    fit = command("fit", _cmd_fit, "run one chain on a count file")
     _add_data_flags(fit)
-    fit.add_argument("--out", required=True, help="output directory")
-    fit.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
     fit.add_argument(
         "--checkpoint-interval",
         type=int,
@@ -113,43 +114,35 @@ def _build_parser():
     )
     _add_hyper_flags(fit)
 
-    ev = sub.add_parser("eval", help="cross-fold perplexity/coherence/match report")
+    ev = command("eval", _cmd_eval, "cross-fold perplexity/coherence/match report")
     _add_data_flags(ev)
-    ev.add_argument("--out", required=True, help="output directory")
-    ev.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
-    ev.add_argument("--folds", type=int, default=None, help="number of hold-out folds (default 10)")
+    ev.add_argument(
+        "--folds", type=int, default=None, dest="n_folds", metavar="FOLDS", help="number of hold-out folds (default 10)"
+    )
     ev.add_argument("--holdout", type=float, default=None, help="held-out cell fraction (default 0.1)")
     ev.add_argument("--draws", type=int, default=50, help="replicates per qq table")
     ev.add_argument("--top-m", type=int, default=10, dest="top_m", help="columns per feature in reports")
     _add_hyper_flags(ev)
 
-    qq = sub.add_parser("qq", help="model and baseline qq tables for a fitted posterior")
+    qq = command("qq", _cmd_qq, "model and baseline qq tables for a fitted posterior")
     _add_data_flags(qq)
     qq.add_argument("--posterior", required=True, help="summary file from fit")
-    qq.add_argument("--out", required=True, help="output directory")
-    qq.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
     qq.add_argument("--draws", type=int, default=50, help="replicates per qq table")
-    qq.add_argument("--seed", type=int, default=None, help="replicate seed (default 0)")
+    qq.add_argument("--seed", type=int, default=0, help="replicate seed (default 0)")
 
-    tp = sub.add_parser("topics", help="top-weight columns per live feature")
+    tp = command("topics", _cmd_topics, "top-weight columns per live feature")
     _add_data_flags(tp)
     tp.add_argument("--posterior", required=True, help="summary file from fit")
-    tp.add_argument("--out", required=True, help="output directory")
-    tp.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
     tp.add_argument("--top-m", type=int, default=10, dest="top_m", help="columns per feature")
 
-    mt = sub.add_parser("meta", help="fit a second layer to the binarized activity pattern")
+    mt = command("meta", _cmd_meta, "fit a second layer to the binarized activity pattern")
     mt.add_argument("--posterior", required=True, help="first-layer summary file")
-    mt.add_argument("--out", required=True, help="output directory")
-    mt.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
     mt.add_argument("--top-m", type=int, default=10, dest="top_m", help="features per meta-feature in the report")
     _add_hyper_flags(mt)
 
-    rs = sub.add_parser("resume", help="continue a chain from a checkpoint")
+    rs = command("resume", _cmd_resume, "continue a chain from a checkpoint")
     _add_data_flags(rs)
     rs.add_argument("--checkpoint", required=True, help="checkpoint file from fit")
-    rs.add_argument("--out", required=True, help="output directory")
-    rs.add_argument("--config", default=None, help="RunConfig JSON to use as defaults")
 
     return top
 
@@ -163,48 +156,56 @@ def _load_config_file(path):
 
 def _resolve_hyper(args, file_config):
     base = file_config.hyper.to_dict() if file_config is not None else HyperParams().to_dict()
-    for flag, field in _HYPER_FLAGS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            base[field] = val
+    for _, name, _ in _HYPER_FLAGS:
+        if getattr(args, name) is not None:
+            base[name] = getattr(args, name)
     return HyperParams.from_dict(base)
 
 
 def _resolve(args, name, file_config, default):
-    val = getattr(args, name, None)
+    """An explicit flag, else the --config file's entry, else the default."""
+    val = getattr(args, name)
     if val is not None:
         return val
-    if file_config is not None:
-        stored = getattr(file_config, {"format": "fmt", "folds": "n_folds"}.get(name, name), None)
-        if stored is not None:
-            return stored
-    return default
-
-
-def _echo_config(out_dir, config):
-    atomic_write_text(os.path.join(out_dir, "run_config.json"), config.to_json(version=__version__) + "\n")
+    return default if file_config is None else getattr(file_config, name)
 
 
 def _load_data(args, file_config):
-    fmt = _resolve(args, "format", file_config, "auto")
+    """The matrix --data names, and the RunConfig fields that record its source."""
+    fmt = _resolve(args, "fmt", file_config, "auto")
     preproc = _resolve(args, "preproc", file_config, "none")
+    source = {"dataset": args.data, "fmt": fmt, "preproc": preproc}
     if preproc == "none":
-        return load_counts(args.data, fmt), fmt, preproc
+        return load_counts(args.data, fmt), source
     raw, row_labels, col_labels = load_raw_matrix(args.data)
     mode = "round" if preproc == "rca-round" else "binary"
-    return rca_transform(raw, mode=mode, row_labels=row_labels, col_labels=col_labels), fmt, preproc
+    return rca_transform(raw, mode=mode, row_labels=row_labels, col_labels=col_labels), source
 
 
-def _cmd_generate(args):
-    file_config = _load_config_file(args.config)
+def _open_out(args, options, **fields):
+    """Create --out and write its run_config.json: the command, the named
+    ``args`` attributes as options, and the given RunConfig fields.  Called
+    once the inputs are read, so a bad input leaves no directory behind."""
+    config = RunConfig(
+        out_dir=args.out,
+        options={"command": args.command, **{name: getattr(args, name) for name in options}},
+        **fields,
+    )
+    os.makedirs(args.out, exist_ok=True)
+    atomic_write_text(os.path.join(args.out, "run_config.json"), config.to_json(version=__version__) + "\n")
+
+
+def _write_lines(args, name, lines):
+    atomic_write_text(os.path.join(args.out, name), "\n".join(lines) + "\n")
+
+
+def _cmd_generate(args, file_config):
     hp = _resolve_hyper(args, file_config)
-    fmt = args.format or "dense"
     rng = np.random.default_rng(hp.seed)
+    alpha = 1.0 if args.alpha is None else args.alpha
     if args.prior == "ibp":
-        alpha = 1.0 if args.alpha is None else args.alpha
         z = sample_ibp(alpha, args.rows, rng).z
     elif args.prior == "3p":
-        alpha = 1.0 if args.alpha is None else args.alpha
         z = sample_3p_ibp(alpha, hp.c, hp.sigma, args.rows, rng).z
     else:
         z = sample_3r_ibp(hp, args.rows, rng, alpha=args.alpha).z
@@ -213,36 +214,19 @@ def _cmd_generate(args):
         row_labels=tuple(f"r{i}" for i in range(z.shape[0])),
         col_labels=tuple(f"f{k}" for k in range(z.shape[1])),
     )
-    os.makedirs(args.out, exist_ok=True)
-    save_counts(data, os.path.join(args.out, "matrix.tsv"), fmt=fmt)
-    config = RunConfig(
-        dataset=os.path.join(args.out, "matrix.tsv"),
-        fmt=fmt,
-        hyper=hp,
-        out_dir=args.out,
-        options={"command": "generate", "prior": args.prior, "alpha": args.alpha, "rows": args.rows},
-    )
-    _echo_config(args.out, config)
+    path = os.path.join(args.out, "matrix.tsv")
+    _open_out(args, ("prior", "alpha", "rows"), dataset=path, fmt=args.fmt, hyper=hp)
+    save_counts(data, path, fmt=args.fmt)
     print(f"wrote {data.n_rows}x{data.n_cols} matrix with {data.n_nonzero} active cells to {args.out}")
     return 0
 
 
-def _cmd_fit(args):
-    file_config = _load_config_file(args.config)
+def _cmd_fit(args, file_config):
     hp = _resolve_hyper(args, file_config)
-    data, fmt, preproc = _load_data(args, file_config)
-    os.makedirs(args.out, exist_ok=True)
+    data, source = _load_data(args, file_config)
     ckpt = os.path.join(args.out, "checkpoint.bin") if args.checkpoint_interval else None
     cfg = ChainConfig(hyper=hp, checkpoint_path=ckpt, checkpoint_interval=args.checkpoint_interval)
-    config = RunConfig(
-        dataset=args.data,
-        fmt=fmt,
-        preproc=preproc,
-        hyper=hp,
-        out_dir=args.out,
-        options={"command": "fit", "checkpoint_interval": args.checkpoint_interval},
-    )
-    _echo_config(args.out, config)
+    _open_out(args, ("checkpoint_interval",), hyper=hp, **source)
     summary = run_chain(data, None, cfg)
     save_summary(summary, os.path.join(args.out, "summary.bin"))
     print(
@@ -253,24 +237,12 @@ def _cmd_fit(args):
     return 0
 
 
-def _cmd_eval(args):
-    file_config = _load_config_file(args.config)
+def _cmd_eval(args, file_config):
     hp = _resolve_hyper(args, file_config)
-    data, fmt, preproc = _load_data(args, file_config)
+    data, source = _load_data(args, file_config)
     holdout = float(_resolve(args, "holdout", file_config, 0.1))
-    n_folds = int(_resolve(args, "folds", file_config, 10))
-    os.makedirs(args.out, exist_ok=True)
-    config = RunConfig(
-        dataset=args.data,
-        fmt=fmt,
-        preproc=preproc,
-        holdout=holdout,
-        n_folds=n_folds,
-        hyper=hp,
-        out_dir=args.out,
-        options={"command": "eval", "draws": args.draws, "top_m": args.top_m},
-    )
-    _echo_config(args.out, config)
+    n_folds = int(_resolve(args, "n_folds", file_config, 10))
+    _open_out(args, ("draws", "top_m"), holdout=holdout, n_folds=n_folds, hyper=hp, **source)
     masks = make_splits(data, holdout, n_folds, hp.seed)
     report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=args.top_m, qq_draws=args.draws)
     atomic_write_text(os.path.join(args.out, "report.json"), report.to_json() + "\n")
@@ -279,112 +251,53 @@ def _cmd_eval(args):
     return 0
 
 
-def _qq_table(points):
-    lines = ["empirical\tpredicted"]
-    lines += [f"{e:.6g}\t{p:.6g}" for e, p in points]
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_qq(args):
-    file_config = _load_config_file(args.config)
-    data, fmt, preproc = _load_data(args, file_config)
+def _cmd_qq(args, file_config):
+    data, source = _load_data(args, file_config)
     summary = load_summary(args.posterior)
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     model_pts = qq_row_nonzeros(summary, data, args.draws, rng)
     base_pts = binomial_baseline_qq(data, args.draws, rng)
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "qq_model.tsv"), _qq_table(model_pts))
-    atomic_write_text(os.path.join(args.out, "qq_baseline.tsv"), _qq_table(base_pts))
-    config = RunConfig(
-        dataset=args.data,
-        fmt=fmt,
-        preproc=preproc,
-        hyper=summary.hyper.replace(seed=seed),
-        out_dir=args.out,
-        options={"command": "qq", "draws": args.draws, "posterior": args.posterior},
-    )
-    _echo_config(args.out, config)
+    _open_out(args, ("draws", "posterior"), hyper=summary.hyper.replace(seed=args.seed), **source)
+    for name, points in (("qq_model.tsv", model_pts), ("qq_baseline.tsv", base_pts)):
+        _write_lines(args, name, ["empirical\tpredicted"] + [f"{e:.6g}\t{p:.6g}" for e, p in points])
     print(f"wrote qq tables ({len(model_pts)} rows) to {args.out}")
     return 0
 
 
-def _cmd_topics(args):
-    file_config = _load_config_file(args.config)
-    data, fmt, preproc = _load_data(args, file_config)
+def _cmd_topics(args, file_config):
+    data, source = _load_data(args, file_config)
     summary = load_summary(args.posterior)
     live = live_features(summary.z_mean)
     report = top_features(summary.b_mean, data.col_labels, args.top_m, live=live)
     lines = [f"F{k}: {feature_line(pairs)}" for k, pairs in report]
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "topics.txt"), "\n".join(lines) + "\n")
-    config = RunConfig(
-        dataset=args.data,
-        fmt=fmt,
-        preproc=preproc,
-        hyper=summary.hyper,
-        out_dir=args.out,
-        options={"command": "topics", "top_m": args.top_m, "posterior": args.posterior},
-    )
-    _echo_config(args.out, config)
+    _open_out(args, ("top_m", "posterior"), hyper=summary.hyper, **source)
+    _write_lines(args, "topics.txt", lines)
     print(f"wrote {len(lines)} feature lines to {args.out}")
     return 0
 
 
-def _cmd_meta(args):
-    file_config = _load_config_file(args.config)
+def _cmd_meta(args, file_config):
     summary = load_summary(args.posterior)
     hp = _resolve_hyper(args, file_config)
-    cfg = ChainConfig(hyper=hp)
-    meta_summary = meta_features(summary, cfg)
-    live = live_features(summary.z_mean)
-    labels = tuple(f"F{k}" for k in np.flatnonzero(live))
-    meta_live = live_features(meta_summary.z_mean)
-    report = top_features(meta_summary.b_mean, labels, args.top_m, live=meta_live)
+    meta_summary = meta_features(summary, ChainConfig(hyper=hp))
+    labels = tuple(f"F{k}" for k in np.flatnonzero(live_features(summary.z_mean)))
+    report = top_features(meta_summary.b_mean, labels, args.top_m, live=live_features(meta_summary.z_mean))
     lines = [f"M-F{k}: {feature_line(pairs)}" for k, pairs in report]
-    os.makedirs(args.out, exist_ok=True)
+    _open_out(args, ("top_m",), dataset=args.posterior, hyper=hp)
     save_summary(meta_summary, os.path.join(args.out, "meta_summary.bin"))
-    atomic_write_text(os.path.join(args.out, "meta_topics.txt"), "\n".join(lines) + "\n")
-    config = RunConfig(
-        dataset=args.posterior,
-        hyper=hp,
-        out_dir=args.out,
-        options={"command": "meta", "top_m": args.top_m},
-    )
-    _echo_config(args.out, config)
+    _write_lines(args, "meta_topics.txt", lines)
     print(f"meta fit finished: {len(lines)} live meta-features")
     return 0
 
 
-def _cmd_resume(args):
-    file_config = _load_config_file(args.config)
-    data, fmt, preproc = _load_data(args, file_config)
+def _cmd_resume(args, file_config):
+    data, source = _load_data(args, file_config)
     runner = ChainRunner.from_checkpoint(args.checkpoint, data)
     summary = runner.run()
-    os.makedirs(args.out, exist_ok=True)
+    _open_out(args, ("checkpoint",), hyper=summary.hyper, **source)
     save_summary(summary, os.path.join(args.out, "summary.bin"))
-    config = RunConfig(
-        dataset=args.data,
-        fmt=fmt,
-        preproc=preproc,
-        hyper=summary.hyper,
-        out_dir=args.out,
-        options={"command": "resume", "checkpoint": args.checkpoint},
-    )
-    _echo_config(args.out, config)
     print(f"resumed to iteration {runner.iteration}: {summary.n_samples} samples")
     return 0
-
-
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "fit": _cmd_fit,
-    "eval": _cmd_eval,
-    "qq": _cmd_qq,
-    "topics": _cmd_topics,
-    "meta": _cmd_meta,
-    "resume": _cmd_resume,
-}
 
 
 def cli_dispatch(argv):
@@ -395,7 +308,7 @@ def cli_dispatch(argv):
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args, _load_config_file(args.config))
     except (S3RIBPError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -82,12 +83,20 @@ def read_records(path):
         index, meta = header["arrays"], header["meta"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: corrupt container header ({exc!r})") from exc
+    if not isinstance(index, dict):
+        raise ParseError(f"{path}: corrupt container header (arrays is not an object)")
     body = blob[start + hlen :]
     arrays = {}
     for name, spec in index.items():
-        dt = np.dtype(spec["dtype"])
-        n0, n1 = spec["offset"], spec["offset"] + spec["nbytes"]
-        if n1 > len(body):
+        try:
+            dt, n0, nbytes, shape = np.dtype(spec["dtype"]), spec["offset"], spec["nbytes"], spec["shape"]
+            usable = all(type(v) is int and v >= 0 for v in (n0, nbytes, *shape))
+            usable = usable and not dt.hasobject and nbytes == dt.itemsize * math.prod(shape)
+        except (KeyError, TypeError, ValueError):
+            usable = False
+        if not usable:
+            raise ParseError(f"{path}: corrupt container header (array {name!r}: {spec!r})")
+        if n0 + nbytes > len(body):
             raise ParseError(f"{path}: truncated container (array {name!r})")
-        arrays[name] = np.frombuffer(body[n0:n1], dtype=dt).reshape(spec["shape"]).copy()
+        arrays[name] = np.frombuffer(body[n0 : n0 + nbytes], dtype=dt).reshape(shape).copy()
     return arrays, meta

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["S3RIBPError", "DomainError", "NumericsError", "InvariantError", "CheckpointError", "ParseError"]
+
 
 class S3RIBPError(Exception):
     """Base class for package-specific failures."""

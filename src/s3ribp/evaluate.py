@@ -337,19 +337,10 @@ class EvalReport:
                 "top_m": self.top_m,
                 "log_perplexity": {"mean": self.log_perplexity_mean, "std": self.log_perplexity_std},
                 "coherence": {"mean": self.coherence_mean, "std": self.coherence_std},
-                "folds": [dict(f) for f in self.folds],
-                "qq_points": [list(p) for p in self.qq_points],
-                "qq_baseline_points": [list(p) for p in self.qq_baseline_points],
-                "feature_matches": [
-                    {
-                        "fold": m["fold"],
-                        "pairs": [list(p) for p in m["pairs"]],
-                        "unmatched_reference": list(m["unmatched_reference"]),
-                        "unmatched_fold": list(m["unmatched_fold"]),
-                        "mean_jaccard": m["mean_jaccard"],
-                    }
-                    for m in self.feature_matches
-                ],
+                "folds": self.folds,
+                "qq_points": self.qq_points,
+                "qq_baseline_points": self.qq_baseline_points,
+                "feature_matches": self.feature_matches,
             },
             indent=2,
             sort_keys=True,

@@ -61,9 +61,13 @@ def _parse_count(text, lineno, allow_float=False):
     return val
 
 
-def _read_lines(path):
+def _read_rows(path):
+    """The file's non-blank lines as (line number, cells) pairs."""
     with open(path, encoding="utf-8") as fh:
-        return [(i + 1, ln.rstrip("\n")) for i, ln in enumerate(fh)]
+        rows = [(no, _split_line(ln.rstrip("\n"))) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not rows:
+        raise ParseError("file is empty", line=1)
+    return rows
 
 
 def _is_number(text):
@@ -83,9 +87,11 @@ def _looks_like_triplet(rows):
     return all(len(cells) == 3 for _, cells in rows)
 
 
-def _load_dense(rows):
+def _read_dense(rows, allow_float):
+    """(values, row labels, column labels) of a dense file's rows; labels
+    must be unique, values non-negative (and integers unless allow_float)."""
     header_no, header = rows[0]
-    col_labels = header[1:]
+    col_labels = tuple(header[1:])
     if not col_labels:
         raise ParseError("dense header has no column labels", line=header_no)
     seen_cols = set()
@@ -97,18 +103,16 @@ def _load_dense(rows):
     seen_rows = set()
     for lineno, cells in rows[1:]:
         if len(cells) != len(col_labels) + 1:
-            raise ParseError(
-                f"expected {len(col_labels) + 1} fields, got {len(cells)}", line=lineno
-            )
+            raise ParseError(f"expected {len(col_labels) + 1} fields, got {len(cells)}", line=lineno)
         lab = cells[0]
         if lab in seen_rows:
             raise ParseError(f"duplicate row label {lab!r}", line=lineno)
         seen_rows.add(lab)
         row_labels.append(lab)
-        values.append([_parse_count(c, lineno) for c in cells[1:]])
+        values.append([_parse_count(c, lineno, allow_float) for c in cells[1:]])
     if not row_labels:
         raise ParseError("dense file has no data rows", line=header_no)
-    return CountMatrix.from_dense(np.asarray(values, dtype=np.float64), tuple(row_labels), tuple(col_labels))
+    return np.asarray(values, dtype=np.float64), tuple(row_labels), col_labels
 
 
 def _load_triplet(rows):
@@ -144,12 +148,13 @@ def load_counts(path, fmt="auto"):
     """Parse a count file into a CountMatrix, logging its sparsity profile."""
     if fmt not in _FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
-    rows = [(no, _split_line(ln)) for no, ln in _read_lines(path) if ln.strip()]
-    if not rows:
-        raise ParseError("file is empty", line=1)
+    rows = _read_rows(path)
     if fmt == "auto":
         fmt = "triplet" if _looks_like_triplet(rows) else "dense"
-    data = _load_triplet(rows) if fmt == "triplet" else _load_dense(rows)
+    if fmt == "triplet":
+        data = _load_triplet(rows)
+    else:
+        data = CountMatrix.from_dense(*_read_dense(rows, allow_float=False))
     log.info(
         "loaded %dx%d counts from %s: %d non-zeros, density %.3f, zero share %.3f",
         data.n_rows,
@@ -167,24 +172,10 @@ def load_raw_matrix(path):
 
     This is the input to the comparative-advantage transform, which needs
     raw (possibly fractional) magnitudes before producing integer counts.
-    Returns (values array, row labels, column labels).
+    Labels must be unique, as in ``load_counts``.  Returns (values array,
+    row labels, column labels).
     """
-    rows = [(no, _split_line(ln)) for no, ln in _read_lines(path) if ln.strip()]
-    if not rows:
-        raise ParseError("file is empty", line=1)
-    header_no, header = rows[0]
-    col_labels = tuple(header[1:])
-    if not col_labels:
-        raise ParseError("dense header has no column labels", line=header_no)
-    row_labels, values = [], []
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(col_labels) + 1:
-            raise ParseError(f"expected {len(col_labels) + 1} fields, got {len(cells)}", line=lineno)
-        row_labels.append(cells[0])
-        values.append([_parse_count(c, lineno, allow_float=True) for c in cells[1:]])
-    if not row_labels:
-        raise ParseError("dense file has no data rows", line=header_no)
-    return np.asarray(values, dtype=np.float64), tuple(row_labels), col_labels
+    return _read_dense(_read_rows(path), allow_float=True)
 
 
 def save_counts(data, path, fmt="dense"):

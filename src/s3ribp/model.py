@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
+from typing import get_type_hints
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,6 +29,8 @@ from . import container
 from .errors import DomainError, InvariantError, NumericsError
 
 __all__ = [
+    "PI_CEILING",
+    "SIGMA_CEILING",
     "CountMatrix",
     "ObservationMask",
     "HyperParams",
@@ -308,14 +311,24 @@ class HyperParams:
 
 def dataclass_from_dict(cls, d):
     """Build the dataclass ``cls`` from a dict read from JSON; a ``hyper``
-    entry becomes a HyperParams.  A key that names no field is a DomainError."""
+    entry becomes a HyperParams.  A key that names no field, a missing
+    required field or a value of the wrong type is a DomainError."""
     if not isinstance(d, dict):
         raise DomainError(f"{cls.__name__} must be given as a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise DomainError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise DomainError(f"{cls.__name__} is missing required key(s): {', '.join(map(repr, missing))}")
     if "hyper" in d:
         d = {**d, "hyper": HyperParams.from_dict(d["hyper"])}
+    hints = get_type_hints(cls)
+    for name, value in d.items():
+        # a JSON integer is a valid float; true and false are no numbers
+        hint = hints[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
+            raise DomainError(f"{cls.__name__} key {name!r} must be {getattr(hint, '__name__', hint)}, got {value!r}")
     return cls(**d)
 
 

@@ -1,13 +1,16 @@
 """File formats, splits, run configuration, serialization, and the CLI."""
 
 import dataclasses
+import importlib
 import json
 import logging
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import s3ribp
 import s3ribp.cli as cli
 from s3ribp import (
     ChainConfig,
@@ -293,6 +296,19 @@ class TestLoadRawMatrix:
             load_raw_matrix(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\ta\ta\nr\t1.5\t2\n", "line 1: duplicate column label 'a'"),
+            ("\ta\tb\nr\t1.5\t2\nr\t1\t0.5\n", "line 3: duplicate row label 'r'"),
+        ],
+        ids=["column", "row"],
+    )
+    def test_duplicate_label_reports_line(self, tmp_path, text, message):
+        path = write_file(tmp_path / "raw.tsv", text)
+        with pytest.raises(ParseError, match=message):
+            load_raw_matrix(path)
+
     def test_feeds_comparative_advantage_transform(self, tmp_path):
         path = write_file(tmp_path / "raw.tsv", "\ta\tb\nr\t3\t1\ns\t1\t3\n")
         values, row_labels, col_labels = load_raw_matrix(path)
@@ -455,6 +471,16 @@ class TestSummarySerialization:
             load_summary(tmp_path / "x.bin")
 
 
+GOOD_SPEC = {"dtype": "<f8", "offset": 0, "nbytes": 8, "shape": [1]}
+BAD_SPEC_VALUES = {"dtype": "no-such-type", "offset": "0", "nbytes": 16, "shape": [1, "a"]}
+
+
+def one_array_container(spec):
+    """A container of 8 body bytes whose one array entry is ``spec``."""
+    header = json.dumps({"meta": {}, "arrays": {"w": spec}}).encode()
+    return MAGIC + len(header).to_bytes(8, "little") + header + bytes(8)
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path, rng):
         arrays = {"z": rng.integers(0, 2, size=(4, 3)), "w": rng.normal(size=5)}
@@ -504,8 +530,14 @@ class TestContainer:
             MAGIC + (100).to_bytes(8, "little") + b"{}",  # the header overruns the file
             MAGIC + (13).to_bytes(8, "little") + b'{"arrays":{}}',  # no "meta"
             MAGIC + (11).to_bytes(8, "little") + b'{"meta":{}}',  # no "arrays"
+            *(one_array_container({k: v for k, v in GOOD_SPEC.items() if k != key}) for key in GOOD_SPEC),
+            *(one_array_container({**GOOD_SPEC, key: value}) for key, value in BAD_SPEC_VALUES.items()),
         ],
-        ids=["short-length", "header-overrun", "no-meta", "no-arrays"],
+        ids=[
+            "short-length", "header-overrun", "no-meta", "no-arrays",
+            *(f"no-{key}" for key in GOOD_SPEC),
+            *(f"bad-{key}" for key in BAD_SPEC_VALUES),
+        ],
     )
     def test_malformed_header_rejected(self, tmp_path, blob):
         path = tmp_path / "c.bin"
@@ -558,6 +590,10 @@ class TestCliHyperResolution:
         assert hp.c == 5.0  # flag wins
         assert hp.nb_p == 0.3  # config file wins over default
         assert hp.burn_in == 30_000  # untouched default survives
+
+    def test_flag_table_names_every_field_once(self):
+        names = [name for _, name, _ in cli._HYPER_FLAGS]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(HyperParams))
 
     def test_sigma_one_clamps_with_warning(self):
         args = parse_cli(["fit", "--data", "x.tsv", "--out", "o", "--sigma", "1.0"])
@@ -772,6 +808,24 @@ class TestCliErrors:
         assert payload["error"] == "DomainError"
         assert "'bogus'" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"hyper": {"seed": 1}}', "missing required key(s): 'dataset'"),
+            ('{"dataset": "x", "hyper": {"k_max": "5"}}', "'k_max' must be int, got '5'"),
+        ],
+        ids=["missing-field", "wrong-type"],
+    )
+    def test_malformed_config_exits_one(self, block_file, tmp_path, capsys, text, message):
+        config = write_file(tmp_path / "c.json", text)
+        out = tmp_path / "o"
+        code = cli_dispatch(["fit", "--data", block_file, "--config", config, "--out", str(out)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+        assert message in payload["message"]
+        assert not out.exists()
+
     def test_parse_error_in_data_exits_one(self, tmp_path, capsys):
         bad = write_file(tmp_path / "bad.tsv", "\tc0\nr0\t-1\n")
         code = cli_dispatch(["fit", "--data", bad, "--out", str(tmp_path / "o")])
@@ -779,3 +833,107 @@ class TestCliErrors:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ParseError"
         assert "line 2" in payload["message"]
+
+
+TINY_FLAGS = [
+    "--k-max", "3", "--burn-in", "6", "--samples", "3", "--sigma", "0.25", "--c", "1.0",
+    "--nb-p", "0.5", "--alpha-b", "0.5", "--eps-trunc", "1e-4",
+]
+TINY_HYPER = HyperParams(k_max=3, burn_in=6, n_samples=3, sigma=0.25, c=1.0, nb_p=0.5, alpha_b=0.5, eps_trunc=1e-4)
+COMMANDS = ("generate", "fit", "eval", "qq", "topics", "meta", "resume")
+
+
+@pytest.fixture(scope="module")
+def command_runs(block_file, tmp_path_factory):
+    """Each subcommand run once at a tiny size: (out dirs, argv tails)."""
+    root = tmp_path_factory.mktemp("commands")
+    out = {name: str(root / name) for name in COMMANDS}
+    summary = os.path.join(out["fit"], "summary.bin")
+    data = ["--data", block_file]
+    argv = {
+        "generate": [
+            "--prior", "3p", "--alpha", "1.5", "--rows", "8", "--format", "triplet", "--seed", "2", *TINY_FLAGS,
+        ],
+        "fit": [*data, "--preproc", "none", "--checkpoint-interval", "4", "--seed", "3", *TINY_FLAGS],
+        "eval": [*data, "--folds", "2", "--holdout", "0.2", "--draws", "4", "--top-m", "2", *TINY_FLAGS],
+        "qq": [*data, "--posterior", summary, "--draws", "4", "--seed", "5"],
+        "topics": [*data, "--format", "dense", "--posterior", summary, "--top-m", "2"],
+        "meta": ["--posterior", summary, "--top-m", "2", "--seed", "6", *TINY_FLAGS],
+        "resume": [*data, "--checkpoint", os.path.join(out["fit"], "checkpoint.bin")],
+    }
+    for name in COMMANDS:
+        assert cli_dispatch([name, *argv[name], "--out", out[name]]) == 0, name
+    return out, argv
+
+
+class TestCliRunConfig:
+    """Every subcommand echoes its source, options and hyperparameters into
+    run_config.json, and one whose inputs fail to read leaves no --out."""
+
+    def expected(self, out, block_file):
+        # command -> (options besides "command", RunConfig fields besides out_dir and options)
+        summary = os.path.join(out["fit"], "summary.bin")
+        fitted = TINY_HYPER.replace(seed=3)
+        source = {"dataset": block_file, "fmt": "auto", "preproc": "none"}
+        return {
+            "generate": (
+                {"prior": "3p", "alpha": 1.5, "rows": 8},
+                {"dataset": os.path.join(out["generate"], "matrix.tsv"), "fmt": "triplet",
+                 "hyper": TINY_HYPER.replace(seed=2)},
+            ),
+            "fit": ({"checkpoint_interval": 4}, {**source, "hyper": fitted}),
+            "eval": (
+                {"draws": 4, "top_m": 2},
+                {**source, "holdout": 0.2, "n_folds": 2, "hyper": TINY_HYPER},
+            ),
+            "qq": ({"draws": 4, "posterior": summary}, {**source, "hyper": fitted.replace(seed=5)}),
+            "topics": ({"top_m": 2, "posterior": summary}, {**source, "fmt": "dense", "hyper": fitted}),
+            "meta": ({"top_m": 2}, {"dataset": summary, "hyper": TINY_HYPER.replace(seed=6)}),
+            "resume": (
+                {"checkpoint": os.path.join(out["fit"], "checkpoint.bin")},
+                {**source, "hyper": fitted},
+            ),
+        }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_run_config_echoes_the_run(self, command_runs, block_file, command):
+        out, _ = command_runs
+        options, fields = self.expected(out, block_file)[command]
+        with open(os.path.join(out[command], "run_config.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        echoed = RunConfig.from_json(text)
+        assert echoed.options == {"command": command, **options}
+        assert echoed.hyper.digest() == fields["hyper"].digest()
+        want = RunConfig(out_dir=out[command], options=echoed.options, **fields)
+        assert text == want.to_json(version=s3ribp.__version__) + "\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_input_error_leaves_no_out_dir(self, command_runs, tmp_path, capsys, command):
+        _, argv = command_runs
+        junk = write_file(tmp_path / "junk.bin", "not a container")
+        bad = {
+            "generate": ["--config", str(tmp_path / "no-such-config.json")],
+            "fit": ["--data", str(tmp_path / "no-such-data.tsv")],
+            "eval": ["--data", str(tmp_path / "no-such-data.tsv")],
+            "qq": ["--posterior", junk],
+            "topics": ["--posterior", junk],
+            "meta": ["--posterior", junk],
+            "resume": ["--checkpoint", junk],
+        }[command]
+        out = tmp_path / "o"
+        # argparse keeps the last value of a repeated flag
+        assert cli_dispatch([command, *argv[command], *bad, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert not out.exists()
+
+
+def test_package_exports_every_module_name():
+    # cli is the command-line entry point and container the byte layer under
+    # io; every other module's public names are the package's
+    for info in pkgutil.iter_modules(s3ribp.__path__):
+        if info.name in ("cli", "container"):
+            continue
+        module = importlib.import_module(f"s3ribp.{info.name}")
+        for name in module.__all__:
+            assert name in s3ribp.__all__, f"{info.name}.{name}"
+            assert getattr(s3ribp, name) is getattr(module, name), f"{info.name}.{name}"
