@@ -155,11 +155,8 @@ def _load_config_file(path):
 
 
 def _resolve_hyper(args, file_config):
-    base = file_config.hyper.to_dict() if file_config is not None else HyperParams().to_dict()
-    for _, name, _ in _HYPER_FLAGS:
-        if getattr(args, name) is not None:
-            base[name] = getattr(args, name)
-    return HyperParams.from_dict(base)
+    base = file_config.hyper if file_config is not None else HyperParams()
+    return base.replace(**{name: getattr(args, name) for _, name, _ in _HYPER_FLAGS if getattr(args, name) is not None})
 
 
 def _resolve(args, name, file_config, default):
@@ -177,7 +174,7 @@ def _load_data(args, file_config):
     source = {"dataset": args.data, "fmt": fmt, "preproc": preproc}
     if preproc == "none":
         return load_counts(args.data, fmt), source
-    raw, row_labels, col_labels = load_raw_matrix(args.data)
+    raw, row_labels, col_labels = load_raw_matrix(args.data, fmt)
     mode = "round" if preproc == "rca-round" else "binary"
     return rca_transform(raw, mode=mode, row_labels=row_labels, col_labels=col_labels), source
 
@@ -240,8 +237,8 @@ def _cmd_fit(args, file_config):
 def _cmd_eval(args, file_config):
     hp = _resolve_hyper(args, file_config)
     data, source = _load_data(args, file_config)
-    holdout = float(_resolve(args, "holdout", file_config, 0.1))
-    n_folds = int(_resolve(args, "n_folds", file_config, 10))
+    holdout = _resolve(args, "holdout", file_config, 0.1)
+    n_folds = _resolve(args, "n_folds", file_config, 10)
     _open_out(args, ("draws", "top_m"), holdout=holdout, n_folds=n_folds, hyper=hp, **source)
     masks = make_splits(data, holdout, n_folds, hp.seed)
     report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=args.top_m, qq_draws=args.draws)
@@ -257,7 +254,7 @@ def _cmd_qq(args, file_config):
     rng = np.random.default_rng(args.seed)
     model_pts = qq_row_nonzeros(summary, data, args.draws, rng)
     base_pts = binomial_baseline_qq(data, args.draws, rng)
-    _open_out(args, ("draws", "posterior"), hyper=summary.hyper.replace(seed=args.seed), **source)
+    _open_out(args, ("draws", "posterior", "seed"), hyper=summary.hyper, **source)
     for name, points in (("qq_model.tsv", model_pts), ("qq_baseline.tsv", base_pts)):
         _write_lines(args, name, ["empirical\tpredicted"] + [f"{e:.6g}\t{p:.6g}" for e, p in points])
     print(f"wrote qq tables ({len(model_pts)} rows) to {args.out}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .container import atomic_write_text, read_records, write_records
 from .errors import DomainError, ParseError
-from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, dataclass_from_dict
+from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, dataclass_from_dict, typed_fields
 
 __all__ = [
     "load_counts",
@@ -38,7 +38,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _FORMATS = ("auto", "dense", "triplet")
-_SUMMARY_SCHEMA = 1
+_SUMMARY_SCHEMA = 2
 
 
 def _split_line(line):
@@ -144,13 +144,19 @@ def _load_triplet(rows):
     return CountMatrix(len(row_index), len(col_index), idx[:, 0], idx[:, 1], counts, tuple(row_index), tuple(col_index))
 
 
-def load_counts(path, fmt="auto"):
-    """Parse a count file into a CountMatrix, logging its sparsity profile."""
+def _read_as(path, fmt):
+    """The file's rows and its format, ``auto`` resolved by ``_looks_like_triplet``."""
     if fmt not in _FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
     rows = _read_rows(path)
     if fmt == "auto":
         fmt = "triplet" if _looks_like_triplet(rows) else "dense"
+    return rows, fmt
+
+
+def load_counts(path, fmt="auto"):
+    """Parse a count file into a CountMatrix, logging its sparsity profile."""
+    rows, fmt = _read_as(path, fmt)
     if fmt == "triplet":
         data = _load_triplet(rows)
     else:
@@ -167,15 +173,19 @@ def load_counts(path, fmt="auto"):
     return data
 
 
-def load_raw_matrix(path):
+def load_raw_matrix(path, fmt="auto"):
     """Parse a dense file of non-negative reals (no integrality check).
 
     This is the input to the comparative-advantage transform, which needs
     raw (possibly fractional) magnitudes before producing integer counts.
-    Labels must be unique, as in ``load_counts``.  Returns (values array,
-    row labels, column labels).
+    ``fmt`` is resolved as in ``load_counts``; a triplet file is a
+    DomainError.  Labels must be unique, as in ``load_counts``.  Returns
+    (values array, row labels, column labels).
     """
-    return _read_dense(_read_rows(path), allow_float=True)
+    rows, fmt = _read_as(path, fmt)
+    if fmt == "triplet":
+        raise DomainError(f"rca preprocessing reads a dense file of raw values, but {path} is read as triplet format")
+    return _read_dense(rows, allow_float=True)
 
 
 def save_counts(data, path, fmt="dense"):
@@ -230,6 +240,7 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        typed_fields(self)
         if self.preproc not in ("none", "rca-round", "rca-binary"):
             raise DomainError(f"unknown preprocessing mode {self.preproc!r}")
         if not (0.0 < self.holdout < 1.0):

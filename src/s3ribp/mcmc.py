@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,9 +54,9 @@ from .model import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
-    dataclass_from_dict,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
+    typed_fields,
 )
 from .priors import atom_log_prior, levy_exposure_mass, sample_pi_truncated
 
@@ -70,7 +71,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 # The chain's scalar state: runner attribute ``_<name>`` is checkpointed
 # under ``name``.
 _CHAIN_SCALARS = ("iteration", "alpha", "step", "win_prop", "win_acc", "post_prop", "post_acc", "runtime", "n_retained")
@@ -91,47 +92,25 @@ _SCORE_CHUNK = 20_000
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain-level knobs around the hyperparameters.
+    """The hyperparameters, where the chain checkpoints, and how often it logs.
 
-    The retention schedule (burn_in, n_samples, thin) lives on the
-    HyperParams and is exposed here as properties.  The runner tunes the MH
-    step during burn-in toward a 20-40% acceptance rate and freezes it
-    afterwards, so the retained draws come from a time-homogeneous kernel.
+    The retention schedule (burn_in, n_samples, thin) and the seed live on
+    the HyperParams only.  The runner tunes the MH step during burn-in
+    toward a 20-40% acceptance rate and freezes it afterwards, so the
+    retained draws come from a time-homogeneous kernel.
     """
 
     hyper: HyperParams
-    checkpoint_path: str | None = None
+    checkpoint_path: str | os.PathLike | None = None
     checkpoint_interval: int = 0
     log_every: int = 0
 
     def __post_init__(self):
+        typed_fields(self)
         if self.checkpoint_interval < 0:
             raise DomainError("checkpoint_interval must be non-negative")
         if self.checkpoint_interval and not self.checkpoint_path:
             raise DomainError("checkpoint_interval set without a checkpoint_path")
-
-    @property
-    def burn_in(self):
-        return self.hyper.burn_in
-
-    @property
-    def n_samples(self):
-        return self.hyper.n_samples
-
-    @property
-    def thin(self):
-        return self.hyper.thin
-
-    @property
-    def total_iterations(self):
-        return self.burn_in + self.n_samples * self.thin
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return dataclass_from_dict(cls, d)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +473,7 @@ class ChainRunner:
         n_acc = int(accepted.sum())
         self._win_prop += self._k
         self._win_acc += n_acc
-        if self._iteration >= self.config.burn_in:
+        if self._iteration >= self._hp.burn_in:
             self._post_prop += self._k
             self._post_acc += n_acc
 
@@ -585,7 +564,7 @@ class ChainRunner:
         self._update_alpha_internal()
         self._validate_internal()
         self._iteration += 1
-        if self._iteration <= self.config.burn_in and self._iteration % _ADAPT_EVERY == 0 and self._win_prop:
+        if self._iteration <= self._hp.burn_in and self._iteration % _ADAPT_EVERY == 0 and self._win_prop:
             rate = self._win_acc / self._win_prop
             if rate < _ADAPT_LO:
                 self._step = max(self._step * 0.7, _STEP_MIN)
@@ -608,21 +587,22 @@ class ChainRunner:
 
     def _empty_draws(self):
         """The draw store: ``n_samples`` zero rows per field of ``_draw``."""
-        n = self.config.n_samples
+        n = self._hp.n_samples
         return {name: np.zeros((n, *np.shape(v)), np.result_type(v)) for name, v in self._draw().items()}
 
     def _maybe_retain(self):
-        cfg = self.config
-        past = self._iteration - cfg.burn_in
-        if past > 0 and past % cfg.thin == 0 and self._n_retained < cfg.n_samples:
+        hp = self._hp
+        past = self._iteration - hp.burn_in
+        if past > 0 and past % hp.thin == 0 and self._n_retained < hp.n_samples:
             for name, value in self._draw().items():
                 self._draws[name][self._n_retained] = value
             self._n_retained += 1
 
     def run(self):
-        cfg = self.config
+        cfg, hp = self.config, self._hp
+        total = hp.burn_in + hp.n_samples * hp.thin
         t0 = time.monotonic()
-        while self._iteration < cfg.total_iterations:
+        while self._iteration < total:
             self.step_once()
             self._maybe_retain()
             if cfg.checkpoint_interval and self._iteration % cfg.checkpoint_interval == 0:
@@ -631,7 +611,7 @@ class ChainRunner:
                 log.info(
                     "iteration %d/%d kplus=%d alpha=%.3f step=%.3f",
                     self._iteration,
-                    cfg.total_iterations,
+                    total,
                     int(self._z.any(axis=0).sum()),
                     self._alpha,
                     self._step,
@@ -650,9 +630,6 @@ class ChainRunner:
             b_mean=draws["b_samples"].mean(axis=0),
             pi_accept_rate=float(rate),
             mh_step_final=float(self._step),
-            burn_in=self.config.burn_in,
-            thin=self.config.thin,
-            seed=self._hp.seed,
             hyper=self._hp,
             runtime_seconds=float(self._runtime),
         )
@@ -700,8 +677,9 @@ class ChainRunner:
             "schema_version": CHECKPOINT_SCHEMA,
             **{name: getattr(self, "_" + name) for name in _CHAIN_SCALARS},
             "rng_state": self._rng.bit_generator.state,
-            "config": self.config.to_dict(),
+            "hyper": self._hp.to_dict(),
             "hyper_digest": self._hp.digest(),
+            "checkpoint_interval": self.config.checkpoint_interval,
             "data_digest": self.data.digest(),
             "mask_digest": self.mask.digest(),
         }
@@ -719,8 +697,9 @@ class ChainRunner:
         self._rng.bit_generator.state = meta["rng_state"]
 
     @classmethod
-    def from_checkpoint(cls, path, data, mask=None, config=None):
-        """Rebuild a runner mid-trajectory; mask=None means none held out."""
+    def from_checkpoint(cls, path, data, mask=None):
+        """Rebuild a runner mid-trajectory; mask=None means none held out.
+        The chain keeps checkpointing into ``path`` at the stored interval."""
         arrays, meta = read_records(path)
         if meta.get("kind") != "chain-checkpoint":
             raise CheckpointError(f"{path} is not a chain checkpoint")
@@ -728,17 +707,16 @@ class ChainRunner:
             raise CheckpointError(
                 f"checkpoint schema {meta.get('schema_version')} unsupported (expected {CHECKPOINT_SCHEMA})"
             )
-        stored = ChainConfig.from_dict(meta["config"])
-        if config is None:
-            config = stored
-        if config.hyper.digest() != meta["hyper_digest"]:
-            raise CheckpointError("checkpoint hyperparameters disagree with the requested configuration")
+        hyper = HyperParams.from_dict(meta["hyper"])
+        if hyper.digest() != meta["hyper_digest"]:
+            raise CheckpointError("checkpoint hyperparameters disagree with their stored digest")
         if data.digest() != meta["data_digest"]:
             raise CheckpointError("checkpoint was written against different data")
         if mask is None:
             mask = ObservationMask.none_held_out(data.n_rows, data.n_cols)
         if mask.digest() != meta["mask_digest"]:
             raise CheckpointError("checkpoint mask disagrees; pass the mask the chain was fitted with")
+        config = ChainConfig(hyper, checkpoint_path=path, checkpoint_interval=meta["checkpoint_interval"])
         return cls(data, mask, config, _restore=(arrays, meta))
 
 

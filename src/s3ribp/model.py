@@ -17,6 +17,7 @@ densities are computed in log space.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -242,7 +243,8 @@ class HyperParams:
     parameter; ``c`` and ``sigma`` shape the feature-weight measure (power
     law for sigma > 0); ``nb_r``/``nb_p`` give the negative binomial over
     per-row feature counts; ``alpha_b``/``mu_b`` are the loading shape and
-    mean; the remaining fields control truncation and the chain schedule.
+    mean; the remaining fields control truncation and the chain schedule,
+    whose only home is here.  Fields are typed by ``typed_fields``.
     """
 
     alpha_prior_shape: float = 1.0
@@ -262,6 +264,7 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        typed_fields(self)
         if self.sigma == 1.0:
             warnings.warn(
                 f"sigma=1 is outside the supported range [0, 1); using {SIGMA_CEILING}",
@@ -278,15 +281,12 @@ class HyperParams:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.nb_p < 1.0:
             raise DomainError(f"nb_p must lie in (0, 1), got {self.nb_p}")
-        if self.k_max < 1:
-            raise DomainError(f"k_max must be at least 1, got {self.k_max}")
+        for name, least in (("k_max", 1), ("burn_in", 0), ("n_samples", 1), ("thin", 1)):
+            if getattr(self, name) < least:
+                raise DomainError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0.0 < self.eps_trunc < 1.0:
             raise DomainError(f"eps_trunc must lie in (0, 1), got {self.eps_trunc}")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be non-negative, got {self.burn_in}")
-        if self.n_samples < 1 or self.thin < 1:
-            raise DomainError("n_samples and thin must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         from .priors import levy_exposure_mass  # priors imports this module
 
@@ -309,10 +309,27 @@ class HyperParams:
         return container.digest({}, self.to_dict())
 
 
+def typed_fields(obj):
+    """Check each field of the frozen dataclass ``obj`` against its declared
+    type, storing an integral number in an int field as int and any number
+    in a float field as float; a bool is no number.  Else a DomainError."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if hint in (int, float):
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if number and (hint is float or isinstance(value, numbers.Integral) or float(value).is_integer()):
+                object.__setattr__(obj, name, hint(value))
+                continue
+        elif isinstance(value, hint):
+            continue
+        raise DomainError(f"{type(obj).__name__} key {name!r} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
 def dataclass_from_dict(cls, d):
     """Build the dataclass ``cls`` from a dict read from JSON; a ``hyper``
-    entry becomes a HyperParams.  A key that names no field, a missing
-    required field or a value of the wrong type is a DomainError."""
+    entry becomes a HyperParams.  A key that names no field or a missing
+    required field is a DomainError, and so is a value of the wrong type,
+    which the constructor's ``typed_fields`` finds."""
     if not isinstance(d, dict):
         raise DomainError(f"{cls.__name__} must be given as a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
@@ -323,12 +340,6 @@ def dataclass_from_dict(cls, d):
         raise DomainError(f"{cls.__name__} is missing required key(s): {', '.join(map(repr, missing))}")
     if "hyper" in d:
         d = {**d, "hyper": HyperParams.from_dict(d["hyper"])}
-    hints = get_type_hints(cls)
-    for name, value in d.items():
-        # a JSON integer is a valid float; true and false are no numbers
-        hint = hints[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
-            raise DomainError(f"{cls.__name__} key {name!r} must be {getattr(hint, '__name__', hint)}, got {value!r}")
     return cls(**d)
 
 
@@ -422,9 +433,6 @@ class PosteriorSummary:
     b_mean: np.ndarray
     pi_accept_rate: float
     mh_step_final: float
-    burn_in: int
-    thin: int
-    seed: int
     hyper: HyperParams
     runtime_seconds: float = 0.0
 

@@ -14,6 +14,7 @@ import s3ribp
 import s3ribp.cli as cli
 from s3ribp import (
     ChainConfig,
+    ChainRunner,
     CountMatrix,
     DomainError,
     HyperParams,
@@ -318,6 +319,18 @@ class TestLoadRawMatrix:
         binary = rca_transform(values, mode="binary", row_labels=row_labels, col_labels=col_labels)
         assert binary.dense.tolist() == [[1, 0], [0, 1]]
 
+    def test_format_resolved_and_triplet_refused(self, tmp_path):
+        # auto reads the file as load_counts would; the rca transform needs
+        # a dense file, so a triplet file is refused by name
+        trip = write_file(tmp_path / "trip.tsv", "row\tcol\tcount\na\tx\t1\nb\ty\t2\n")
+        for fmt in ("auto", "triplet"):
+            with pytest.raises(DomainError, match="rca preprocessing .* triplet"):
+                load_raw_matrix(trip, fmt)
+        dense = write_file(tmp_path / "raw.tsv", "\ta\tb\nr\t1.5\t2\n")
+        assert load_raw_matrix(dense, "dense")[1] == ("r",)
+        with pytest.raises(DomainError, match="unknown format"):
+            load_raw_matrix(dense, "xml")
+
     def test_zero_row_named_in_error(self):
         with pytest.raises(DomainError, match="'empty'"):
             rca_transform(
@@ -400,8 +413,6 @@ class TestRunConfig:
             RunConfig.from_dict({"dataset": "x", "colour": 1})
         with pytest.raises(DomainError, match="unknown HyperParams key.*'bogus'"):
             RunConfig.from_dict({"dataset": "x", "hyper": {"seed": 1, "bogus": 2}})
-        with pytest.raises(DomainError, match="unknown ChainConfig key.*'every'"):
-            ChainConfig.from_dict({"hyper": {}, "every": 3})
         with pytest.raises(DomainError, match="JSON object"):
             RunConfig.from_json('{"dataset": "x", "hyper": 3}')
 
@@ -428,7 +439,6 @@ class TestSummarySerialization:
         np.testing.assert_array_equal(back.alpha_samples, summary.alpha_samples)
         np.testing.assert_array_equal(back.kplus_trace, summary.kplus_trace)
         assert back.hyper == summary.hyper
-        assert back.seed == summary.seed
         assert back.runtime_seconds == 0.0
 
     def test_bytes_deterministic_across_reruns(self, summary, tmp_path):
@@ -466,8 +476,9 @@ class TestSummarySerialization:
     def test_unknown_schema_rejected(self, summary, tmp_path):
         save_summary(summary, tmp_path / "s.bin")
         arrays, meta = read_records(tmp_path / "s.bin")
-        write_records(tmp_path / "x.bin", arrays, {**meta, "schema_version": 2})
-        with pytest.raises(ParseError, match="not a posterior summary file of schema 1"):
+        # schema 1 also stored burn_in, thin and seed beside the hyperparameters
+        write_records(tmp_path / "x.bin", arrays, {**meta, "schema_version": 1})
+        with pytest.raises(ParseError, match="not a posterior summary file of schema 2"):
             load_summary(tmp_path / "x.bin")
 
 
@@ -886,7 +897,8 @@ class TestCliRunConfig:
                 {"draws": 4, "top_m": 2},
                 {**source, "holdout": 0.2, "n_folds": 2, "hyper": TINY_HYPER},
             ),
-            "qq": ({"draws": 4, "posterior": summary}, {**source, "hyper": fitted.replace(seed=5)}),
+            # the replicate seed is an option; the hyperparameters stay the posterior's
+            "qq": ({"draws": 4, "posterior": summary, "seed": 5}, {**source, "hyper": fitted}),
             "topics": ({"top_m": 2, "posterior": summary}, {**source, "fmt": "dense", "hyper": fitted}),
             "meta": ({"top_m": 2}, {"dataset": summary, "hyper": TINY_HYPER.replace(seed=6)}),
             "resume": (
@@ -937,3 +949,55 @@ def test_package_exports_every_module_name():
         for name in module.__all__:
             assert name in s3ribp.__all__, f"{info.name}.{name}"
             assert getattr(s3ribp, name) is getattr(module, name), f"{info.name}.{name}"
+
+
+class TestCliOneChain:
+    """One run setting has one form, and a chain's files stay under --out."""
+
+    def test_json_integer_for_a_float_fits_the_same_chain(self, block_file, tmp_path):
+        # "c": 1 in a --config file and --c 1 on the command line are one
+        # chain: one digest and the same summary bytes
+        hyper = {**TINY_HYPER.to_dict(), "c": 1, "burn_in": 6.0}
+        config = write_file(tmp_path / "c.json", json.dumps({"dataset": block_file, "hyper": hyper}))
+        assert HyperParams(c=1).digest() == HyperParams(c=1.0).digest()
+        from_file, from_flags = str(tmp_path / "file"), str(tmp_path / "flags")
+        assert cli_dispatch(["fit", "--data", block_file, "--config", config, "--out", from_file]) == 0
+        flags = ["1" if flag == "1.0" else flag for flag in TINY_FLAGS]  # --c 1
+        assert cli_dispatch(["fit", "--data", block_file, *flags, "--out", from_flags]) == 0
+        assert (tmp_path / "file" / "summary.bin").read_bytes() == (tmp_path / "flags" / "summary.bin").read_bytes()
+
+    def test_rca_preprocessing_refuses_a_triplet_file(self, tmp_path, capsys):
+        trip = write_file(tmp_path / "trip.tsv", "row\tcol\tcount\na\tx\t1\nb\ty\t2\n")
+        out = tmp_path / "o"
+        for fmt in ("triplet", "auto"):
+            argv = ["fit", "--data", trip, "--format", fmt, "--preproc", "rca-round", "--out", str(out)]
+            assert cli_dispatch(argv) == 1
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "DomainError"
+            assert "rca preprocessing" in payload["message"] and "triplet" in payload["message"]
+        assert not out.exists()
+
+    def test_resume_from_another_directory_writes_only_its_files(self, block_file, tmp_path, monkeypatch):
+        # a mid-run checkpoint written under a relative path; resumed from
+        # another working directory, the chain checkpoints into the file it
+        # was given and writes nothing outside --out
+        home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+        home.mkdir()
+        elsewhere.mkdir()
+        data = load_counts(block_file)
+        hp = TINY_HYPER.replace(seed=4)
+        monkeypatch.chdir(home)
+        relative = os.path.join("fit", "checkpoint.bin")
+        runner = ChainRunner(data, None, ChainConfig(hyper=hp, checkpoint_path=relative, checkpoint_interval=2))
+        for _ in range(3):
+            runner.step_once()
+        runner.save_checkpoint(relative)
+        monkeypatch.chdir(elsewhere)
+        checkpoint = str(home / relative)
+        argv = ["resume", "--data", block_file, "--checkpoint", checkpoint, "--out", str(home / "resumed")]
+        assert cli_dispatch(argv) == 0
+        assert os.listdir(elsewhere) == []
+        # 9 iterations at interval 2: the resumed chain wrote iterations 4, 6 and 8
+        assert read_records(checkpoint)[1]["iteration"] == 8
+        save_summary(run_chain(data, None, ChainConfig(hyper=hp)), tmp_path / "plain.bin")
+        assert (home / "resumed" / "summary.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()

@@ -4,6 +4,9 @@ Stage tests start a ChainRunner at a chosen state (``from_state``) and call
 one stage method at a time, so they check the code that ``fit`` runs.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -82,9 +85,6 @@ def make_summary(z_samples, b_samples):
         b_mean=b_samples.mean(axis=0),
         pi_accept_rate=0.3,
         mh_step_final=0.5,
-        burn_in=0,
-        thin=1,
-        seed=0,
         hyper=tiny_hyper(),
         runtime_seconds=0.0,
     )
@@ -470,17 +470,14 @@ class TestChainConfig:
         with pytest.raises(DomainError):
             ChainConfig(hyper=tiny_hyper(), checkpoint_interval=5)
 
-    def test_schedule_properties(self):
-        cfg = ChainConfig(hyper=tiny_hyper(burn_in=7, n_samples=4, thin=3))
-        assert cfg.burn_in == 7
-        assert cfg.n_samples == 4
-        assert cfg.thin == 3
-        assert cfg.total_iterations == 7 + 12
-
-    def test_dict_round_trip(self):
-        cfg = ChainConfig(hyper=tiny_hyper(), checkpoint_path="x.bin", checkpoint_interval=2)
-        again = ChainConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+    def test_checkpoint_interval_is_an_int(self):
+        cfg = ChainConfig(hyper=tiny_hyper(), checkpoint_path="x.bin", checkpoint_interval=4.0)
+        assert cfg.checkpoint_interval == 4 and type(cfg.checkpoint_interval) is int
+        for bad in (2.5, True, "4"):
+            with pytest.raises(DomainError, match="'checkpoint_interval' must be int"):
+                ChainConfig(hyper=tiny_hyper(), checkpoint_path="x.bin", checkpoint_interval=bad)
+        with pytest.raises(DomainError, match="'hyper' must be HyperParams"):
+            ChainConfig(hyper=tiny_hyper().to_dict())
 
 
 class TestChainRunner:
@@ -537,7 +534,7 @@ class TestChainRunner:
         assert summary.pi_samples.shape == (8, 3)
         assert summary.alpha_samples.shape == (8,)
         assert summary.n_samples == 8
-        assert summary.burn_in == 20 and summary.thin == 2
+        assert summary.hyper == hp
         want_kplus = (summary.z_samples.sum(axis=1) > 0).sum(axis=1)
         np.testing.assert_array_equal(summary.kplus_trace, want_kplus)
 
@@ -603,8 +600,11 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 5
-        assert meta["hyper_digest"] == hp.digest()
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 6
+        assert meta["hyper"] == hp.to_dict() and meta["hyper_digest"] == hp.digest()
+        # the chain's state holds no file path
+        assert meta["checkpoint_interval"] == 0
+        assert path not in json.dumps(meta) and "checkpoint_path" not in meta
         loaded = ChainRunner.from_checkpoint(path, data)
         assert loaded.iteration == 3
         assert loaded.config.hyper.digest() == hp.digest()
@@ -625,13 +625,17 @@ class TestCheckpointing:
             ChainRunner.from_checkpoint(path, other)
 
     def test_hyper_digest_mismatch(self, rng, tmp_path):
+        # a header whose hyperparameters were edited no longer matches
+        # their stored digest
         data = tiny_data(rng)
         path = str(tmp_path / "chain.bin")
         runner = ChainRunner(data, None, ChainConfig(hyper=tiny_hyper()))
         runner.step_once()
         runner.save_checkpoint(path)
-        with pytest.raises(CheckpointError):
-            ChainRunner.from_checkpoint(path, data, config=ChainConfig(hyper=tiny_hyper(c=2.0)))
+        arrays, meta = read_records(path)
+        write_records(path, arrays, {**meta, "hyper": {**meta["hyper"], "c": 2.0}})
+        with pytest.raises(CheckpointError, match="digest"):
+            ChainRunner.from_checkpoint(path, data)
 
     def test_mask_digest_mismatch(self, rng, tmp_path):
         data = tiny_data(rng)
@@ -650,10 +654,10 @@ class TestCheckpointing:
 
     def test_old_schema_rejected(self, tmp_path, rng):
         # schema 2 stored the aux split, schema 3 named the retained draws
-        # ret_* and schema 4 stored the mask's cells; a schema-5 reader reads
-        # none of them
+        # ret_*, schema 4 stored the mask's cells and schema 5 the chain
+        # config with its checkpoint path; a schema-6 reader reads none of them
         path = str(tmp_path / "old.bin")
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
             with pytest.raises(CheckpointError, match=f"schema {old}"):
                 ChainRunner.from_checkpoint(path, tiny_data(rng))
@@ -675,7 +679,7 @@ class TestCheckpointing:
         cfg = ChainConfig(hyper=hp, checkpoint_path=path, checkpoint_interval=hp.burn_in + hp.n_samples * hp.thin)
         plain = run_chain(data, None, cfg)
         restored = ChainRunner.from_checkpoint(path, data)
-        assert restored.iteration == cfg.total_iterations
+        assert restored.iteration == hp.burn_in + hp.n_samples * hp.thin
         # restoring and saving again writes the same checkpoint
         again = str(tmp_path / "again.bin")
         restored.save_checkpoint(again)
@@ -684,6 +688,23 @@ class TestCheckpointing:
         save_summary(plain, want)
         save_summary(restored.run(), got)
         assert open(got, "rb").read() == open(want, "rb").read()
+
+    def test_restored_chain_checkpoints_into_the_file_it_was_read_from(self, rng, tmp_path):
+        # the checkpoint stores its interval but no path, so a moved
+        # checkpoint is the one the restored chain keeps writing
+        data = tiny_data(rng)
+        hp = tiny_hyper(burn_in=4, n_samples=4, thin=1)
+        first, moved = str(tmp_path / "first.bin"), str(tmp_path / "moved.bin")
+        runner = ChainRunner(data, None, ChainConfig(hyper=hp, checkpoint_path=first, checkpoint_interval=3))
+        for _ in range(3):
+            runner.step_once()
+        runner.save_checkpoint(first)
+        os.replace(first, moved)
+        restored = ChainRunner.from_checkpoint(moved, data)
+        assert restored.config == ChainConfig(hyper=hp, checkpoint_path=moved, checkpoint_interval=3)
+        restored.run()
+        assert not os.path.exists(first)
+        assert ChainRunner.from_checkpoint(moved, data).iteration == 6
 
     def test_restored_runner_has_no_split_then_resumes_byte_identically(self, rng, tmp_path):
         data = tiny_data(rng)

@@ -108,7 +108,7 @@ class TestCountMatrix:
             {"shape": [2, 3], "rows": ["a", "b"], "cols": ["x", "y", "z"]},
         )
         assert data.digest() == hashlib.sha256(payload).hexdigest()
-        # a fixed value, because schema-5 checkpoints store it
+        # a fixed value, because schema-6 checkpoints store it
         assert data.digest() == "e787754d763f19f1cb6844bf7c542227de190bd5c690a9895ccfa6d78145e2ff"
 
     def test_needs_at_least_one_row_and_column(self):
@@ -170,7 +170,7 @@ class TestObservationMask:
         mask = ObservationMask([(2, 1), (0, 3)], 3, 4)
         payload = canonical_bytes({"cells": np.array([[0, 3], [2, 1]])}, {"shape": [3, 4]})
         assert mask.digest() == hashlib.sha256(payload).hexdigest()
-        # a fixed value, because schema-5 checkpoints store it
+        # a fixed value, because schema-6 checkpoints store it
         assert mask.digest() == "a9d85bce432c282a78ac9f5de0504a60ef95c6c2877f892cd22886838c4a0c80"
 
 
@@ -247,6 +247,26 @@ class TestHyperParams:
         assert again.digest() == hp.digest()
         assert hp.replace(seed=12).digest() != hp.digest()
         assert hp.digest() == hashlib.sha256(canonical_bytes({}, hp.to_dict())).hexdigest()
+
+    def test_numbers_take_their_declared_type(self):
+        # an integral value is a valid int and any number a valid float, so
+        # equal settings have one form and one digest
+        assert HyperParams(c=1).digest() == HyperParams(c=1.0).digest()
+        hp = HyperParams(c=1, k_max=5.0, seed=np.uint64(7), burn_in=np.int64(3))
+        assert hp == HyperParams(c=1.0, k_max=5, seed=7, burn_in=3)
+        assert [type(getattr(hp, name)) for name in ("c", "k_max", "seed", "burn_in")] == [float, int, int, int]
+        assert HyperParams.from_dict({"c": 1, "thin": 2.0}) == HyperParams(c=1.0, thin=2)
+
+    @pytest.mark.parametrize("name", ["thin", "n_samples", "burn_in", "k_max", "seed"])
+    def test_int_fields_refuse_non_integral_values_and_bools(self, name):
+        for bad in (1.5, True, False, float("nan"), "2", None):
+            with pytest.raises(DomainError, match=f"'{name}' must be int"):
+                HyperParams(**{name: bad})
+
+    def test_float_fields_refuse_bools_and_non_numbers(self):
+        for bad in (True, "1.0", None):
+            with pytest.raises(DomainError, match="'c' must be float"):
+                HyperParams(c=bad)
 
     def test_from_dict_names_unknown_keys(self):
         with pytest.raises(DomainError, match="unknown HyperParams key.*'bogus', 'extra'"):
@@ -371,9 +391,6 @@ class TestPosteriorSummary:
             b_mean=b.mean(axis=0),
             pi_accept_rate=0.3,
             mh_step_final=0.5,
-            burn_in=10,
-            thin=1,
-            seed=0,
             hyper=HyperParams(k_max=2),
         )
 
