@@ -26,6 +26,7 @@ from . import __version__
 from .container import atomic_write_text
 from .errors import S3RIBPError
 from .evaluate import (
+    _at_least_one,
     binomial_baseline_qq,
     evaluate_folds,
     feature_line,
@@ -43,8 +44,9 @@ __all__ = ["cli_dispatch", "main"]
 
 log = logging.getLogger(__name__)
 
-# (flag, HyperParams field, help).  A flag's type and the default its help
-# states come from HyperParams(); its value lands on args.<field>.
+# (flag, field, help) rows: the HyperParams fields, and the RunConfig fields
+# that set eval's folds.  _add_flags reads a flag's type and the default its
+# help states from the dataclass; its value lands on args.<field>.
 _HYPER_FLAGS = (
     ("--seed", "seed", "chain seed"),
     ("--k-max", "k_max", "feature truncation"),
@@ -62,11 +64,11 @@ _HYPER_FLAGS = (
     ("--alpha-shape", "alpha_prior_shape", "mass prior shape"),
     ("--alpha-scale", "alpha_prior_scale", "mass prior scale"),
 )
+_FOLD_FLAGS = (("--folds", "n_folds", "number of hold-out folds"), ("--holdout", "holdout", "held-out cell fraction"))
 
 
-def _add_hyper_flags(p):
-    defaults = HyperParams()
-    for flag, name, text in _HYPER_FLAGS:
+def _add_flags(p, table, defaults):
+    for flag, name, text in table:
         value = getattr(defaults, name)
         p.add_argument(
             flag,
@@ -101,7 +103,7 @@ def _build_parser():
     gen.add_argument("--alpha", type=float, default=None, help="mass parameter (s3r: pins the prior draw)")
     gen.add_argument("--rows", type=int, default=100, help="number of rows to sample")
     gen.add_argument("--format", default="dense", dest="fmt", choices=["dense", "triplet"], help="matrix file format")
-    _add_hyper_flags(gen)
+    _add_flags(gen, _HYPER_FLAGS, HyperParams())
 
     fit = command("fit", _cmd_fit, "run one chain on a count file")
     _add_data_flags(fit)
@@ -112,17 +114,14 @@ def _build_parser():
         dest="checkpoint_interval",
         help="write a resumable checkpoint every this many iterations (0 disables)",
     )
-    _add_hyper_flags(fit)
+    _add_flags(fit, _HYPER_FLAGS, HyperParams())
 
     ev = command("eval", _cmd_eval, "cross-fold perplexity/coherence/match report")
     _add_data_flags(ev)
-    ev.add_argument(
-        "--folds", type=int, default=None, dest="n_folds", metavar="FOLDS", help="number of hold-out folds (default 10)"
-    )
-    ev.add_argument("--holdout", type=float, default=None, help="held-out cell fraction (default 0.1)")
+    _add_flags(ev, _FOLD_FLAGS, RunConfig)
     ev.add_argument("--draws", type=int, default=50, help="replicates per qq table")
     ev.add_argument("--top-m", type=int, default=10, dest="top_m", help="columns per feature in reports")
-    _add_hyper_flags(ev)
+    _add_flags(ev, _HYPER_FLAGS, HyperParams())
 
     qq = command("qq", _cmd_qq, "model and baseline qq tables for a fitted posterior")
     _add_data_flags(qq)
@@ -138,7 +137,7 @@ def _build_parser():
     mt = command("meta", _cmd_meta, "fit a second layer to the binarized activity pattern")
     mt.add_argument("--posterior", required=True, help="first-layer summary file")
     mt.add_argument("--top-m", type=int, default=10, dest="top_m", help="features per meta-feature in the report")
-    _add_hyper_flags(mt)
+    _add_flags(mt, _HYPER_FLAGS, HyperParams())
 
     rs = command("resume", _cmd_resume, "continue a chain from a checkpoint")
     _add_data_flags(rs)
@@ -159,18 +158,18 @@ def _resolve_hyper(args, file_config):
     return base.replace(**{name: getattr(args, name) for _, name, _ in _HYPER_FLAGS if getattr(args, name) is not None})
 
 
-def _resolve(args, name, file_config, default):
-    """An explicit flag, else the --config file's entry, else the default."""
+def _resolve(args, name, file_config):
+    """An explicit flag, else the --config file's entry, else RunConfig's default."""
     val = getattr(args, name)
     if val is not None:
         return val
-    return default if file_config is None else getattr(file_config, name)
+    return getattr(file_config if file_config is not None else RunConfig(dataset=args.data), name)
 
 
 def _load_data(args, file_config):
     """The matrix --data names, and the RunConfig fields that record its source."""
-    fmt = _resolve(args, "fmt", file_config, "auto")
-    preproc = _resolve(args, "preproc", file_config, "none")
+    fmt = _resolve(args, "fmt", file_config)
+    preproc = _resolve(args, "preproc", file_config)
     source = {"dataset": args.data, "fmt": fmt, "preproc": preproc}
     if preproc == "none":
         return load_counts(args.data, fmt), source
@@ -237,11 +236,11 @@ def _cmd_fit(args, file_config):
 def _cmd_eval(args, file_config):
     hp = _resolve_hyper(args, file_config)
     data, source = _load_data(args, file_config)
-    holdout = _resolve(args, "holdout", file_config, 0.1)
-    n_folds = _resolve(args, "n_folds", file_config, 10)
-    _open_out(args, ("draws", "top_m"), holdout=holdout, n_folds=n_folds, hyper=hp, **source)
+    holdout = _resolve(args, "holdout", file_config)
+    n_folds = _resolve(args, "n_folds", file_config)
     masks = make_splits(data, holdout, n_folds, hp.seed)
     report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=args.top_m, qq_draws=args.draws)
+    _open_out(args, ("draws", "top_m"), holdout=holdout, n_folds=n_folds, hyper=hp, **source)
     atomic_write_text(os.path.join(args.out, "report.json"), report.to_json() + "\n")
     atomic_write_text(os.path.join(args.out, "report.txt"), report.to_text())
     print(f"eval finished over {n_folds} folds: {report.perplexity_line()}")
@@ -276,6 +275,7 @@ def _cmd_topics(args, file_config):
 def _cmd_meta(args, file_config):
     summary = load_summary(args.posterior)
     hp = _resolve_hyper(args, file_config)
+    _at_least_one("top_m", args.top_m)
     meta_summary = meta_features(summary, ChainConfig(hyper=hp))
     labels = tuple(f"F{k}" for k in np.flatnonzero(live_features(summary.z_mean)))
     report = top_features(meta_summary.b_mean, labels, args.top_m, live=live_features(meta_summary.z_mean))

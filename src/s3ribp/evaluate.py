@@ -74,11 +74,21 @@ def baseline_row_mean_log_perplexity(data, mask):
     return -float(poisson_log_pmf(x, row_mean[rows]).mean())
 
 
-def _top_m_columns(weights, top_m):
-    """Indices of the top_m largest weights, ties broken by ascending column."""
-    w = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((np.arange(w.shape[0]), -w))
-    return order[:top_m]
+def _at_least_one(name, value):
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1")
+
+
+def _top_columns(b_mean, top_m, live):
+    """(k, the indices of its top_m largest weights) for each live feature
+    with a positive weight; ties go to the lower column."""
+    if b_mean.ndim != 2:
+        raise DomainError("expected a feature-by-column weight matrix")
+    _at_least_one("top_m", top_m)
+    live = np.ones(b_mean.shape[0], dtype=bool) if live is None else np.asarray(live, dtype=bool)
+    cols = np.arange(b_mean.shape[1])
+    keep = live & np.any(b_mean > 0, axis=1)
+    return [(int(k), np.lexsort((cols, -b_mean[k]))[:top_m]) for k in np.flatnonzero(keep)]
 
 
 def umass_coherence(b_mean, data, top_m=10, live=None):
@@ -90,20 +100,11 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     count D(v_l) is zero are skipped.  Closer to zero is better.
     """
     b_mean = np.asarray(b_mean, dtype=np.float64)
-    if b_mean.ndim != 2:
-        raise DomainError("expected a feature-by-column weight matrix")
-    if top_m < 1:
-        raise DomainError("top_m must be at least 1")
-    if live is None:
-        live = np.ones(b_mean.shape[0], dtype=bool)
-    live = np.asarray(live, dtype=bool)
+    top = _top_columns(b_mean, top_m, live)
     doc = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
     all_rows = np.arange(data.n_rows)[:, None]
     scores = []
-    for k in range(b_mean.shape[0]):
-        if not live[k] or not np.any(b_mean[k] > 0):
-            continue
-        cols = _top_m_columns(b_mean[k], top_m)
+    for _, cols in top:
         # co[i, j]: rows with a count in both top columns i and j
         present = (data.counts_at(all_rows, cols[None, :]) > 0).astype(np.float64)
         co = present.T @ present
@@ -128,8 +129,7 @@ def _replicate_qq(data, n_draws, rng, cell_probs):
     probabilities and draws one uniform per cell; the uniform and hit
     buffers are reused across replicates.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be at least 1")
+    _at_least_one("n_draws", n_draws)
     empirical = np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
     acc = np.zeros_like(empirical)
     shape = (data.n_rows, data.n_cols)
@@ -251,20 +251,11 @@ def top_features(b_mean, col_labels, top_m, live=None):
     tuples.
     """
     b_mean = np.asarray(b_mean, dtype=np.float64)
-    if top_m < 1:
-        raise DomainError("top_m must be at least 1")
+    top = _top_columns(b_mean, top_m, live)
     col_labels = tuple(col_labels)
     if len(col_labels) != b_mean.shape[1]:
         raise DomainError("label count disagrees with the weight matrix width")
-    if live is None:
-        live = np.ones(b_mean.shape[0], dtype=bool)
-    out = []
-    for k in range(b_mean.shape[0]):
-        if not live[k] or not np.any(b_mean[k] > 0):
-            continue
-        cols = _top_m_columns(b_mean[k], top_m)
-        out.append((k, tuple((col_labels[d], float(b_mean[k, d])) for d in cols)))
-    return out
+    return [(k, tuple((col_labels[d], float(b_mean[k, d])) for d in cols)) for k, cols in top]
 
 
 def feature_line(pairs):
@@ -372,17 +363,20 @@ class EvalReport:
 def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
     """Fit one chain per fold mask and aggregate the evaluation metrics.
 
-    Fold i runs with seed <base seed + i>.  qq tables come from the first
-    fold's summary over the full matrix; feature matches compare each fold's
-    live top-column sets to fold 0's.
+    Fold i runs with seed (base seed + i) mod 2**64, which its fold record
+    stores.  qq tables come from the first fold's summary over the full
+    matrix; feature matches compare each fold's live top-column sets to
+    fold 0's.  top_m and qq_draws are checked before the first chain runs.
     """
     if not masks:
         raise DomainError("need at least one fold mask")
+    _at_least_one("top_m", top_m)
+    _at_least_one("n_draws", qq_draws)
     folds = []
     top_sets = []
     first_summary = None
     for i, mask in enumerate(masks):
-        hp = config.hyper.replace(seed=config.hyper.seed + i)
+        hp = config.hyper.replace(seed=(config.hyper.seed + i) % 2**64)
         cfg = replace(config, hyper=hp, checkpoint_path=None, checkpoint_interval=0)
         summary = run_chain(data, mask, cfg)
         if first_summary is None:

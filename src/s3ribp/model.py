@@ -540,21 +540,28 @@ def negbin_row_sum_log_pmf(r, p, k_max):
 # revealed-comparative-advantage preprocessing
 
 
-def rca_index(raw):
+def rca_index(raw, row_labels=None, col_labels=None):
     """Balassa index: (cell share of its row) / (column share of the total).
 
     Rows and columns must all have positive mass, otherwise the index is
-    undefined for them.
+    undefined for them; the error names the first such row or column by its
+    label (r0, r1, ... and c0, c1, ... when no labels are given).
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise DomainError("expected a 2-d array")
+    if row_labels is not None:
+        row_labels = _check_labels(row_labels, raw.shape[0], "row")
+    if col_labels is not None:
+        col_labels = _check_labels(col_labels, raw.shape[1], "column")
     if np.any(raw < 0) or not np.all(np.isfinite(raw)):
         raise DomainError("raw values must be finite and non-negative")
     row_tot = raw.sum(axis=1)
     col_tot = raw.sum(axis=0)
-    if np.any(row_tot == 0) or np.any(col_tot == 0):
-        raise DomainError("rca_index requires positive row and column totals")
+    for kind, tot, labels in (("row", row_tot, row_labels), ("column", col_tot, col_labels)):
+        for i in np.flatnonzero(tot == 0):
+            label = f"{kind[0]}{i}" if labels is None else labels[i]
+            raise DomainError(f"{kind} {label!r} has zero total; its shares are undefined")
     total = raw.sum()
     share = raw / row_tot[:, None]
     world = col_tot / total
@@ -565,32 +572,11 @@ def rca_transform(raw, mode="round", row_labels=None, col_labels=None):
     """Discretize the Balassa index of a raw non-negative matrix into counts.
 
     mode="round" rounds the index to the nearest integer; mode="binary"
-    thresholds at 1.  All-zero rows or columns are rejected with the
-    offending label named.
+    thresholds at 1.  rca_index checks the values and labels, and names an
+    all-zero row or column by its label.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2:
-        raise DomainError("expected a 2-d array")
-    n, d = raw.shape
-    if row_labels is None:
-        row_labels = tuple(f"r{i}" for i in range(n))
-    if col_labels is None:
-        col_labels = tuple(f"c{j}" for j in range(d))
-    row_labels = _check_labels(row_labels, n, "row")
-    col_labels = _check_labels(col_labels, d, "column")
-    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-        raise DomainError("raw values must be finite and non-negative")
-    row_tot = raw.sum(axis=1)
-    col_tot = raw.sum(axis=0)
-    for i in np.flatnonzero(row_tot == 0):
-        raise DomainError(f"row {row_labels[i]!r} has zero total; its shares are undefined")
-    for j in np.flatnonzero(col_tot == 0):
-        raise DomainError(f"column {col_labels[j]!r} has zero total; its shares are undefined")
-    rca = rca_index(raw)
-    if mode == "round":
-        counts = np.rint(rca).astype(np.int64)
-    elif mode == "binary":
-        counts = (rca >= 1.0).astype(np.int64)
-    else:
+    if mode not in ("round", "binary"):
         raise DomainError(f"unknown rca mode {mode!r} (expected 'round' or 'binary')")
+    rca = rca_index(raw, row_labels, col_labels)
+    counts = (np.rint(rca) if mode == "round" else rca >= 1.0).astype(np.int64)
     return CountMatrix.from_dense(counts, row_labels, col_labels)

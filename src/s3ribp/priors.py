@@ -84,31 +84,42 @@ class BinaryFeatureMatrix:
         return self.z.sum(axis=1, dtype=np.int64)
 
 
-def _grow(rows, k_total):
-    out = np.zeros((len(rows), k_total), dtype=np.int8)
+def _check_weight_law(alpha, c, sigma):
+    """The (alpha, c, sigma) every member of the family needs: alpha > 0,
+    sigma in [0, 1), c > -sigma."""
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 <= sigma < 1.0:
+        raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
+    if not c > -sigma:
+        raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
+
+
+def _buffet(n_rows, rng, take_prob, new_rate):
+    """Row n takes each existing dish k w.p. take_prob(m, n), m the taker
+    counts, then opens Poisson(new_rate(n)) new dishes."""
+    if n_rows < 1:
+        raise DomainError("need at least one row")
+    m = np.zeros(0, dtype=np.int64)
+    rows = []
+    for n in range(1, n_rows + 1):
+        k = m.shape[0]
+        take = np.flatnonzero(rng.random(k) < take_prob(m, n))
+        new = int(rng.poisson(new_rate(n)))
+        m[take] += 1
+        m = np.concatenate([m, np.ones(new, dtype=np.int64)])
+        rows.append(np.concatenate([take, np.arange(k, k + new)]))
+    z = np.zeros((n_rows, m.shape[0]), dtype=np.int8)
     for i, idx in enumerate(rows):
-        out[i, idx] = 1
-    return out
+        z[i, idx] = 1
+    return BinaryFeatureMatrix(z)
 
 
 def sample_ibp(alpha, n_rows, rng):
     """Culinary-process draw: row n takes dish k w.p. m_k/n, then opens
     Poisson(alpha/n) new dishes."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if n_rows < 1:
-        raise DomainError("need at least one row")
-    m = np.zeros(0, dtype=np.int64)
-    rows = []
-    k = 0
-    for n in range(1, n_rows + 1):
-        take = np.flatnonzero(rng.random(k) < m / n)
-        new = int(rng.poisson(alpha / n))
-        m[take] += 1
-        m = np.concatenate([m, np.ones(new, dtype=np.int64)])
-        rows.append(np.concatenate([take, np.arange(k, k + new)]))
-        k += new
-    return BinaryFeatureMatrix(_grow(rows, k))
+    _check_weight_law(alpha, 1.0, 0.0)
+    return _buffet(n_rows, rng, lambda m, n: m / n, lambda n: alpha / n)
 
 
 def new_dish_rate(alpha, c, sigma, n):
@@ -124,25 +135,10 @@ def sample_3p_ibp(alpha, c, sigma, n_rows, rng):
     Poisson(new_dish_rate) fresh ones.  c = 1, sigma = 0 recovers the
     classic process exactly.
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= sigma < 1.0:
-        raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
-    if not c > -sigma:
-        raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
-    if n_rows < 1:
-        raise DomainError("need at least one row")
-    m = np.zeros(0, dtype=np.int64)
-    rows = []
-    k = 0
-    for n in range(1, n_rows + 1):
-        take = np.flatnonzero(rng.random(k) < (m - sigma) / (n - 1.0 + c))
-        new = int(rng.poisson(new_dish_rate(alpha, c, sigma, n)))
-        m[take] += 1
-        m = np.concatenate([m, np.ones(new, dtype=np.int64)])
-        rows.append(np.concatenate([take, np.arange(k, k + new)]))
-        k += new
-    return BinaryFeatureMatrix(_grow(rows, k))
+    _check_weight_law(alpha, c, sigma)
+    return _buffet(
+        n_rows, rng, lambda m, n: (m - sigma) / (n - 1.0 + c), lambda n: new_dish_rate(alpha, c, sigma, n)
+    )
 
 
 def atom_log_prior(p, alpha, c, sigma, k_max):
@@ -189,12 +185,7 @@ def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
     c + sigma >= 1, grid inverse CDF otherwise); sigma = 0 draws from
     Beta(alpha c / k_max, c) conditioned on the same support.
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= sigma < 1.0:
-        raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
-    if not c > -sigma:
-        raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
+    _check_weight_law(alpha, c, sigma)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     if not 0.0 < eps_trunc < 1.0:
@@ -230,14 +221,13 @@ def sample_3r_ibp(hp, n_rows, rng, alpha=None):
     a negative binomial draw clamped to k_max (with a logged warning when
     clamping bites); the row itself is conditional Bernoulli given its
     count.  Unused atoms are dropped so the result has no empty columns.
-    ``alpha`` pins the mass parameter instead of drawing it from its prior.
+    ``alpha`` pins the mass parameter instead of drawing it from its prior;
+    sample_pi_truncated checks it before any draw.
     """
     if n_rows < 1:
         raise DomainError("need at least one row")
     if alpha is None:
         alpha = rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale)
-    elif not alpha > 0:
-        raise DomainError("alpha must be positive")
     pi = sample_pi_truncated(alpha, hp.c, hp.sigma, hp.k_max, hp.eps_trunc, rng)
     sums = rng.negative_binomial(hp.nb_r, hp.nb_p, size=n_rows)
     clamped = int(np.sum(sums > hp.k_max))

@@ -460,6 +460,13 @@ class TestEvaluateFolds:
         assert "nan" not in text.lower()
         assert f"1 held-out cells with zero probability, finite cells {finite_mean:.4f}" in text
 
+    def test_fold_seeds_wrap_at_64_bits(self, rng):
+        data = CountMatrix.from_dense(rng.poisson(2.0, size=(6, 4)) + 1)
+        masks = make_splits(data, 0.2, 2, seed=0)
+        hp = tiny_hyper(seed=2**64 - 1, burn_in=4, n_samples=2)
+        report = evaluate_folds(data, masks, ChainConfig(hyper=hp), top_m=2, qq_draws=2)
+        assert [f["seed"] for f in report.folds] == [2**64 - 1, 0]
+
     def test_needs_masks(self, rng):
         data = CountMatrix.from_dense(rng.poisson(1.0, size=(4, 3)))
         with pytest.raises(DomainError):

@@ -938,6 +938,26 @@ class TestCliRunConfig:
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("eval", ["--draws", "0"]),
+            ("eval", ["--top-m", "0"]),
+            ("eval", ["--holdout", "0.999"]),
+            ("meta", ["--top-m", "0"]),
+        ],
+        ids=["eval-draws", "eval-top-m", "eval-holdout", "meta-top-m"],
+    )
+    def test_bad_option_fits_no_chain_and_leaves_no_out_dir(
+        self, command_runs, tmp_path, capsys, monkeypatch, command, bad
+    ):
+        _, argv = command_runs
+        monkeypatch.setattr(s3ribp.evaluate, "run_chain", lambda *a, **k: pytest.fail("a chain ran before the check"))
+        out = tmp_path / "o"
+        assert cli_dispatch([command, *argv[command], *bad, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "DomainError"
+        assert not out.exists()
+
 
 def test_package_exports_every_module_name():
     # cli is the command-line entry point and container the byte layer under

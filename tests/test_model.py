@@ -492,6 +492,12 @@ class TestRCA:
         with pytest.raises(DomainError, match="c1"):
             rca_transform(raw, mode="binary")
 
+    def test_index_names_the_zero_total_label(self):
+        with pytest.raises(DomainError, match="row 'r1' has zero total"):
+            rca_index(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DomainError, match="column 'oil' has zero total"):
+            rca_index(np.array([[1.0, 0.0]]), row_labels=("fr",), col_labels=("wine", "oil"))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError, match="mode"):
             rca_transform(np.ones((2, 2)), mode="sqrt")
