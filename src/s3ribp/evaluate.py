@@ -151,8 +151,14 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     Poisson(Z B) at randomly chosen retained samples, the same sorted vector.
     A replicate cell is non-zero with probability 1 - exp(-lam), so each
     replicate draws one integer for its sample, then one uniform per cell
-    instead of a Poisson count.
+    instead of a Poisson count.  A summary fitted on a matrix of another
+    shape is a DomainError.
     """
+    fitted = (summary.z_samples.shape[1], summary.b_samples.shape[2])
+    if fitted != (data.n_rows, data.n_cols):
+        raise DomainError(
+            f"posterior was fitted on a {fitted[0]}x{fitted[1]} matrix, but the data is {data.n_rows}x{data.n_cols}"
+        )
     s_total = summary.n_samples
     p_nonzero = np.empty((data.n_rows, data.n_cols))
 

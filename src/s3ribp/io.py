@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -41,12 +42,6 @@ _FORMATS = ("auto", "dense", "triplet")
 _SUMMARY_SCHEMA = 2
 
 
-def _split_line(line):
-    if "\t" in line:
-        return [c.strip() for c in line.split("\t")]
-    return [c.strip() for c in line.split(",")]
-
-
 def _parse_count(text, lineno, allow_float=False):
     try:
         val = float(text)
@@ -61,13 +56,63 @@ def _parse_count(text, lineno, allow_float=False):
     return val
 
 
-def _read_rows(path):
-    """The file's non-blank lines as (line number, cells) pairs."""
+def _parse_counts(cells, line_of, allow_float=False):
+    """``_parse_count`` over a list of cells, as one float64 array.
+
+    The cells are converted in one bulk call and checked as arrays.  Only
+    when that fails are they walked one by one, stripped, through
+    ``_parse_count``, so the ParseError names the first bad cell in file
+    order, on line ``line_of(i)``.  The walk also reads a number that
+    ``float`` takes only once stripped (around it, the ASCII separators
+    0x1c-0x1f, which ``str.strip`` removes and ``float`` refuses).
+    """
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        pass
+    else:
+        bad = ~np.isfinite(values) | (values < 0)
+        if not allow_float:
+            bad |= values != np.floor(values)
+        if not bad.any():
+            return values
+    return np.array([_parse_count(c.strip(), line_of(i), allow_float) for i, c in enumerate(cells)])
+
+
+def _read_lines(path):
+    """The file's non-blank lines, with every line's cells separated by
+    tabs, their line numbers, and their numbers of fields (an int array).
+
+    A line with a tab splits on tabs, one without on commas, so the commas
+    of a line with no tab become tabs.  Cells are not stripped: ``float``
+    ignores the whitespace around a number, and the readers strip the
+    labels they keep.  The readers split many lines at once, by joining
+    them, so no list per line outlives its use and keeps the garbage
+    collector busy.
+    """
     with open(path, encoding="utf-8") as fh:
-        rows = [(no, _split_line(ln.rstrip("\n"))) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not rows:
+        text = fh.read()
+    lines = text.split("\n")
+    nonblank = list(map(str.strip, lines))
+    linenos, lines = list(compress(range(1, len(lines) + 1), nonblank)), list(compress(lines, nonblank))
+    if not lines:
         raise ParseError("file is empty", line=1)
-    return rows
+    if "," in text:
+        lines = [ln if "\t" in ln else ln.replace(",", "\t") for ln in lines]
+    fields = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
+    return lines, linenos, fields
+
+
+def _split_all(lines):
+    """The cells of ``lines``, all lines' in one list."""
+    return "\t".join(lines).split("\t")
+
+
+def _first_ragged(fields, width, start=0):
+    """The index of the first line from ``start`` on without ``width``
+    fields, or the number of lines."""
+    off = np.flatnonzero(fields[start:] != width)
+    return start + int(off[0]) if off.size else len(fields)
 
 
 def _is_number(text):
@@ -78,89 +123,101 @@ def _is_number(text):
     return True
 
 
-def _looks_like_triplet(rows):
+def _looks_like_triplet(lines, fields):
     # A dense header starts with an empty corner cell; a 3-field file whose
     # corner is non-empty is read as a triplet file.  Two-column dense files
     # with a non-empty corner label are ambiguous: pass fmt="dense".
-    if rows[0][1][0] == "":
+    if not lines[0].split("\t", 1)[0].strip():
         return False
-    return all(len(cells) == 3 for _, cells in rows)
+    return bool(np.all(fields == 3))
 
 
-def _read_dense(rows, allow_float):
-    """(values, row labels, column labels) of a dense file's rows; labels
+def _read_dense(lines, linenos, fields, allow_float):
+    """(values, row labels, column labels) of a dense file's lines; labels
     must be unique, values non-negative (and integers unless allow_float)."""
-    header_no, header = rows[0]
-    col_labels = tuple(header[1:])
+    col_labels = tuple(c.strip() for c in lines[0].split("\t")[1:])
     if not col_labels:
-        raise ParseError("dense header has no column labels", line=header_no)
+        raise ParseError("dense header has no column labels", line=linenos[0])
     seen_cols = set()
     for lab in col_labels:
         if lab in seen_cols:
-            raise ParseError(f"duplicate column label {lab!r}", line=header_no)
+            raise ParseError(f"duplicate column label {lab!r}", line=linenos[0])
         seen_cols.add(lab)
-    row_labels, values = [], []
-    seen_rows = set()
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(col_labels) + 1:
-            raise ParseError(f"expected {len(col_labels) + 1} fields, got {len(cells)}", line=lineno)
-        lab = cells[0]
+    width = len(col_labels) + 1
+    ragged = _first_ragged(fields, width, start=1)
+    row_labels, seen_rows, fault = [], set(), None
+    for i in range(1, ragged):
+        lab = lines[i][: lines[i].index("\t")].strip()
         if lab in seen_rows:
-            raise ParseError(f"duplicate row label {lab!r}", line=lineno)
+            fault = ParseError(f"duplicate row label {lab!r}", line=linenos[i])
+            break
         seen_rows.add(lab)
         row_labels.append(lab)
-        values.append([_parse_count(c, lineno, allow_float) for c in cells[1:]])
+    if fault is None and ragged < len(lines):
+        fault = ParseError(f"expected {width} fields, got {fields[ragged]}", line=linenos[ragged])
+    values = _split_all(lines[1 : 1 + len(row_labels)])
+    del values[::width]  # the row labels
+    # a bad value on a line before the fault is reported first
+    values = _parse_counts(values, lambda i: linenos[1 + i // len(col_labels)], allow_float)
+    if fault is not None:
+        raise fault
     if not row_labels:
-        raise ParseError("dense file has no data rows", line=header_no)
-    return np.asarray(values, dtype=np.float64), tuple(row_labels), col_labels
+        raise ParseError("dense file has no data rows", line=linenos[0])
+    return values.reshape(len(row_labels), len(col_labels)), tuple(row_labels), col_labels
 
 
-def _load_triplet(rows):
-    first_no, first = rows[0]
-    if len(first) != 3:
-        raise ParseError(f"expected 3 fields, got {len(first)}", line=first_no)
+def _first_seen_index(labels):
+    """Each stripped label's index among the distinct labels in first-seen
+    order, and those labels."""
+    labels = list(map(str.strip, labels))
+    order = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+    return np.fromiter(map(order.__getitem__, labels), np.int64, len(labels)), tuple(order)
+
+
+def _load_triplet(lines, linenos, fields):
+    if fields[0] != 3:
+        raise ParseError(f"expected 3 fields, got {fields[0]}", line=linenos[0])
     # A non-numeric count field marks a header line; a numeric-but-invalid
     # one (negative, fractional) is data and fails loudly below.
-    start = 0 if _is_number(first[2]) else 1
-    row_index, col_index = {}, {}
-    lines = rows[start:]
-    idx, counts = [], []
-    for lineno, cells in lines:
-        if len(cells) != 3:
-            raise ParseError(f"expected 3 fields, got {len(cells)}", line=lineno)
-        r, c, v = cells
-        counts.append(_parse_count(v, lineno))
-        idx.append((row_index.setdefault(r, len(row_index)), col_index.setdefault(c, len(col_index))))
+    start = 0 if _is_number(lines[0].rsplit("\t", 1)[1].strip()) else 1
+    lines, linenos, fields = lines[start:], linenos[start:], fields[start:]
     if not lines:
         raise ParseError("triplet file has no data rows", line=1)
-    idx = np.asarray(idx, dtype=np.int64)
-    flat = idx[:, 0] * len(col_index) + idx[:, 1]
+    ragged = _first_ragged(fields, 3)
+    cells = _split_all(lines[:ragged])
+    # a bad count on a line before a ragged one is reported first
+    counts = _parse_counts(cells[2::3], linenos.__getitem__)
+    if ragged < len(lines):
+        raise ParseError(f"expected 3 fields, got {fields[ragged]}", line=linenos[ragged])
+    (rows_i, row_labels), (cols_i, col_labels) = (_first_seen_index(cells[j::3]) for j in (0, 1))
+    flat = rows_i * len(col_labels) + cols_i
     uniq, first = np.unique(flat, return_index=True)
     if uniq.size < flat.size:
         i = int(np.setdiff1d(np.arange(flat.size), first)[0])  # the earliest repeat
-        lineno, (r, c, _) = lines[i]
-        seen = lines[first[np.searchsorted(uniq, flat[i])]][0]
-        raise ParseError(f"duplicate cell ({r!r}, {c!r}); first seen on line {seen}", line=lineno)
-    return CountMatrix(len(row_index), len(col_index), idx[:, 0], idx[:, 1], counts, tuple(row_index), tuple(col_index))
+        seen = linenos[first[np.searchsorted(uniq, flat[i])]]
+        r, c = row_labels[rows_i[i]], col_labels[cols_i[i]]
+        raise ParseError(f"duplicate cell ({r!r}, {c!r}); first seen on line {seen}", line=linenos[i])
+    return CountMatrix(len(row_labels), len(col_labels), rows_i, cols_i, counts, row_labels, col_labels)
 
 
 def _read_as(path, fmt):
-    """The file's rows and its format, ``auto`` resolved by ``_looks_like_triplet``."""
+    """The file's ``_read_lines`` and its format, ``auto`` resolved by
+    ``_looks_like_triplet``."""
     if fmt not in _FORMATS:
         raise DomainError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
-    rows = _read_rows(path)
+    lines = _read_lines(path)
     if fmt == "auto":
-        fmt = "triplet" if _looks_like_triplet(rows) else "dense"
-    return rows, fmt
+        fmt = "triplet" if _looks_like_triplet(lines[0], lines[2]) else "dense"
+    return lines, fmt
 
 
 def load_counts(path, fmt="auto"):
     """Parse a count file into a CountMatrix, logging its sparsity profile."""
-    rows, fmt = _read_as(path, fmt)
+    lines, fmt = _read_as(path, fmt)
     if fmt == "triplet":
-        data = _load_triplet(rows)
+        data = _load_triplet(*lines)
     else:
-        data = CountMatrix.from_dense(*_read_dense(rows, allow_float=False))
+        data = CountMatrix.from_dense(*_read_dense(*lines, allow_float=False))
     log.info(
         "loaded %dx%d counts from %s: %d non-zeros, density %.3f, zero share %.3f",
         data.n_rows,
@@ -182,10 +239,10 @@ def load_raw_matrix(path, fmt="auto"):
     DomainError.  Labels must be unique, as in ``load_counts``.  Returns
     (values array, row labels, column labels).
     """
-    rows, fmt = _read_as(path, fmt)
+    lines, fmt = _read_as(path, fmt)
     if fmt == "triplet":
         raise DomainError(f"rca preprocessing reads a dense file of raw values, but {path} is read as triplet format")
-    return _read_dense(rows, allow_float=True)
+    return _read_dense(*lines, allow_float=True)
 
 
 def save_counts(data, path, fmt="dense"):

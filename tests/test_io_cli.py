@@ -39,6 +39,7 @@ from s3ribp.container import (
     read_records,
     write_records,
 )
+from s3ribp.io import _parse_count
 
 from conftest import cells
 from test_mcmc import tiny_data, tiny_hyper
@@ -337,6 +338,190 @@ class TestLoadRawMatrix:
                 np.array([[0.0, 0.0], [1.0, 2.0]]),
                 row_labels=("empty", "full"),
             )
+
+
+def line_rows(path):
+    """The file's non-blank lines as (line number, stripped cells): the
+    line-by-line reader that the bulk readers replaced, kept as an oracle."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ParseError("file is empty", line=1)
+    return [(no, [c.strip() for c in ln.split("\t" if "\t" in ln else ",")]) for no, ln in lines]
+
+
+def line_dense(rows, allow_float):
+    header_no, header = rows[0]
+    col_labels = tuple(header[1:])
+    if not col_labels:
+        raise ParseError("dense header has no column labels", line=header_no)
+    for i, lab in enumerate(col_labels):
+        if lab in col_labels[:i]:
+            raise ParseError(f"duplicate column label {lab!r}", line=header_no)
+    row_labels, values = [], []
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(col_labels) + 1:
+            raise ParseError(f"expected {len(col_labels) + 1} fields, got {len(cells)}", line=lineno)
+        if cells[0] in row_labels:
+            raise ParseError(f"duplicate row label {cells[0]!r}", line=lineno)
+        row_labels.append(cells[0])
+        values.append([_parse_count(c, lineno, allow_float) for c in cells[1:]])
+    if not row_labels:
+        raise ParseError("dense file has no data rows", line=header_no)
+    return np.asarray(values, dtype=np.float64), tuple(row_labels), col_labels
+
+
+def line_triplet(rows):
+    first_no, first = rows[0]
+    if len(first) != 3:
+        raise ParseError(f"expected 3 fields, got {len(first)}", line=first_no)
+    try:
+        float(first[2])
+        lines = rows
+    except ValueError:
+        lines = rows[1:]
+    row_index, col_index, seen = {}, {}, {}
+    rows_i, cols_i, counts = [], [], []
+    for lineno, cells in lines:
+        if len(cells) != 3:
+            raise ParseError(f"expected 3 fields, got {len(cells)}", line=lineno)
+        r, c, v = cells
+        counts.append(_parse_count(v, lineno))
+        rows_i.append(row_index.setdefault(r, len(row_index)))
+        cols_i.append(col_index.setdefault(c, len(col_index)))
+    if not lines:
+        raise ParseError("triplet file has no data rows", line=1)
+    for (lineno, (r, c, _)), cell in zip(lines, zip(rows_i, cols_i)):
+        if cell in seen:
+            raise ParseError(f"duplicate cell ({r!r}, {c!r}); first seen on line {seen[cell]}", line=lineno)
+        seen[cell] = lineno
+    return CountMatrix(len(row_index), len(col_index), rows_i, cols_i, counts, tuple(row_index), tuple(col_index))
+
+
+def line_read(path, fmt, raw=False):
+    """``load_raw_matrix`` (raw) or ``load_counts``, read line by line."""
+    rows = line_rows(path)
+    if fmt == "auto":
+        fmt = "triplet" if rows[0][1][0] != "" and all(len(c) == 3 for _, c in rows) else "dense"
+    if raw:
+        if fmt == "triplet":
+            raise DomainError(f"rca preprocessing reads a dense file of raw values, but {path} is read as triplet "
+                              "format")
+        return line_dense(rows, allow_float=True)
+    return line_triplet(rows) if fmt == "triplet" else CountMatrix.from_dense(*line_dense(rows, allow_float=False))
+
+
+def random_count_file(rng, kind, faults=0):
+    """The text of a random dense, raw or triplet file, with ``faults``
+    random defects; tab or comma cells padded with spaces, LF, CRLF or CR
+    line ends, and blank lines."""
+    n, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    x = rng.integers(0, 5, size=(n, d)) * (rng.random((n, d)) < 0.6)
+    if kind == "raw":
+        cell = [[repr(float(v)) for v in row] for row in rng.lognormal(0.0, 3.0, size=(n, d)) * (x > 0)]
+    else:
+        cell = x.astype(str).tolist()
+    if kind == "triplet":
+        lines = [[f"r{i}", f"c{j}", cell[i][j]] for i, j in zip(*np.nonzero(x | (rng.random((n, d)) < 0.2)))]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        if not lines or rng.random() < 0.5:
+            lines.insert(0, ["row", "col", "count"])
+    else:
+        lines = [[""] + [f"c{j}" for j in range(d)]] + [[f"r{i}"] + cell[i] for i in range(n)]
+    for _ in range(faults):
+        line, other = (lines[int(i)] for i in rng.integers(len(lines), size=2))
+        at = int(rng.integers(max(len(line), 1)))
+        fault = int(rng.integers(4))
+        if fault == 0 and line:
+            line[at] = str(rng.choice(["x", "", "-1", "1.5", "nan", "inf", "1e400", "-0", "1_0"]))
+        elif fault == 1 and line:
+            del line[at]
+        elif fault == 2 and at < min(2, len(line), len(other)):
+            line[at] = other[at]  # a repeated label, or a repeated triplet cell
+        elif fault == 3:
+            lines.insert(int(rng.integers(len(lines) + 1)), list(line))
+    delim, other_delim = ("\t", ",") if rng.random() < 0.5 else (",", "\t")
+    # str.strip removes every pad; float alone refuses the separator \x1f
+    pads = ["", "", " ", "  ", "\xa0"] + ["\x1f"] * (rng.random() < 0.2)
+
+    def pad(cell):
+        return pads[rng.integers(len(pads))] + cell + pads[rng.integers(len(pads))]
+
+    text = [(delim if rng.random() < 0.9 else other_delim).join(map(pad, line)) for line in lines]
+    for _ in range(int(rng.integers(3))):
+        text.insert(int(rng.integers(len(text) + 1)), str(rng.choice(["", " ", " \t "])))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    return end.join(text) + (end if rng.random() < 0.8 else "")
+
+
+def outcome(read, *args):
+    """("ok", what ``read(*args)`` returns), or the name of the error it
+    raises with its text and line number."""
+    try:
+        return "ok", read(*args)
+    except (ParseError, DomainError) as err:
+        return type(err).__name__, (str(err), getattr(err, "line", None))
+
+
+class TestBulkReadersAgainstLineReader:
+    """The bulk readers return what the line-by-line reader returned, and
+    raise the same error, text and line number, on every defect."""
+
+    @pytest.mark.parametrize("faults", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["dense", "raw", "triplet"])
+    def test_random_files(self, tmp_path, kind, faults):
+        rng = np.random.default_rng([7, faults, len(kind)])
+        raw, seen = kind == "raw", set()
+        for i in range(150):
+            path = tmp_path / f"{i}.txt"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(random_count_file(rng, kind, faults))
+            for fmt in ("auto", "triplet" if kind == "triplet" else "dense"):
+                got = outcome(load_raw_matrix if raw else load_counts, path, fmt)
+                want = outcome(line_read, path, fmt, raw)
+                assert got[0] == want[0], (got, want)
+                seen.add(want[0])
+                if want[0] != "ok":
+                    assert got == want
+                elif raw:
+                    assert got[1][0].dtype == want[1][0].dtype == np.float64
+                    np.testing.assert_array_equal(got[1][0], want[1][0])
+                    assert got[1][1:] == want[1][1:]
+                else:
+                    assert cells(got[1]) == cells(want[1])
+                    assert (got[1].row_labels, got[1].col_labels) == (want[1].row_labels, want[1].col_labels)
+                    assert got[1].digest() == want[1].digest()
+        assert ("ParseError" if faults else "ok") in seen
+
+    def test_full_precision_floats(self, tmp_path, rng):
+        values = rng.lognormal(0.0, 5.0, size=(4, 6)) * (rng.random((4, 6)) < 0.7)
+        lines = ["\t" + "\t".join(f"c{j}" for j in range(6))]
+        lines += [f"r{i}\t" + "\t".join(f" {v!r} " for v in row) for i, row in enumerate(values.tolist())]
+        path = write_file(tmp_path / "raw.tsv", "\r\n".join(lines) + "\r\n")
+        got, row_labels, col_labels = load_raw_matrix(path)
+        np.testing.assert_array_equal(got, values)
+        assert row_labels == tuple(f"r{i}" for i in range(4))
+        assert col_labels == tuple(f"c{j}" for j in range(6))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("\tc0\tc1\nr0\t1\t2\nr1\t-1\nr1\t2\t2\n", 3, "expected 3 fields"),
+            ("\tc0\tc1\nr0\t1\tx\nr1\t-1\nr1\t2\t2\n", 2, "'x' is not a number"),
+            ("\tc0\tc1\nr0\t1\t2\nr0\t1.5\t2\n", 3, "duplicate row label"),
+            ("\tc0\tc1\nr0\t1\t2\nr1\t1.5\t2\nr1\t1\t2\n", 3, "count '1.5' is not an integer"),
+            ("a\tx\t1\nb\ty\t-2\nc\tz\n", 2, "count '-2' is negative"),
+            ("a\tx\t1\nb\ty\nc\tz\tq\n", 2, "expected 3 fields"),
+            ("a\tx\t1\nb\tx\t  inf \na\tx\t1\n", 2, "'inf' is not finite"),
+        ],
+    )
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, text, line, message):
+        path = write_file(tmp_path / "m.tsv", text)
+        with pytest.raises(ParseError, match=message) as err:
+            load_counts(path, "triplet" if text.startswith("a") else "dense")
+        assert err.value.line == line
+        want = outcome(line_read, path, "triplet" if text.startswith("a") else "dense")
+        assert want == ("ParseError", (str(err.value), line))
 
 
 class TestMakeSplits:
@@ -936,6 +1121,16 @@ class TestCliRunConfig:
         # argparse keeps the last value of a repeated flag
         assert cli_dispatch([command, *argv[command], *bad, "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert not out.exists()
+
+    def test_qq_refuses_a_posterior_of_another_shape(self, command_runs, tmp_path, capsys):
+        _, argv = command_runs
+        other = write_file(tmp_path / "other.tsv", "\tc0\tc1\nr0\t1\t2\nr1\t0\t3\n")
+        out = tmp_path / "o"
+        assert cli_dispatch(["qq", *argv["qq"], "--data", other, "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+        assert "fitted on a 12x6 matrix, but the data is 2x2" in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

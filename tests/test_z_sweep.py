@@ -16,7 +16,7 @@ import pytest
 from scipy.special import expit
 
 from s3ribp import InvariantError, ObservationMask
-from s3ribp.mcmc import _B_FLOOR
+from s3ribp.mcmc import _B_FLOOR, _LOG1P_IDENTITY
 from test_mcmc import runner_at
 
 
@@ -63,8 +63,8 @@ _TINY = 0.4 * 2.0**-52
 
 def random_state(rng):
     """Counts up to 50 and K from 1 to 12, with empty and fully held-out rows,
-    rows with one active feature, and loadings floored or at the scales
-    where a leave-one-out rate rounds below zero."""
+    rows with one active feature, and loadings floored, at the scales where
+    a leave-one-out rate rounds below zero, or spread over 1e-300..1e-12."""
     n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
     k = 1 if rng.random() < 0.2 else int(rng.integers(2, 13))
     x = rng.integers(0, 51, size=(n, d)) * (rng.random((n, d)) < 0.6)
@@ -86,6 +86,10 @@ def random_state(rng):
     b[pick < 0.2] = _B_FLOOR
     b[(0.2 <= pick) & (pick < 0.35)] = 1.0
     b[(0.35 <= pick) & (pick < 0.5)] = _TINY
+    # log-uniform over 1e-300..1e-12: ratios on both sides of the 2^-54
+    # below which the sweep leaves out log1p
+    spread = (0.5 <= pick) & (pick < 0.65)
+    b[spread] = 10.0 ** rng.uniform(-300.0, -12.0, size=int(spread.sum()))
     pi = rng.uniform(1e-4, 1.0 - 1e-4, size=k)
     return x, z, b, pi, mask
 
@@ -109,7 +113,7 @@ def assert_same_sweep(runner, sweeps=2):
 
 class TestAgainstAllocatingSweep:
     def test_same_draws_from_the_same_generator_state(self, rng):
-        kinds = {"empty row": 0, "held-out row": 0, "alone": 0, "K=1": 0, "count 50": 0}
+        kinds = {"empty row": 0, "held-out row": 0, "alone": 0, "K=1": 0, "count 50": 0, "below": 0, "above": 0}
         for _ in range(240):
             x, z, b, pi, mask = random_state(rng)
             runner = runner_at(x, z, b, pi, mask=mask)
@@ -120,6 +124,11 @@ class TestAgainstAllocatingSweep:
             kinds["alone"] += int(((z.sum(axis=1) == 1) & (runner._row_counts > 0)).any())
             kinds["K=1"] += int(z.shape[1] == 1)
             kinds["count 50"] += int((x == 50).any())
+            # b_kd over row n's rate, a proxy for the sweep's ratios
+            with np.errstate(all="ignore"):
+                ratio = b[None] / (z.astype(np.float64) @ b)[:, None]
+            kinds["below"] += int(((ratio >= 2.0**-57) & (ratio < _LOG1P_IDENTITY)).any())
+            kinds["above"] += int(((ratio >= _LOG1P_IDENTITY) & (ratio < 2.0**-51)).any())
             assert_same_sweep(runner)
         assert min(kinds.values()) > 0, kinds
 
@@ -158,3 +167,13 @@ class TestAgainstAllocatingSweep:
             for _ in range(10):
                 runner.step_once()
                 assert_same_sweep(runner, sweeps=1)
+
+
+def test_log1p_is_the_identity_below_the_threshold():
+    # the sweep leaves ratios under _LOG1P_IDENTITY as they are; that gives
+    # its bits only if log1p(r) == r there, subnormals included
+    r = np.geomspace(2.0**-1074, _LOG1P_IDENTITY, 100_000, endpoint=False)
+    r = np.concatenate([r, np.nextafter(_LOG1P_IDENTITY, 0.0) * (1.0 - np.arange(1000) * 2.0**-52)])
+    assert r.min() == 2.0**-1074 and r.max() < _LOG1P_IDENTITY
+    np.testing.assert_array_equal(np.log1p(r), r)
+    np.testing.assert_array_equal(np.log1p(r[::-3]), r[::-3])
