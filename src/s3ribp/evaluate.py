@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .mcmc import _predictive_log_liks, run_chain
+from .mcmc import _check_fitted_shape, _predictive_log_liks, run_chain
 from .model import CountMatrix, ObservationMask, poisson_log_pmf
 
 __all__ = [
@@ -43,7 +43,7 @@ def _held_out_counts(data, mask):
 
 def _held_out_log_liks(summary, data, mask):
     """Predictive log likelihood of every held-out cell, -inf where its probability is zero."""
-    return _predictive_log_liks(summary, *_held_out_counts(data, mask))
+    return _predictive_log_liks(summary, *_held_out_counts(data, mask), shape=(data.n_rows, data.n_cols))
 
 
 def log_perplexity(summary, data, mask):
@@ -52,7 +52,8 @@ def log_perplexity(summary, data, mask):
     Lower is better.  The predictive is the posterior mixture across the
     summary's retained samples.  A positive held-out cell whose rate is zero
     in every retained sample (its row has no active feature in any of them)
-    has predictive probability zero, and the score is then +inf.
+    has predictive probability zero, and the score is then +inf.  A summary
+    fitted on a matrix of another shape is a DomainError.
     """
     return -float(_held_out_log_liks(summary, data, mask).mean())
 
@@ -154,11 +155,7 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     instead of a Poisson count.  A summary fitted on a matrix of another
     shape is a DomainError.
     """
-    fitted = (summary.z_samples.shape[1], summary.b_samples.shape[2])
-    if fitted != (data.n_rows, data.n_cols):
-        raise DomainError(
-            f"posterior was fitted on a {fitted[0]}x{fitted[1]} matrix, but the data is {data.n_rows}x{data.n_cols}"
-        )
+    _check_fitted_shape(summary, (data.n_rows, data.n_cols))
     s_total = summary.n_samples
     p_nonzero = np.empty((data.n_rows, data.n_cols))
 
@@ -260,7 +257,7 @@ def top_features(b_mean, col_labels, top_m, live=None):
     top = _top_columns(b_mean, top_m, live)
     col_labels = tuple(col_labels)
     if len(col_labels) != b_mean.shape[1]:
-        raise DomainError("label count disagrees with the weight matrix width")
+        raise DomainError(f"{len(col_labels)} column labels for a weight matrix {b_mean.shape[1]} columns wide")
     return [(k, tuple((col_labels[d], float(b_mean[k, d])) for d in cols)) for k, cols in top]
 
 

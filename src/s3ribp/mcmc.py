@@ -14,10 +14,13 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
    suffix table, so the full ESP recursion runs once per sweep;
 3. aux split (``_refresh_aux_internal``): every observed positive cell's
    count split across its row's active features, x'_ndk ~ Poisson(z_nk b_kd),
-   which restores Gamma conjugacy for B.  The split works on (entry, active
-   feature) pairs, so it costs entries x active features, not entries x K;
-   each unit finds its pair by a fixed-step lower bound, and the previous
-   split is freed before the next one is built;
+   which restores Gamma conjugacy for B.  Each count unit proposes a
+   feature from its column's loadings alone and keeps it iff the feature is
+   active in its row (rejection rounds on the units still pending, until a
+   round accepts fewer than half); only the units left are placed by an
+   inverse CDF over their entries' (entry, active feature) pairs, so sparse
+   loadings cost no pairs for most entries.  The split is held as one
+   feature per unit plus the (K, D) sums the B stage reads;
 4. B draw (``_update_b_internal``): the conjugate loading draw;
 5. alpha draw (``_update_alpha_internal``): the conjugate mass draw;
 6. invariant check (``_validate_internal``).
@@ -91,6 +94,10 @@ _B_FLOOR = float(np.finfo(np.float64).tiny)
 # under half an ulp, so log1p(r) rounds to r itself: the Z sweep's ratios
 # under it skip log1p, which is slow on tiny arguments.
 _LOG1P_IDENTITY = 2.0**-54
+
+# A rejection round of the aux stage that accepts fewer than this share of
+# its proposals is its last; the units it leaves go to the pair split.
+_MIN_ROUND_ACCEPT = 0.5
 
 # Held-out cells scored per pass over the retained samples: each pass holds
 # an (n_samples, chunk) array of log-likelihoods.
@@ -225,19 +232,32 @@ def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     return accepted
 
 
-def _predictive_log_liks(summary, rows, cols, x):
+def _check_fitted_shape(summary, shape):
+    """A DomainError unless the summary was fitted on a matrix of ``shape``."""
+    fitted = (summary.z_samples.shape[1], summary.b_samples.shape[2])
+    if fitted != tuple(shape):
+        raise DomainError(
+            f"posterior was fitted on a {fitted[0]}x{fitted[1]} matrix, but the data is {shape[0]}x{shape[1]}"
+        )
+
+
+def _predictive_log_liks(summary, rows, cols, x, shape=None):
     """Posterior-predictive log likelihood of each cell (rows[i], cols[i]) at count x[i].
 
     log of the average Poisson pmf across retained samples, evaluated at the
     per-sample rate Z_n . B_d; a rate of zero contributes the point mass at
     zero, so a positive count whose rate is zero in every sample scores
-    -inf.  Loops over samples, vectorised over cells in chunks.
+    -inf.  ``shape``, when given, is the shape of the data the cells come
+    from, and a summary fitted on another shape is a DomainError.  Loops
+    over samples, vectorised over cells in chunks.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     x = np.asarray(x)
     s_total = summary.n_samples
     if s_total < 1:
         raise DomainError("summary holds no retained samples")
+    if shape is not None:
+        _check_fitted_shape(summary, shape)
     if np.any((rows < 0) | (rows >= summary.z_samples.shape[1]) | (cols < 0) | (cols >= summary.b_samples.shape[2])):
         raise DomainError("a cell lies outside the summary's shape")
     out = np.empty(rows.shape[0])
@@ -258,19 +278,15 @@ def predictive_log_lik(summary, cell, x):
 
 
 class _AuxSplit(NamedTuple):
-    """One draw of the auxiliary split, held over (entry, active feature) pairs.
+    """One draw of the auxiliary split, held per count unit.
 
-    Observed entry e owns pairs ``starts[e]`` up to the next entry's start:
-    its row's active features, ascending, in ``feature``.  ``counts`` is
-    each pair's share of the entry's count, ``unit_pair`` the pair each
-    count unit went to, and ``sums[k, d]`` the mass feature k received in
-    column d, which the B stage reads.
+    The observed entries' counts are cut into units, entry by entry in
+    row-major order; ``feature[i]`` is the feature unit i went to, and
+    ``sums[k, d]`` the mass feature k received in column d, which the B
+    stage reads.
     """
 
-    starts: np.ndarray
     feature: np.ndarray
-    counts: np.ndarray
-    unit_pair: np.ndarray
     sums: np.ndarray
 
 
@@ -359,8 +375,15 @@ class ChainRunner:
         self._e_flat = self._e_rows * self._d + self._e_cols
         self._n_entries = self._e_x.shape[0]
         self._unit_entry = np.repeat(np.arange(self._n_entries), self._e_x)
-        self._unit_rows, self._unit_cols = self._e_rows[self._unit_entry], self._e_cols[self._unit_entry]
+        self._unit_cols = self._e_cols[self._unit_entry]
         self._total_units = int(self._e_x.sum())
+        self._col_totals = np.bincount(self._unit_cols, minlength=self._d)
+        # where each unit's row starts in the flat Z, and its column in the
+        # aux stage's table of cumulative loadings, rows of a power-of-two
+        # width
+        self._cum_width = 1 << (self._k - 1).bit_length()
+        self._unit_z = self._e_rows[self._unit_entry] * self._k
+        self._unit_cum = self._unit_cols * self._cum_width
         # no split until the aux stage draws one for these counts
         self._split = None
 
@@ -488,21 +511,19 @@ class ChainRunner:
             self._post_acc += n_acc
 
     def _refresh_aux_internal(self):
-        """Split every observed entry's count across its row's active features.
+        """Draw every observed count unit's feature: x'_ndk ~ Poisson(z_nk b_kd).
 
-        Unit i of entry (n, d) goes to the first active feature k, in
-        ascending order, whose cumulative rate reaches (1 - u_i) times the
-        entry's total rate: the inverse CDF of the rates z_nk b_kd, one
-        uniform per unit.  Each entry's pair rates are normalised to sum to
-        one and the running sum restarts at every entry, so its rounding
-        stays at the scale of one entry, whatever the entry's index and
-        however small its loadings (floored ones included).
-
-        The previous split is dropped before the new pair arrays are built,
-        and each index array is freed once read, so at most one split's
-        worth of pair arrays is alive.  Each unit finds its pair by a
-        fixed-step lower bound inside its entry: steps 2^j, j descending,
-        each taken while the probed cumulative rate is below the key.
+        Unit i of entry (n, d) takes feature k with probability z_nk b_kd /
+        lam_nd.  Rejection rounds draw most units off column d's own
+        loadings: a unit proposes k with probability b_kd / sum_j b_jd, by
+        one uniform and a fixed-step lower bound in the column's normalised
+        cumulative loadings, and keeps k iff z_nk = 1, which leaves exactly
+        the target law.  Each round redraws only the units still pending,
+        and a round that accepts fewer than ``_MIN_ROUND_ACCEPT`` of its
+        proposals is the last.  The units it leaves go through the inverse
+        CDF over their entries' active pairs (``_pair_split``).  Proposals
+        round at the scale of one column's loadings, pairs at the scale of
+        one entry's rates.
         """
         active = self._row_sums[self._e_rows]
         if not active.all():
@@ -511,18 +532,76 @@ class ChainRunner:
                 f"positive count with all-zero rates at cell ({self._e_rows[bad]}, {self._e_cols[bad]})"
             )
         self._split = None
+        k, width = self._k, self._cum_width
+        # column d's cumulative loadings, normalised, in row d; the last
+        # feature and the padding read +inf, so a lower bound of 2^j steps
+        # never leaves the row
+        cum = np.full((self._d, width), np.inf)
+        col_cum = np.cumsum(self._b, axis=0)
+        cum[:, : k - 1] = (col_cum[:-1] / col_cum[-1]).T
+        cum = cum.ravel()
+        z = self._z.ravel().view(bool)
+        feature = np.empty(self._total_units, dtype=np.int64)
+        pending = np.arange(self._total_units)
+        # one set of work buffers serves every round and step: fresh arrays
+        # cost page faults, most of all in a new runner's first split
+        keys, hits, incs = np.empty(pending.size), np.empty(pending.size, dtype=bool), np.empty_like(pending)
+        while pending.size:
+            n_proposed = pending.size
+            key, hit, inc = keys[:n_proposed], hits[:n_proposed], incs[:n_proposed]
+            self._rng.random(out=key)
+            np.subtract(1.0, key, out=key)
+            lo = self._unit_cum.take(pending)
+            for j in reversed(range((k - 1).bit_length())):
+                # probe lo + step - 1, read through a view that starts there
+                step = 1 << j
+                np.less(cum[step - 1 :].take(lo), key, out=hit)
+                lo += np.multiply(hit, step, out=inc)
+            lo &= width - 1
+            # a rejected proposal is overwritten by a later round or the pairs
+            feature[pending] = lo
+            lo += self._unit_z.take(pending)
+            kept = z.take(lo)
+            pending = pending[~kept]
+            if n_proposed - pending.size < _MIN_ROUND_ACCEPT * n_proposed:
+                break
+        if pending.size:
+            feature[pending] = self._pair_split(pending)
+        sums = np.bincount(feature * self._d + self._unit_cols, minlength=k * self._d)
+        self._split = _AuxSplit(feature, sums.reshape(k, self._d))
+
+    def _pair_split(self, units):
+        """Features for ``units`` (ascending unit indices) by inverse CDF over
+        their entries' (entry, active feature) pairs.
+
+        Unit i of entry (n, d) goes to the first active feature k, in
+        ascending order, whose cumulative rate reaches (1 - u_i) times the
+        entry's total rate, one uniform per unit.  Pairs are built only for
+        the entries that own one of ``units``.  Each entry's pair rates are
+        normalised to sum to one and the running sum restarts at every
+        entry, so its rounding stays at the scale of one entry, whatever
+        the entry's index and however small its loadings (floored ones
+        included).  Each unit finds its pair by a fixed-step lower bound
+        inside its entry: steps 2^j, j descending, each taken while the
+        probed cumulative rate is below the key.
+        """
+        unit_entry = self._unit_entry.take(units)
+        owns = np.bincount(unit_entry, minlength=self._n_entries).astype(bool)
+        entries = np.flatnonzero(owns)
+        # unit i's entry is entries[slot[i]]
+        slot = (np.cumsum(owns) - 1).take(unit_entry)
+        rows = self._e_rows.take(entries)
+        active = self._row_sums.take(rows)
         ends = np.cumsum(active)
         starts = ends - active
-        n_pairs = int(active.sum())
-        # pair p of entry e holds its row's active feature number p - starts[e]
+        # pair p of entry slot e holds its row's active feature number p - starts[e]
         row_starts = np.cumsum(self._row_sums) - self._row_sums
-        feats = np.flatnonzero(self._z) % self._k
-        idx = np.arange(n_pairs)
-        idx += np.repeat(row_starts[self._e_rows] - starts, active)
-        feature = feats.take(idx)
-        del idx, feats
-        flat = feature * self._d
-        flat += np.repeat(self._e_cols, active)
+        idx = np.repeat(row_starts.take(rows) - starts, active)
+        idx += np.arange(int(ends[-1]))
+        feature = (np.flatnonzero(self._z) % self._k).take(idx)
+        del idx
+        flat = np.repeat(self._e_cols.take(entries), active)
+        flat += feature * self._d
         rate = self._b.ravel().take(flat)
         del flat
         rate /= np.repeat(np.add.reduceat(rate, starts), active)
@@ -535,16 +614,20 @@ class ChainRunner:
         # its last pair takes any unit that rounding leaves above the total
         base = cum[starts] - first
         cum[ends - 1] = np.inf
-        key = base[self._unit_entry] + (1.0 - self._rng.random(self._total_units))
+        key = self._rng.random(units.size)
+        np.subtract(1.0, key, out=key)
+        key += base.take(slot)
         # per-unit lower bound: the first pair of its entry with cum >= key.
         # cum rises within an entry and is +inf at its last pair, so a probe
         # clipped to the last pair never steps past the answer
-        lo, last = starts[self._unit_entry], (ends - 1)[self._unit_entry]
-        for j in reversed(range(int(active.max(initial=1) - 1).bit_length())):
+        lo, last = starts.take(slot), (ends - 1).take(slot)
+        probe, hit = np.empty_like(lo), np.empty(lo.shape, dtype=bool)
+        for j in reversed(range(int(active.max() - 1).bit_length())):
             step = 1 << j
-            lo += (cum.take(np.minimum(lo + (step - 1), last)) < key) * step
-        sums = np.bincount(feature[lo] * self._d + self._unit_cols, minlength=self._k * self._d)
-        self._split = _AuxSplit(starts, feature, np.bincount(lo, minlength=n_pairs), lo, sums.reshape(self._k, self._d))
+            np.minimum(np.add(lo, step - 1, out=probe), last, out=probe)
+            np.less(cum.take(probe), key, out=hit)
+            lo += np.multiply(hit, step, out=probe)
+        return feature.take(lo)
 
     def _update_b_internal(self):
         z = self._z.astype(np.float64)
@@ -558,10 +641,10 @@ class ChainRunner:
     def _validate_internal(self):
         split = self._split
         if split is not None:
-            if not np.array_equal(np.add.reduceat(split.counts, split.starts), self._e_x):
-                raise InvariantError("auxiliary counts do not sum to the observed counts")
-            if not self._z.ravel().take(self._unit_rows * self._k + split.feature[split.unit_pair]).all():
+            if not self._z.ravel().take(self._unit_z + split.feature).all():
                 raise InvariantError("auxiliary mass allocated to an inactive feature")
+            if not np.array_equal(split.sums.sum(axis=0), self._col_totals):
+                raise InvariantError("auxiliary counts do not sum to the observed counts")
         if np.any(self._pi < self._hp.eps_trunc) or np.any(self._pi > PI_CEILING):
             raise InvariantError("a feature weight left its support")
 
@@ -671,9 +754,8 @@ class ChainRunner:
         split = self._split
         if split is None:
             raise DomainError("no auxiliary split since the checkpoint was restored; step the chain first")
-        aux = np.zeros((self._n_entries, self._k), dtype=np.int64)
-        pair_entry = np.repeat(np.arange(self._n_entries), np.diff(split.starts, append=split.counts.shape[0]))
-        aux[pair_entry, split.feature] = split.counts
+        aux = np.bincount(self._unit_entry * self._k + split.feature, minlength=self._n_entries * self._k)
+        aux = aux.reshape(self._n_entries, self._k)
         aux = dict(zip(zip(self._e_rows.tolist(), self._e_cols.tolist()), aux))
         return LatentState(z=self._z.copy(), b=self._b.copy(), pi=self._pi.copy(), alpha=self._alpha, aux=aux)
 

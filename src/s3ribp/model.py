@@ -352,7 +352,7 @@ class LatentState:
     ``aux`` maps an observed (row, col) cell with a positive count to a
     length-K integer vector splitting that count over features; cells
     absent from the map carry an all-zero split.  The sampler holds its
-    split over (cell, active feature) pairs and builds this map only in
+    split as one feature per count unit and builds this map only in
     ``ChainRunner.state_snapshot``; ``ChainRunner.from_state`` ignores it.
     """
 

@@ -154,10 +154,41 @@ def atom_log_prior(p, alpha, c, sigma, k_max):
     return (a - 1.0) * np.log(p) + (c - 1.0) * np.log1p(-p)
 
 
+# Below this a = -sigma log(eps), the power law on [eps, 1) is its sigma -> 0
+# limit, the log-uniform, to within a relative 1e-200, and a subnormal a
+# would lose digits, so the power-law formulas use a at least this large.
+_MIN_POWER_LAW_EXPONENT = 1e-200
+
+
 def _powerlaw_ppf(u, sigma, eps):
-    """Inverse CDF of the density proportional to x^(-1-sigma) on [eps, 1)."""
-    lo = eps**-sigma
-    return (lo - u * (lo - 1.0)) ** (-1.0 / sigma)
+    """Inverse CDF of the density proportional to x^(-1-sigma) on [eps, 1).
+
+    x = (1 + m (1-u))^(-1/sigma) with m = eps^-sigma - 1, written as
+    exp(log(eps) log1p(expm1(a) (1-u)) / a), a = -sigma log(eps): at a tiny
+    sigma eps^-sigma rounds to 1 and the plain form returns 1 for every u,
+    which the rejection step never accepts.
+    """
+    log_eps = math.log(eps)
+    a = max(-sigma * log_eps, _MIN_POWER_LAW_EXPONENT)
+    return np.exp(log_eps * np.log1p(np.expm1(a) * (1.0 - u)) / a)
+
+
+def _tail_ppf(u, c, sigma, eps):
+    """Inverse CDF of the density proportional to (1-x)^(c+sigma-1) on [eps, 1)."""
+    return 1.0 - (1.0 - eps) * (1.0 - u) ** (1.0 / (c + sigma))
+
+
+def _tail_proposal_is_tighter(c, sigma, eps):
+    """Whether the tail proposal's envelope eps^(-1-sigma) (1-x)^(c+sigma-1)
+    has a smaller integral over [eps, 1) than the power law's x^(-1-sigma):
+    eps^(-1-sigma) (1-eps)^(c+sigma) / (c+sigma) against (eps^-sigma - 1) / sigma,
+    compared in logs, the first as log(-log eps) + log(expm1(a) / a) with
+    a = -sigma log(eps).  The target's normaliser is common to both."""
+    log_eps = math.log(eps)
+    a = max(-sigma * log_eps, _MIN_POWER_LAW_EXPONENT)
+    power_law = math.log(-log_eps) + a + math.log(-math.expm1(-a)) - math.log(a)
+    tail = (-1.0 - sigma) * log_eps + (c + sigma) * math.log1p(-eps) - math.log(c + sigma)
+    return tail < power_law
 
 
 def _grid_inverse_cdf(c, sigma, eps, n_grid=8192):
@@ -180,10 +211,17 @@ def _grid_inverse_cdf(c, sigma, eps, n_grid=8192):
 def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
     """k_max i.i.d. truncated atom weights, sorted descending.
 
-    sigma > 0 draws from the normalized restricted power-law density on
-    [eps_trunc, 1) (exact rejection off an analytic power-law proposal when
-    c + sigma >= 1, grid inverse CDF otherwise); sigma = 0 draws from
+    sigma > 0 draws from the normalized restricted power-law density
+    p^(-1-sigma) (1-p)^(c+sigma-1) on [eps_trunc, 1); sigma = 0 draws from
     Beta(alpha c / k_max, c) conditioned on the same support.
+
+    When c + sigma >= 1 the draw is exact rejection off one of two analytic
+    proposals, whichever envelope has the smaller integral: the power law
+    p^(-1-sigma), accepted with probability (1-p)^(c+sigma-1), or the tail
+    (1-p)^(c+sigma-1), accepted with probability (p/eps)^(-1-sigma).  The
+    first suits a small floor, the second a large c with a floor far from
+    zero, where the power law's acceptance collapses.  Below c + sigma = 1
+    the draw is a grid inverse CDF.
     """
     _check_weight_law(alpha, c, sigma)
     if k_max < 1:
@@ -199,11 +237,16 @@ def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
         draws = betaincinv(a, c, u)
     elif c + sigma >= 1.0:
         draws = np.empty(0)
-        expo = c + sigma - 1.0
+        tail = _tail_proposal_is_tighter(c, sigma, eps_trunc)
         while draws.shape[0] < k_max:
-            want = k_max - draws.shape[0]
-            batch = _powerlaw_ppf(rng.random(max(2 * want, 16)), sigma, eps_trunc)
-            keep = rng.random(batch.shape[0]) < (1.0 - batch) ** expo
+            u = rng.random(max(2 * (k_max - draws.shape[0]), 16))
+            if tail:
+                batch = _tail_ppf(u, c, sigma, eps_trunc)
+                accept = (batch / eps_trunc) ** (-1.0 - sigma)
+            else:
+                batch = _powerlaw_ppf(u, sigma, eps_trunc)
+                accept = (1.0 - batch) ** (c + sigma - 1.0)
+            keep = rng.random(batch.shape[0]) < accept
             draws = np.concatenate([draws, batch[keep]])
         draws = draws[:k_max]
     else:

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the body once ``seconds`` have passed, so a
+    sampler that never finishes fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def enumerate_rows(k):

@@ -51,6 +51,15 @@ class TestLogPerplexity:
         with pytest.raises(DomainError):
             log_perplexity(summary, data, ObservationMask.none_held_out(1, 1))
 
+    def test_posterior_of_another_shape_is_refused(self, rng):
+        # the held-out cells of the first rows all lie inside the summary,
+        # but it was fitted on more rows than the data has
+        summary = make_summary(rng.integers(0, 2, size=(2, 6, 2)), rng.gamma(1.0, 1.0, size=(2, 2, 3)))
+        data = CountMatrix.from_dense(rng.poisson(1.0, size=(4, 3)))
+        mask = ObservationMask([(0, 1), (3, 2)], 4, 3)
+        with pytest.raises(DomainError, match="fitted on a 6x3 matrix, but the data is 4x3"):
+            log_perplexity(summary, data, mask)
+
     @pytest.mark.parametrize("n_samples", [1, 4])
     @pytest.mark.parametrize("chunk", [3, None])
     def test_equals_mean_of_per_cell_predictive(self, rng, monkeypatch, n_samples, chunk):
@@ -354,7 +363,7 @@ class TestTopFeatures:
         assert out == [(0, (("a", 1.0),))]
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="1 column labels for a weight matrix 2 columns wide"):
             top_features(np.ones((1, 2)), ("a",), top_m=1)
         with pytest.raises(DomainError):
             top_features(np.ones((1, 2)), ("a", "b"), top_m=0)

@@ -1133,6 +1133,16 @@ class TestCliRunConfig:
         assert "fitted on a 12x6 matrix, but the data is 2x2" in payload["message"]
         assert not out.exists()
 
+    def test_topics_names_both_widths(self, command_runs, tmp_path, capsys):
+        _, argv = command_runs
+        other = write_file(tmp_path / "other.tsv", "\tc0\tc1\nr0\t1\t2\nr1\t0\t3\n")
+        out = tmp_path / "o"
+        assert cli_dispatch(["topics", *argv["topics"], "--data", other, "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+        assert "2 column labels for a weight matrix 6 columns wide" in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, bad",
         [

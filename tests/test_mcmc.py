@@ -4,11 +4,15 @@ Stage tests start a ChainRunner at a chosen state (``from_state``) and call
 one stage method at a time, so they check the code that ``fit`` runs.
 """
 
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from s3ribp import (
@@ -24,6 +28,7 @@ from s3ribp import (
     PosteriorSummary,
     gibbs_update_B,
     levy_exposure_mass,
+    meta_features,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     predictive_log_lik,
@@ -34,7 +39,7 @@ from s3ribp import (
 )
 from s3ribp.container import read_records, write_records
 from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
-from conftest import enumerate_rows
+from conftest import deadline, enumerate_rows
 from test_priors import restricted_density_cdf
 
 
@@ -480,7 +485,83 @@ class TestChainConfig:
             ChainConfig(hyper=tiny_hyper().to_dict())
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# the sha256 of a short fixed-seed fit's summary file and of the meta chain
+# fitted on it, so a change to any stage's draws or to their order shows here
+FIXED_SEED_SUMMARIES = {
+    "fit": "7941f37b2a60111c73dd6f539ec8c005dc1105d82e05fa28ad92d52ec774d1d1",
+    "meta": "abaefaf19eda1d43688fb908cfa3259f6af5a1cc1a7b9e6b832eb2b706f9196f",
+}
+
+
 class TestChainRunner:
+    @settings(max_examples=150, deadline=None)
+    # acceptance 1.8e-8 under the power-law proposal alone
+    @example(
+        c_plus_sigma=30.46, sigma=0.19, eps=0.398, k_max=20, shape=1.0, scale=1.0,
+        nb_r=1.0, nb_p=0.1, alpha_b=0.01, mu_b=1.0, mh_step=0.5, seed=0, n=11, d=8,
+    )
+    # eps^-sigma rounds to 1, so a plain power-law inverse CDF returns 1
+    @example(
+        c_plus_sigma=2.08, sigma=5.8e-127, eps=2.4e-9, k_max=15, shape=1.0, scale=1.9,
+        nb_r=1.0, nb_p=0.65, alpha_b=5.4, mu_b=16.7, mh_step=0.5, seed=0, n=1, d=1,
+    )
+    @given(
+        c_plus_sigma=log_uniform(1e-3, 500.0),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+        eps=log_uniform(1e-12, 0.99),
+        k_max=st.integers(1, 20),
+        shape=log_uniform(1e-2, 1e2),
+        scale=log_uniform(1e-2, 1e2),
+        nb_r=log_uniform(1e-2, 1e2),
+        nb_p=st.floats(0.01, 0.99),
+        alpha_b=log_uniform(1e-3, 1e2),
+        mu_b=log_uniform(1e-2, 1e2),
+        mh_step=log_uniform(1e-2, 10.0),
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(1, 11),
+        d=st.integers(1, 8),
+    )
+    def test_every_accepted_configuration_runs(
+        self, c_plus_sigma, sigma, eps, k_max, shape, scale, nb_r, nb_p, alpha_b, mu_b, mh_step, seed, n, d
+    ):
+        try:
+            hp = HyperParams(
+                alpha_prior_shape=shape,
+                alpha_prior_scale=scale,
+                c=c_plus_sigma - sigma,
+                sigma=sigma,
+                nb_r=nb_r,
+                nb_p=nb_p,
+                alpha_b=alpha_b,
+                mu_b=mu_b,
+                k_max=k_max,
+                eps_trunc=eps,
+                mh_step=mh_step,
+                burn_in=5,
+                n_samples=3,
+                seed=seed,
+            )
+        except DomainError:
+            return
+        x = np.random.default_rng(seed).poisson(2.0, size=(n, d))
+        with deadline(20):
+            summary = run_chain(CountMatrix.from_dense(x), None, ChainConfig(hyper=hp))
+        assert summary.n_samples == 3
+
+    def test_fixed_seed_summaries_are_pinned(self, tmp_path):
+        # a change that moves a pin says why in CHANGES.md
+        x = np.random.default_rng(3).poisson(1.5, size=(30, 12))
+        config = ChainConfig(hyper=tiny_hyper(k_max=5, burn_in=20, n_samples=10, seed=3))
+        fit = run_chain(CountMatrix.from_dense(x), None, config)
+        for name, summary in (("fit", fit), ("meta", meta_features(fit, config))):
+            save_summary(summary, tmp_path / f"{name}.bin")
+            digest = hashlib.sha256((tmp_path / f"{name}.bin").read_bytes()).hexdigest()
+            assert digest == FIXED_SEED_SUMMARIES[name], name
+
     def test_fixed_seed_reruns_are_identical(self, rng):
         data = tiny_data(rng)
         cfg = ChainConfig(hyper=tiny_hyper())

@@ -26,6 +26,8 @@ from s3ribp import (
     sample_ibp,
     sample_pi_truncated,
 )
+from s3ribp.priors import _tail_proposal_is_tighter
+from conftest import deadline
 
 
 def harmonic(n):
@@ -254,6 +256,22 @@ class TestSamplePiTruncated:
     def test_rejection_branch_distribution(self, rng):
         c, sigma, eps = 1.0, 0.5, 0.01
         draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
+
+    @pytest.mark.parametrize("c, sigma, eps", [(30.27, 0.19, 0.398), (8.9, 0.74, 0.94), (30.0, 0.5, 0.1)])
+    def test_tail_proposal_distribution(self, rng, c, sigma, eps):
+        # a large c with a floor far from zero: the tail proposal's envelope
+        # is the tighter one, and the power law alone would accept ~1e-8
+        assert _tail_proposal_is_tighter(c, sigma, eps)
+        draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
+
+    @pytest.mark.parametrize("c, sigma, eps", [(2.08, 5.8e-127, 2.4e-9), (2.0, 5e-324, 0.9)])
+    def test_tiny_sigma_distribution(self, rng, c, sigma, eps):
+        # eps^-sigma rounds to 1: the power law (first case) and the tail
+        # proposal (second) still draw the power-law density's sigma -> 0 limit
+        with deadline(20):
+            draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     def test_grid_branch_distribution(self, rng):
