@@ -100,7 +100,8 @@ def _build_parser():
 
     gen = command("generate", _cmd_generate, "forward-sample a prior to a matrix file")
     gen.add_argument("--prior", default="s3r", choices=["ibp", "3p", "s3r"], help="which process to sample")
-    gen.add_argument("--alpha", type=float, default=None, help="mass parameter (s3r: pins the prior draw)")
+    alpha_help = "mass parameter (default 1; s3r draws it from its prior; its weights use it only at sigma = 0)"
+    gen.add_argument("--alpha", type=float, default=None, help=alpha_help)
     gen.add_argument("--rows", type=int, default=100, help="number of rows to sample")
     gen.add_argument("--format", default="dense", dest="fmt", choices=["dense", "triplet"], help="matrix file format")
     _add_flags(gen, _HYPER_FLAGS, HyperParams())

@@ -10,7 +10,6 @@ an atomic rename.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -25,35 +24,42 @@ MAGIC = b"S3RB\x00\x01\x00\x00"
 __all__ = ["write_records", "read_records", "canonical_bytes", "digest", "atomic_write_bytes", "atomic_write_text"]
 
 
-def canonical_bytes(arrays, meta):
-    """Deterministic byte encoding of the payload (no I/O)."""
-    buf = io.BytesIO()
-    index = {}
-    offset = 0
+def _chunks(arrays, meta):
+    """The encoding as its header bytes and then one uint8 view of each
+    array, in file order: a contiguous array is not copied."""
+    index, views, offset = {}, [], 0
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        raw = arr.tobytes()
-        index[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        buf.write(raw)
-        offset += len(raw)
+        index[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
+        views.append(arr.reshape(-1).view(np.uint8))
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "arrays": index}, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + len(header).to_bytes(8, "little") + header + buf.getvalue()
+    return [MAGIC + len(header).to_bytes(8, "little") + header, *views]
+
+
+def canonical_bytes(arrays, meta):
+    """Deterministic byte encoding of the payload (no I/O)."""
+    return b"".join(_chunks(arrays, meta))
 
 
 def digest(arrays, meta):
     """sha256 hex of ``canonical_bytes(arrays, meta)``: how the program
     identifies its data, masks and hyperparameters."""
-    return hashlib.sha256(canonical_bytes(arrays, meta)).hexdigest()
+    h = hashlib.sha256()
+    for chunk in _chunks(arrays, meta):
+        h.update(chunk)
+    return h.hexdigest()
 
 
-def atomic_write_bytes(path, payload):
+def atomic_write_bytes(path, *chunks):
+    """Write the byte chunks, in order, to ``path`` by temp file and rename."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,7 +72,7 @@ def atomic_write_text(path, text):
 
 
 def write_records(path, arrays, meta):
-    atomic_write_bytes(path, canonical_bytes(arrays, meta))
+    atomic_write_bytes(path, *_chunks(arrays, meta))
 
 
 def read_records(path):
@@ -85,7 +91,7 @@ def read_records(path):
         raise ParseError(f"{path}: corrupt container header ({exc!r})") from exc
     if not isinstance(index, dict):
         raise ParseError(f"{path}: corrupt container header (arrays is not an object)")
-    body = blob[start + hlen :]
+    base = start + hlen  # where the array bytes start
     arrays = {}
     for name, spec in index.items():
         try:
@@ -96,7 +102,7 @@ def read_records(path):
             usable = False
         if not usable:
             raise ParseError(f"{path}: corrupt container header (array {name!r}: {spec!r})")
-        if n0 + nbytes > len(body):
+        if base + n0 + nbytes > len(blob):
             raise ParseError(f"{path}: truncated container (array {name!r})")
-        arrays[name] = np.frombuffer(body[n0 : n0 + nbytes], dtype=dt).reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob, dt, math.prod(shape), base + n0).reshape(shape).copy()
     return arrays, meta

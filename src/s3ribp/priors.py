@@ -2,19 +2,19 @@
 
 Three nested processes over binary feature matrices:
 
-* the classic buffet process (rows take existing dishes in proportion to
-  their popularity and open Poisson(alpha/n) new ones);
-* its three-parameter power-law extension with concentration c and index
-  sigma, which recovers the classic process at c = 1, sigma = 0;
+* the three-parameter power-law buffet process with concentration c and
+  index sigma, whose c = 1, sigma = 0 case is the classic process (rows
+  take existing dishes in proportion to their popularity and open
+  Poisson(alpha/n) new ones);
 * the restricted variant, which keeps the power-law weight measure but
   forces per-row feature counts to follow an arbitrary pmf (here a clamped
   negative binomial), sampled through the conditional Bernoulli law.
 
 The restricted variant works on a fixed truncation: k_max atom weights are
 drawn i.i.d. from the weight measure's normalized density restricted to
-[eps_trunc, 1).  The exposure mass of that restriction (the expected number
-of atoms above the floor per unit of alpha) is also computed here; the MCMC
-alpha update consumes it.
+[eps_trunc, 1), at sigma > 0 by one exact rejection loop.  The exposure
+mass of that restriction (the expected number of atoms above the floor per
+unit of alpha) is also computed here; the MCMC alpha update consumes it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, NumericsError
-from .model import PI_CEILING, negbin_row_sum_log_pmf
+from .model import PI_CEILING
 from .condbern import sample_row_given_sum
 
 __all__ = [
@@ -84,42 +84,17 @@ class BinaryFeatureMatrix:
         return self.z.sum(axis=1, dtype=np.int64)
 
 
-def _check_weight_law(alpha, c, sigma):
+def _check_weight_law(alpha, c, sigma, eps_trunc=None):
     """The (alpha, c, sigma) every member of the family needs: alpha > 0,
-    sigma in [0, 1), c > -sigma."""
+    sigma in [0, 1), c > -sigma; and a truncation floor, if given, in (0, 1)."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= sigma < 1.0:
         raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
     if not c > -sigma:
         raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
-
-
-def _buffet(n_rows, rng, take_prob, new_rate):
-    """Row n takes each existing dish k w.p. take_prob(m, n), m the taker
-    counts, then opens Poisson(new_rate(n)) new dishes."""
-    if n_rows < 1:
-        raise DomainError("need at least one row")
-    m = np.zeros(0, dtype=np.int64)
-    rows = []
-    for n in range(1, n_rows + 1):
-        k = m.shape[0]
-        take = np.flatnonzero(rng.random(k) < take_prob(m, n))
-        new = int(rng.poisson(new_rate(n)))
-        m[take] += 1
-        m = np.concatenate([m, np.ones(new, dtype=np.int64)])
-        rows.append(np.concatenate([take, np.arange(k, k + new)]))
-    z = np.zeros((n_rows, m.shape[0]), dtype=np.int8)
-    for i, idx in enumerate(rows):
-        z[i, idx] = 1
-    return BinaryFeatureMatrix(z)
-
-
-def sample_ibp(alpha, n_rows, rng):
-    """Culinary-process draw: row n takes dish k w.p. m_k/n, then opens
-    Poisson(alpha/n) new dishes."""
-    _check_weight_law(alpha, 1.0, 0.0)
-    return _buffet(n_rows, rng, lambda m, n: m / n, lambda n: alpha / n)
+    if eps_trunc is not None and not 0.0 < eps_trunc < 1.0:
+        raise DomainError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
 
 
 def new_dish_rate(alpha, c, sigma, n):
@@ -131,14 +106,30 @@ def new_dish_rate(alpha, c, sigma, n):
 def sample_3p_ibp(alpha, c, sigma, n_rows, rng):
     """Three-parameter buffet draw with power-law feature sizes.
 
-    Row n takes an existing dish w.p. (m_k - sigma)/(n - 1 + c) and opens
-    Poisson(new_dish_rate) fresh ones.  c = 1, sigma = 0 recovers the
-    classic process exactly.
+    Row n takes existing dish k w.p. (m_k - sigma)/(n - 1 + c), m the taker
+    counts, and opens Poisson(new_dish_rate) fresh ones.  c = 1, sigma = 0
+    is the classic process, ``sample_ibp``.
     """
     _check_weight_law(alpha, c, sigma)
-    return _buffet(
-        n_rows, rng, lambda m, n: (m - sigma) / (n - 1.0 + c), lambda n: new_dish_rate(alpha, c, sigma, n)
-    )
+    if n_rows < 1:
+        raise DomainError("need at least one row")
+    m = np.zeros(0, dtype=np.int64)
+    rows = []
+    for n in range(1, n_rows + 1):
+        k = m.shape[0]
+        take = np.flatnonzero(rng.random(k) < (m - sigma) / (n - 1.0 + c))
+        new = int(rng.poisson(new_dish_rate(alpha, c, sigma, n)))
+        m[take] += 1
+        m = np.concatenate([m, np.ones(new, dtype=np.int64)])
+        rows.append(np.concatenate([take, np.arange(k, k + new)]))
+    z = np.zeros((n_rows, m.shape[0]), dtype=np.int8)
+    z[np.repeat(np.arange(n_rows), [r.shape[0] for r in rows]), np.concatenate(rows)] = 1
+    return BinaryFeatureMatrix(z)
+
+
+def sample_ibp(alpha, n_rows, rng):
+    """Classic buffet draw: ``sample_3p_ibp`` at c = 1, sigma = 0."""
+    return sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng)
 
 
 def atom_log_prior(p, alpha, c, sigma, k_max):
@@ -178,83 +169,75 @@ def _tail_ppf(u, c, sigma, eps):
     return 1.0 - (1.0 - eps) * (1.0 - u) ** (1.0 / (c + sigma))
 
 
-def _tail_proposal_is_tighter(c, sigma, eps):
-    """Whether the tail proposal's envelope eps^(-1-sigma) (1-x)^(c+sigma-1)
-    has a smaller integral over [eps, 1) than the power law's x^(-1-sigma):
-    eps^(-1-sigma) (1-eps)^(c+sigma) / (c+sigma) against (eps^-sigma - 1) / sigma,
-    compared in logs, the first as log(-log eps) + log(expm1(a) / a) with
-    a = -sigma log(eps).  The target's normaliser is common to both."""
+def _envelope(c, sigma, eps):
+    """The rejection envelope of p^(-1-sigma) (1-p)^(c+sigma-1) on [eps, 1),
+    split at m: p^(-1-sigma) times a bound of (1-p)^(c+sigma-1) below m, and
+    (1-p)^(c+sigma-1) m^(-1-sigma) above.  Returns m, the lower piece's share
+    of the envelope's integral and the log bound.  At c + sigma >= 1 the
+    bound is 1 and m is 1 or eps, the one piece with the smaller integral
+    (the tail wins at a large c with a floor far from zero).  Below, m is
+    max(eps, 1/2) and the bound 2^(1-c-sigma), so each piece accepts w.p.
+    at least 1/4.
+    """
     log_eps = math.log(eps)
-    a = max(-sigma * log_eps, _MIN_POWER_LAW_EXPONENT)
-    power_law = math.log(-log_eps) + a + math.log(-math.expm1(-a)) - math.log(a)
-    tail = (-1.0 - sigma) * log_eps + (c + sigma) * math.log1p(-eps) - math.log(c + sigma)
-    return tail < power_law
+
+    def log_power_law(m):  # of p^(-1-sigma) on [eps, m): m^-sigma log(m/eps) expm1(a) / a
+        span = math.log(m) - log_eps
+        a = max(sigma * span, _MIN_POWER_LAW_EXPONENT)
+        return -sigma * math.log(m) + math.log(span) + a + math.log(-math.expm1(-a)) - math.log(a)
+
+    def log_tail(m):  # of (1-p)^(c+sigma-1) m^(-1-sigma) on [m, 1)
+        return (-1.0 - sigma) * math.log(m) + (c + sigma) * math.log1p(-m) - math.log(c + sigma)
+
+    if c + sigma >= 1.0:
+        return (eps, 0.0, 0.0) if log_tail(eps) < log_power_law(1.0) else (1.0, 1.0, 0.0)
+    if eps >= 0.5:
+        return eps, 0.0, 0.0
+    bound = (c + sigma - 1.0) * math.log1p(-0.5)
+    lower = bound + log_power_law(0.5)
+    return 0.5, math.exp(lower - np.logaddexp(lower, log_tail(0.5))), bound
 
 
-def _grid_inverse_cdf(c, sigma, eps, n_grid=8192):
-    """Inverse CDF via logit-grid quadrature, for the c + sigma < 1 regime
-    where the rejection bound fails.  In logit coordinates the density is
-    p^-sigma (1-p)^(c+sigma), bounded on the whole support."""
-    lo = np.log(eps) - np.log1p(-eps)
-    hi = np.log(PI_CEILING) - np.log1p(-PI_CEILING)
-    u = np.linspace(lo, hi, n_grid)
-    p = 1.0 / (1.0 + np.exp(-u))
-    logd = -sigma * np.log(p) + (c + sigma) * np.log1p(-p)
-    d = np.exp(logd - logd.max())
-    cdf = np.concatenate([[0.0], np.cumsum((d[1:] + d[:-1]) * 0.5 * np.diff(u))])
-    if cdf[-1] <= 0 or not np.isfinite(cdf[-1]):
-        raise NumericsError("degenerate weight-density grid")
-    cdf /= cdf[-1]
-    return u, cdf
+def _propose(u, alpha, c, sigma, k_max, eps):
+    """The envelope's points at uniforms u, clipped to [eps, PI_CEILING],
+    and the probability of accepting each: u below the lower piece's share
+    w maps to it through u / w, the rest to the upper piece."""
+    m, w, bound = _envelope(c, sigma, eps)
+    lower = u < w
+    p = np.empty_like(u)
+    p[lower] = m * _powerlaw_ppf(u[lower] / w, sigma, eps / m)
+    p[~lower] = _tail_ppf((u[~lower] - w) / (1.0 - w), c, sigma, m)
+    p = np.clip(p, eps, PI_CEILING)
+    upper = (c + sigma - 1.0) * np.log1p(-p) + (-1.0 - sigma) * math.log(m)
+    log_envelope = np.where(lower, (-1.0 - sigma) * np.log(p) + bound, upper)
+    return p, np.exp(atom_log_prior(p, alpha, c, sigma, k_max) - log_envelope)
 
 
 def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
     """k_max i.i.d. truncated atom weights, sorted descending.
 
-    sigma > 0 draws from the normalized restricted power-law density
-    p^(-1-sigma) (1-p)^(c+sigma-1) on [eps_trunc, 1); sigma = 0 draws from
-    Beta(alpha c / k_max, c) conditioned on the same support.
-
-    When c + sigma >= 1 the draw is exact rejection off one of two analytic
-    proposals, whichever envelope has the smaller integral: the power law
-    p^(-1-sigma), accepted with probability (1-p)^(c+sigma-1), or the tail
-    (1-p)^(c+sigma-1), accepted with probability (p/eps)^(-1-sigma).  The
-    first suits a small floor, the second a large c with a floor far from
-    zero, where the power law's acceptance collapses.  Below c + sigma = 1
-    the draw is a grid inverse CDF.
+    sigma > 0 draws from the normalized density p^(-1-sigma) (1-p)^(c+sigma-1)
+    on [eps_trunc, 1) by exact rejection off ``_envelope``, accepting w.p.
+    exp(atom_log_prior minus the log envelope), the density the pi stage's
+    MH target reads.  sigma = 0 draws Beta(alpha c / k_max, c) on the same
+    support by inverse CDF.
     """
-    _check_weight_law(alpha, c, sigma)
+    _check_weight_law(alpha, c, sigma, eps_trunc)
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    if not 0.0 < eps_trunc < 1.0:
-        raise DomainError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
     if sigma == 0.0:
         a = alpha * c / k_max
         if not a > 0:
             raise DomainError("degenerate Beta shape")
         floor = betainc(a, c, eps_trunc)
         u = floor + (1.0 - floor) * rng.random(k_max)
-        draws = betaincinv(a, c, u)
-    elif c + sigma >= 1.0:
-        draws = np.empty(0)
-        tail = _tail_proposal_is_tighter(c, sigma, eps_trunc)
-        while draws.shape[0] < k_max:
-            u = rng.random(max(2 * (k_max - draws.shape[0]), 16))
-            if tail:
-                batch = _tail_ppf(u, c, sigma, eps_trunc)
-                accept = (batch / eps_trunc) ** (-1.0 - sigma)
-            else:
-                batch = _powerlaw_ppf(u, sigma, eps_trunc)
-                accept = (1.0 - batch) ** (c + sigma - 1.0)
-            keep = rng.random(batch.shape[0]) < accept
-            draws = np.concatenate([draws, batch[keep]])
-        draws = draws[:k_max]
-    else:
-        grid_u, grid_cdf = _grid_inverse_cdf(c, sigma, eps_trunc)
-        u = np.interp(rng.random(k_max), grid_cdf, grid_u)
-        draws = 1.0 / (1.0 + np.exp(-u))
-    draws = np.clip(draws, eps_trunc, PI_CEILING)
-    return np.sort(draws)[::-1].copy()
+        return np.sort(np.clip(betaincinv(a, c, u), eps_trunc, PI_CEILING))[::-1].copy()
+    draws = np.empty(0)
+    while draws.shape[0] < k_max:
+        batch, accept = _propose(rng.random(max(2 * (k_max - draws.shape[0]), 16)), alpha, c, sigma, k_max, eps_trunc)
+        keep = rng.random(batch.shape[0]) < accept
+        draws = np.concatenate([draws, batch[keep]])
+    return np.sort(draws[:k_max])[::-1].copy()
 
 
 def sample_3r_ibp(hp, n_rows, rng, alpha=None):
@@ -265,7 +248,8 @@ def sample_3r_ibp(hp, n_rows, rng, alpha=None):
     clamping bites); the row itself is conditional Bernoulli given its
     count.  Unused atoms are dropped so the result has no empty columns.
     ``alpha`` pins the mass parameter instead of drawing it from its prior;
-    sample_pi_truncated checks it before any draw.
+    sample_pi_truncated checks it before any draw.  The weights depend on
+    alpha only at sigma = 0: the power-law density has no alpha in it.
     """
     if n_rows < 1:
         raise DomainError("need at least one row")
@@ -278,13 +262,7 @@ def sample_3r_ibp(hp, n_rows, rng, alpha=None):
         log.warning("clamped %d of %d row feature counts to k_max=%d", clamped, n_rows, hp.k_max)
     sums = np.minimum(sums, hp.k_max)
     z = sample_row_given_sum(pi, sums, rng)
-    live = z.any(axis=0)
-    return BinaryFeatureMatrix(z[:, live])
-
-
-def _levy_norm_const(c, sigma):
-    """G(1+c) / (G(1-sigma) G(c+sigma)), the weight measure's constant."""
-    return np.exp(lgamma(1.0 + c) - lgamma(1.0 - sigma) - lgamma(c + sigma))
+    return BinaryFeatureMatrix(z[:, z.any(axis=0)])
 
 
 @lru_cache(maxsize=64)
@@ -299,13 +277,8 @@ def levy_exposure_mass(eps_trunc, c, sigma):
     to a 1e-8 relative tolerance; anything worse is an error, and
     ``HyperParams`` refuses the (c, sigma, eps_trunc) where it happens.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
-    if not c > -sigma:
-        raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
-    if not 0.0 < eps_trunc < 1.0:
-        raise DomainError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
-    const = _levy_norm_const(c, sigma)
+    _check_weight_law(1.0, c, sigma, eps_trunc)
+    const = np.exp(lgamma(1.0 + c) - lgamma(1.0 - sigma) - lgamma(c + sigma))
 
     def integrand(u):
         return const * math.exp(-sigma * u) * (-math.expm1(u)) ** (c + sigma - 1.0)

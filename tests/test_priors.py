@@ -26,7 +26,7 @@ from s3ribp import (
     sample_ibp,
     sample_pi_truncated,
 )
-from s3ribp.priors import _tail_proposal_is_tighter
+from s3ribp.priors import _envelope, _propose
 from conftest import deadline
 
 
@@ -262,7 +262,7 @@ class TestSamplePiTruncated:
     def test_tail_proposal_distribution(self, rng, c, sigma, eps):
         # a large c with a floor far from zero: the tail proposal's envelope
         # is the tighter one, and the power law alone would accept ~1e-8
-        assert _tail_proposal_is_tighter(c, sigma, eps)
+        assert _envelope(c, sigma, eps)[:2] == (eps, 0.0)
         draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
@@ -273,6 +273,36 @@ class TestSamplePiTruncated:
         with deadline(20):
             draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "c, sigma, eps, pieces",
+        [(0.3, 0.2, 0.6, "tail"), (0.6, 0.1, 0.5, "tail"), (0.5, 1e-9, 1e-3, "two"), (0.6, 1e-200, 1e-6, "two")],
+    )
+    def test_split_envelope_distribution(self, rng, c, sigma, eps, pieces):
+        # c + sigma < 1: a floor at or above 1/2 leaves only the tail piece,
+        # a lower one splits at 1/2; the last two at a tiny sigma.  c + sigma
+        # stays large enough that the oracle, which ends at 1 - 1e-12, misses
+        # no visible mass
+        m, w, _ = _envelope(c, sigma, eps)
+        assert (m, w == 0.0) == ((eps, True) if pieces == "tail" else (0.5, False))
+        with deadline(20):
+            draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c_plus_sigma=st.floats(1e-6, 1.0, exclude_max=True),
+        sigma=st.floats(1e-300, 0.999),
+        eps=st.floats(1e-12, 0.999),
+    )
+    def test_split_envelope_acceptance(self, c_plus_sigma, sigma, eps):
+        # below c + sigma = 1 each piece accepts w.p. at least 1/4; a mean of
+        # 4,000 proposals under 0.2 is 8 standard errors below that
+        c = c_plus_sigma - sigma
+        with deadline(20):
+            _, accept = _propose(np.random.default_rng(0).random(4000), 1.0, c, sigma, 1, eps)
+        assert np.all(accept <= 1.0 + 1e-12)
+        assert accept.mean() >= 0.2
 
     def test_grid_branch_distribution(self, rng):
         c, sigma, eps = 0.2, 0.3, 0.01
@@ -332,6 +362,15 @@ class TestSample3RIBP:
         assert fm.n_rows == 20
         with pytest.raises(DomainError):
             sample_3r_ibp(self.hp(), 20, rng, alpha=0.0)
+
+    def test_alpha_counts_only_at_sigma_zero(self):
+        # at sigma > 0 the atom weights' density has no alpha in it
+        def draw(sigma, alpha):
+            return sample_3r_ibp(self.hp(sigma=sigma), 40, np.random.default_rng(3), alpha=alpha).z
+
+        np.testing.assert_array_equal(draw(0.5, 0.1), draw(0.5, 10.0))
+        a, b = draw(0.0, 0.1), draw(0.0, 10.0)
+        assert a.shape != b.shape or not np.array_equal(a, b)
 
     def test_deterministic_given_seed(self):
         a = sample_3r_ibp(self.hp(), 25, np.random.default_rng(11))
