@@ -185,13 +185,6 @@ def binomial_baseline_qq(data, n_draws, rng):
     return _replicate_qq(data, n_draws, rng, lambda: p)
 
 
-def _jaccard(a, b):
-    if not a and not b:
-        return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Greedy feature matching: (index_a, index_b, jaccard) triples plus leftovers."""
@@ -213,29 +206,22 @@ def jaccard_match(features_a, features_b):
     """Greedily pair the most-similar feature index sets across two lists.
 
     Repeatedly takes the unmatched pair with the highest Jaccard similarity
-    (ties broken by lowest index pair) until one side runs out.
+    (ties broken by lowest index pair) until one side runs out, scoring
+    each pair once.
     """
-    sets_a = [frozenset(s) for s in features_a]
-    sets_b = [frozenset(s) for s in features_b]
+    sets_a, sets_b = [frozenset(s) for s in features_a], [frozenset(s) for s in features_b]
     for side, sets in (("a", sets_a), ("b", sets_b)):
-        for i, s in enumerate(sets):
-            if not s:
-                raise DomainError(f"feature {i} on side {side} is empty")
-    free_a = set(range(len(sets_a)))
-    free_b = set(range(len(sets_b)))
+        if frozenset() in sets:
+            raise DomainError(f"feature {sets.index(frozenset())} on side {side} is empty")
+    score = np.array([[len(a & b) / len(a | b) for b in sets_b] for a in sets_a]).reshape(len(sets_a), len(sets_b))
     pairs = []
-    while free_a and free_b:
-        best = None
-        for i in sorted(free_a):
-            for j in sorted(free_b):
-                s = _jaccard(sets_a[i], sets_b[j])
-                if best is None or s > best[0]:
-                    best = (s, i, j)
-        s, i, j = best
-        pairs.append((i, j, s))
-        free_a.remove(i)
-        free_b.remove(j)
-    return MatchResult(tuple(pairs), tuple(sorted(free_a)), tuple(sorted(free_b)))
+    for _ in range(min(score.shape)):
+        # the row-major argmax takes the lowest index pair of the ties; -1 is below any score
+        i, j = divmod(int(np.argmax(score)), score.shape[1])
+        pairs.append((i, j, float(score[i, j])))
+        score[i, :] = score[:, j] = -1.0
+    unmatched = [sorted(set(range(n)) - {p[side] for p in pairs}) for side, n in enumerate(score.shape)]
+    return MatchResult(tuple(pairs), *map(tuple, unmatched))
 
 
 def live_features(z_mean):

@@ -59,6 +59,7 @@ from .model import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
+    _cell_indices,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     typed_fields,
@@ -251,15 +252,13 @@ def _predictive_log_liks(summary, rows, cols, x, shape=None):
     from, and a summary fitted on another shape is a DomainError.  Loops
     over samples, vectorised over cells in chunks.
     """
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     x = np.asarray(x)
     s_total = summary.n_samples
     if s_total < 1:
         raise DomainError("summary holds no retained samples")
     if shape is not None:
         _check_fitted_shape(summary, shape)
-    if np.any((rows < 0) | (rows >= summary.z_samples.shape[1]) | (cols < 0) | (cols >= summary.b_samples.shape[2])):
-        raise DomainError("a cell lies outside the summary's shape")
+    rows, cols = _cell_indices(rows, cols, summary.z_samples.shape[1], summary.b_samples.shape[2])
     out = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], _SCORE_CHUNK):
         r, c, xc = rows[lo : lo + _SCORE_CHUNK], cols[lo : lo + _SCORE_CHUNK], x[lo : lo + _SCORE_CHUNK]
@@ -309,7 +308,8 @@ class ChainRunner:
     sweeps, atom proposals, auxiliary allocation, loading and mass draws),
     which is what makes fixed-seed reruns and checkpoint resumes bit-for-bit
     equal.  ``_draws`` holds ``n_samples`` rows of each of the summary's
-    per-draw fields (``_draw``), the first ``_n_retained`` filled.
+    per-draw fields (``_draw``), the first ``_n_retained`` filled, which
+    ``summary`` views read-only: no filled row is written again.
     """
 
     def __init__(self, data, mask, config, _restore=None, _state=None):
@@ -674,14 +674,14 @@ class ChainRunner:
             "z_samples": self._z,
             "b_samples": self._b,
             "pi_samples": self._pi,
-            "alpha_samples": np.float64(self._alpha),
-            "kplus_trace": np.int64(self._z.any(axis=0).sum()),
+            "alpha_samples": self._alpha,
+            "kplus_trace": self._z.any(axis=0).sum(),
         }
 
     def _empty_draws(self):
-        """The draw store: ``n_samples`` zero rows per field of ``_draw``."""
-        n = self._hp.n_samples
-        return {name: np.zeros((n, *np.shape(v)), np.result_type(v)) for name, v in self._draw().items()}
+        """The draw store: ``n_samples`` zero rows per field of ``_draw``, in its declared dtype."""
+        n, dtypes = self._hp.n_samples, PosteriorSummary.per_draw_dtypes()
+        return {name: np.zeros((n, *np.shape(v)), dtypes[name]) for name, v in self._draw().items()}
 
     def _maybe_retain(self):
         hp = self._hp
@@ -715,7 +715,9 @@ class ChainRunner:
     def summary(self):
         if not self._n_retained:
             raise DomainError("no retained samples; run the chain first")
-        draws = {name: rows[: self._n_retained].copy() for name, rows in self._draws.items()}
+        draws = {name: rows[: self._n_retained] for name, rows in self._draws.items()}
+        for view in draws.values():
+            view.flags.writeable = False
         rate = self._post_acc / self._post_prop if self._post_prop else 0.0
         return PosteriorSummary(
             **draws,

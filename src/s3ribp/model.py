@@ -70,6 +70,24 @@ def _check_labels(labels, n, kind):
     return labels
 
 
+def _fractional(a):
+    """Where ``a`` holds no integer: nowhere in an integer array."""
+    return np.zeros(a.shape, dtype=bool) if a.dtype.kind in "iu" else ~np.isfinite(a) | (a != np.floor(a))
+
+
+def _cell_indices(rows, cols, n_rows, n_cols):
+    """``rows`` and ``cols``, broadcast together, as int64 arrays; a DomainError
+    names the first cell whose indices are not integers or lie outside the shape."""
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    fractional = _fractional(rows) | _fractional(cols)
+    bad = fractional | (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "has an index that is not an integer" if fractional.flat[i] else f"outside {n_rows}x{n_cols}"
+        raise DomainError(f"cell ({rows.flat[i]}, {cols.flat[i]}) {what}")
+    return rows.astype(np.int64), cols.astype(np.int64)
+
+
 def _lookup(sorted_flat, flat):
     """Where each of ``flat`` sits in the ascending ``sorted_flat``, and
     whether it is present there."""
@@ -104,14 +122,10 @@ class CountMatrix:
             coo = np.array([np.ravel(a) for a in (self.rows, self.cols, self.counts)]).reshape(3, -1)
         except ValueError:
             raise DomainError("rows, cols and counts must have the same length") from None
-        if coo.dtype.kind not in "iu" and not np.all(np.isfinite(coo) & (coo == np.floor(coo))):
-            raise DomainError("a cell index or count is not an integer")
-        coo = coo.astype(np.int64)
-        rows, cols, counts = coo
-        outside = (rows < 0) | (rows >= self.n_rows) | (cols < 0) | (cols >= self.n_cols)
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise DomainError(f"entry index ({rows[i]}, {cols[i]}) outside {self.n_rows}x{self.n_cols}")
+        rows, cols = _cell_indices(coo[0], coo[1], self.n_rows, self.n_cols)
+        if _fractional(coo[2]).any():
+            raise DomainError(f"count {coo[2][np.argmax(_fractional(coo[2]))]} is not an integer")
+        rows, cols, counts = coo = np.array([rows, cols, coo[2]], dtype=np.int64)
         if np.any(counts < 0):
             raise DomainError(f"count {counts.min()} is negative")
         flat = rows * self.n_cols + cols
@@ -146,8 +160,8 @@ class CountMatrix:
 
     def counts_at(self, rows, cols):
         """The counts at cells (rows[i], cols[i]), zero where no count is stored."""
-        flat = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
-        i, hit = _lookup(self._flat, flat)
+        rows, cols = _cell_indices(rows, cols, self.n_rows, self.n_cols)
+        i, hit = _lookup(self._flat, rows * self.n_cols + cols)
         return np.where(hit, np.append(self.counts, 0)[i], 0)
 
     @cached_property
@@ -196,13 +210,9 @@ class ObservationMask:
 
     def __post_init__(self):
         cells = self.held_out if isinstance(self.held_out, np.ndarray) else list(self.held_out)
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        outside = (cells < 0) | (cells >= (self.n_rows, self.n_cols))
-        if outside.any():
-            n, d = cells[np.argmax(outside) // 2]
-            raise DomainError(f"held-out cell ({n}, {d}) outside {self.n_rows}x{self.n_cols}")
+        rows, cols = _cell_indices(*np.asarray(cells).reshape(-1, 2).T, self.n_rows, self.n_cols)
         # sort and drop repeats: np.unique's hash path is ~20x slower here
-        flat = np.sort(cells[:, 0] * self.n_cols + cells[:, 1])
+        flat = np.sort(rows * self.n_cols + cols)
         flat = flat[np.diff(flat, prepend=-1) != 0]
         cells = np.stack(np.divmod(flat, self.n_cols), axis=1)
         cells.flags.writeable = False
@@ -222,8 +232,8 @@ class ObservationMask:
 
     def is_held_out(self, rows, cols):
         """Boolean array: is cell (rows[i], cols[i]) held out?"""
-        flat = np.asarray(rows, dtype=np.int64) * self.n_cols + np.asarray(cols, dtype=np.int64)
-        return _lookup(self.held_out[:, 0] * self.n_cols + self.held_out[:, 1], flat)[1]
+        rows, cols = _cell_indices(rows, cols, self.n_rows, self.n_cols)
+        return _lookup(self.held_out[:, 0] * self.n_cols + self.held_out[:, 1], rows * self.n_cols + cols)[1]
 
     def held_out_sorted(self):
         """The held-out cells as a new sorted list of (row, col) tuples."""
@@ -274,8 +284,8 @@ class HyperParams:
                 stacklevel=2,
             )
             object.__setattr__(self, "sigma", SIGMA_CEILING)
-        if not 0.0 <= self.sigma < 1.0:
-            raise DomainError(f"sigma must lie in [0, 1), got {self.sigma}")
+        from .priors import _check_weight_law, levy_exposure_mass  # priors imports this module
+        _check_weight_law(1.0, self.c, self.sigma, self.eps_trunc)
         if not self.c + self.sigma >= MIN_C_PLUS_SIGMA:
             raise DomainError(f"c + sigma must be at least {MIN_C_PLUS_SIGMA}, got c={self.c}, sigma={self.sigma}")
         for name in ("alpha_prior_shape", "alpha_prior_scale", "nb_r", "alpha_b", "mu_b", "mh_step"):
@@ -286,12 +296,8 @@ class HyperParams:
         for name, least in (("k_max", 1), ("burn_in", 0), ("n_samples", 1), ("thin", 1)):
             if getattr(self, name) < least:
                 raise DomainError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not 0.0 < self.eps_trunc < 1.0:
-            raise DomainError(f"eps_trunc must lie in (0, 1), got {self.eps_trunc}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        from .priors import levy_exposure_mass  # priors imports this module
-
         try:
             levy_exposure_mass(self.eps_trunc, self.c, self.sigma)
         except NumericsError as exc:
@@ -420,17 +426,17 @@ class LatentState:
 class PosteriorSummary:
     """Retained samples and their running summaries.
 
-    The fields declare the summary file's format (``to_records``).
-    ``runtime_seconds`` is wall-clock metadata and is deliberately excluded
-    from the canonical serialized payload so fixed-seed reruns are
-    byte-identical.
+    The fields declare the summary file's format (``to_records``), and each
+    per-draw field its dtype (``per_draw_dtypes``).  ``runtime_seconds`` is
+    wall-clock metadata and is deliberately excluded from the canonical
+    serialized payload so fixed-seed reruns are byte-identical.
     """
 
-    z_samples: np.ndarray
-    b_samples: np.ndarray
-    pi_samples: np.ndarray
-    alpha_samples: np.ndarray
-    kplus_trace: np.ndarray
+    z_samples: np.ndarray = field(metadata={"per_draw": np.dtype(np.int8)})
+    b_samples: np.ndarray = field(metadata={"per_draw": np.dtype(np.float64)})
+    pi_samples: np.ndarray = field(metadata={"per_draw": np.dtype(np.float64)})
+    alpha_samples: np.ndarray = field(metadata={"per_draw": np.dtype(np.float64)})
+    kplus_trace: np.ndarray = field(metadata={"per_draw": np.dtype(np.int64)})
     z_mean: np.ndarray
     b_mean: np.ndarray
     pi_accept_rate: float
@@ -439,23 +445,19 @@ class PosteriorSummary:
     runtime_seconds: float = 0.0
 
     def __post_init__(self):
-        self.z_samples = np.asarray(self.z_samples, dtype=np.int8)
-        self.b_samples = np.asarray(self.b_samples, dtype=np.float64)
-        self.pi_samples = np.asarray(self.pi_samples, dtype=np.float64)
-        self.alpha_samples = np.asarray(self.alpha_samples, dtype=np.float64)
-        self.kplus_trace = np.asarray(self.kplus_trace, dtype=np.int64)
-        s = self.z_samples.shape[0]
-        if not (
-            self.b_samples.shape[0] == s
-            and self.pi_samples.shape[0] == s
-            and self.alpha_samples.shape[0] == s
-            and self.kplus_trace.shape[0] == s
-        ):
+        for name, dtype in self.per_draw_dtypes().items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape[0] for name in self.per_draw_dtypes()}) > 1:
             raise InvariantError("sample stacks disagree on the number of retained samples")
-        if s:
+        if self.n_samples:
             counted = (self.z_samples.any(axis=1)).sum(axis=1)
             if not np.array_equal(counted, self.kplus_trace):
                 raise InvariantError("kplus trace disagrees with retained Z samples (K+ must count non-empty columns)")
+
+    @classmethod
+    def per_draw_dtypes(cls):
+        """The per-draw fields' names and dtypes, in declaration order."""
+        return {f.name: f.metadata["per_draw"] for f in fields(cls) if "per_draw" in f.metadata}
 
     @property
     def n_samples(self):

@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from s3ribp import (
     ChainConfig,
     CountMatrix,
     DomainError,
+    MatchResult,
     ObservationMask,
     baseline_row_mean_log_perplexity,
     binomial_baseline_qq,
@@ -288,7 +291,42 @@ class TestBinomialBaselineQQ:
             binomial_baseline_qq(data, 0, rng)
 
 
+def rescoring_match(features_a, features_b):
+    """The oracle of ``jaccard_match``: the greedy loop that rescores every
+    free pair on every pick, keeping the first best pair in index order."""
+    sets_a = [frozenset(s) for s in features_a]
+    sets_b = [frozenset(s) for s in features_b]
+    free_a, free_b = set(range(len(sets_a))), set(range(len(sets_b)))
+    pairs = []
+    while free_a and free_b:
+        best = None
+        for i in sorted(free_a):
+            for j in sorted(free_b):
+                s = len(sets_a[i] & sets_b[j]) / len(sets_a[i] | sets_b[j])
+                if best is None or s > best[0]:
+                    best = (s, i, j)
+        s, i, j = best
+        pairs.append((i, j, s))
+        free_a.remove(i)
+        free_b.remove(j)
+    return MatchResult(tuple(pairs), tuple(sorted(free_a)), tuple(sorted(free_b)))
+
+
+# up to 8 features a side over 6 labels: many ties, and empty sides
+_FEATURE_LISTS = st.lists(st.frozensets(st.integers(0, 5), min_size=1), max_size=8)
+
+
 class TestJaccardMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_FEATURE_LISTS, b=_FEATURE_LISTS)
+    @example(a=[], b=[frozenset({1})])
+    @example(a=[frozenset({1})], b=[])
+    @example(a=[frozenset({1})] * 3, b=[frozenset({1}), frozenset({1, 2})] * 2)
+    def test_equals_the_rescoring_oracle(self, a, b):
+        got = jaccard_match(a, b)
+        assert got == rescoring_match(a, b)
+        assert all(type(i) is int and type(j) is int and type(s) is float for i, j, s in got.pairs)
+
     def test_identical_sets(self):
         m = jaccard_match([{1, 2}, {3}], [{3}, {1, 2}])
         assert m.pairs == ((0, 1, 1.0), (1, 0, 1.0))

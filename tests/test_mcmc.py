@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,14 @@ class TestPredictiveLogLik:
         with pytest.raises(DomainError):
             predictive_log_lik(summary, (1, 0), 0)
 
+    def test_fractional_cell_is_refused(self):
+        summary = make_summary(z_samples=[[[1], [1]]], b_samples=[[[1.0, 2.0]]])
+        assert predictive_log_lik(summary, (1.0, 0.0), 1) == predictive_log_lik(summary, (1, 0), 1)
+        with pytest.raises(DomainError, match=r"cell \(0\.5, 1\) has an index that is not an integer"):
+            predictive_log_lik(summary, (0.5, 1), 1)
+        with pytest.raises(DomainError, match=r"cell \(0, 2\) outside 2x2"):
+            predictive_log_lik(summary, (0, 2), 1)
+
 
 class TestChainConfig:
     def test_validation(self):
@@ -618,6 +627,44 @@ class TestChainRunner:
         assert summary.hyper == hp
         want_kplus = (summary.z_samples.sum(axis=1) > 0).sum(axis=1)
         np.testing.assert_array_equal(summary.kplus_trace, want_kplus)
+
+    def test_summary_views_the_draw_store_read_only(self, rng):
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper(burn_in=2, n_samples=6)))
+        for _ in range(5):
+            runner.step_once()
+            runner._maybe_retain()
+        mid = runner.summary()
+        assert mid.n_samples == 3
+        kept = {name: getattr(mid, name).copy() for name in PosteriorSummary.per_draw_dtypes()}
+        for name, dtype in PosteriorSummary.per_draw_dtypes().items():
+            view = getattr(mid, name)
+            assert view.dtype == dtype and runner._draws[name].dtype == dtype
+            assert np.shares_memory(view, runner._draws[name])
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0
+        # the chain runs on and fills the rows after the third, under the views
+        final = runner.run()
+        assert final.n_samples == 6
+        for name, rows in kept.items():
+            np.testing.assert_array_equal(getattr(mid, name), rows)
+            np.testing.assert_array_equal(getattr(final, name)[:3], rows)
+
+    def test_summary_allocates_no_per_draw_array(self, rng):
+        # the store holds 200 draws of a 20x10 Z and a 10x100 B, 1.6 MB; the
+        # summary allocates its two means, 10 kB, and numpy's 64 kB buffer
+        # for the mean of the int8 Z
+        hp = tiny_hyper(k_max=10, burn_in=0, n_samples=200)
+        runner = ChainRunner(tiny_data(rng, n=20, d=100), None, ChainConfig(hyper=hp))
+        runner.run()
+        store = sum(rows.nbytes for rows in runner._draws.values())
+        tracemalloc.start()
+        try:
+            runner.summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * store
 
     def test_summary_before_sampling_is_an_error(self, rng):
         runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper()))

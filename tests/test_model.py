@@ -85,6 +85,27 @@ class TestCountMatrix:
         with pytest.raises(DomainError, match="outside"):
             CountMatrix(2, 2, [0], [-1], [1], ("a", "b"), ("x", "y"))
 
+    def test_fractional_cells_are_refused(self):
+        # integer-valued floats are cells; any other float names its cell
+        data = CountMatrix(2, 3, [0.0, 1.0], [2.0, 0.0], [4, 1], ("a", "b"), ("x", "y", "z"))
+        assert cells(data) == [[0, 2, 4], [1, 0, 1]]
+        with pytest.raises(DomainError, match=r"cell \(1\.0, 0\.5\) has an index that is not an integer"):
+            CountMatrix(2, 3, [0, 1], [2, 0.5], [4, 1], ("a", "b"), ("x", "y", "z"))
+        with pytest.raises(DomainError, match=r"count 1\.5 is not an integer"):
+            CountMatrix(2, 3, [0, 1], [2, 0], [4, 1.5], ("a", "b"), ("x", "y", "z"))
+
+    def test_counts_at_refuses_what_the_constructor_refuses(self):
+        data = CountMatrix.from_dense([[1, 0, 2], [0, 3, 0]])
+        assert data.counts_at([0.0, 1.0], [2.0, 1.0]).tolist() == [2, 3]
+        with pytest.raises(DomainError, match=r"cell \(0\.9, 2\.2\) has an index that is not an integer"):
+            data.counts_at([0.9], [2.2])
+        with pytest.raises(DomainError, match=r"cell \(1, 3\) outside 2x3"):
+            data.counts_at([0, 1], [0, 3])
+        with pytest.raises(DomainError, match=r"cell \(-1, 0\) outside 2x3"):
+            data.counts_at([[-1], [0]], [[0, 1]])
+        with pytest.raises(DomainError, match="not an integer"):
+            data.counts_at([np.nan], [0])
+
     def test_density_and_zero_share(self):
         data = CountMatrix.from_dense([[1, 0], [2, 3]])
         assert data.density == pytest.approx(0.75)
@@ -138,8 +159,18 @@ class TestObservationMask:
         assert not none.is_held_out(*np.divmod(np.arange(6), 2)).any()
 
     def test_out_of_range_cell_rejected(self):
-        with pytest.raises(DomainError, match="outside"):
+        with pytest.raises(DomainError, match=r"cell \(3, 0\) outside 2x2"):
             ObservationMask(frozenset({(3, 0)}), 2, 2)
+
+    def test_fractional_cells_are_refused(self):
+        assert ObservationMask([(1.0, 2.0)], 2, 3).held_out.tolist() == [[1, 2]]
+        with pytest.raises(DomainError, match=r"cell \(0\.5, 1\.7\) has an index that is not an integer"):
+            ObservationMask([(0.5, 1.7)], 2, 3)
+        mask = ObservationMask([(0, 1)], 2, 3)
+        with pytest.raises(DomainError, match=r"cell \(0\.0, 1\.5\) has an index that is not an integer"):
+            mask.is_held_out([0.0], [1.5])
+        with pytest.raises(DomainError, match=r"cell \(2, 0\) outside 2x3"):
+            mask.is_held_out([2], [0])
 
     def test_digest_depends_on_cells(self):
         a = ObservationMask(frozenset({(0, 0)}), 2, 2)
@@ -209,6 +240,20 @@ class TestHyperParams:
             HyperParams(burn_in=-1)
         with pytest.raises(DomainError):
             HyperParams(eps_trunc=0.0)
+
+    def test_weight_law_is_checked_by_its_one_rule(self):
+        # the rule of every member of the prior family, after the sigma = 1 clamp
+        for kw, message in (
+            ({"sigma": 1.2}, r"sigma must lie in \[0, 1\), got 1\.2"),
+            ({"sigma": -0.1}, r"sigma must lie in \[0, 1\), got -0\.1"),
+            ({"c": -0.5, "sigma": 0.25}, r"c must exceed -sigma, got c=-0\.5, sigma=0\.25"),
+            ({"c": -0.25, "sigma": 0.25}, r"c must exceed -sigma"),
+            ({"eps_trunc": 0.0}, r"eps_trunc must lie in \(0, 1\), got 0\.0"),
+            ({"eps_trunc": 1.0}, r"eps_trunc must lie in \(0, 1\), got 1\.0"),
+            ({"c": float("nan")}, r"c must exceed -sigma"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                HyperParams(**kw)
 
     def test_c_may_be_negative_within_sigma(self):
         hp = HyperParams(c=-0.2, sigma=0.5)

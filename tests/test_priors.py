@@ -60,15 +60,38 @@ def two_sample_chisq(counts_a, counts_b):
     return stats.chi2.sf(stat, dof)
 
 
+def _cumulative_trapezoid(f, t):
+    return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * np.diff(t))])
+
+
+# Below this v = log(1 - p), p rounds to 1, so the density in v is
+# exp(v (c + sigma)) and its integral up to v is exp(v (c + sigma)) / (c + sigma).
+_ORACLE_V_MIN = -60.0
+
+
 def restricted_density_cdf(c, sigma, eps):
     """Independent oracle CDF of the normalized density p^(-1-sigma) (1-p)^(c+sigma-1)
-    on [eps, 1), integrated on a fine logit grid where the integrand is bounded."""
-    u = np.linspace(logit(eps), logit(1.0 - 1e-12), 200_000)
-    p = expit(u)
-    dens = p**-sigma * (1.0 - p) ** (c + sigma)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(u))])
-    cdf /= cdf[-1]
-    return lambda x: np.interp(logit(np.clip(x, eps, 1.0 - 1e-12)), u, cdf)
+    on [eps, 1), normalised over the whole of [eps, 1).  Trapezoids on fine
+    grids where each integrand is bounded: in u = log p up to m = max(eps, 1/2),
+    and above m in v = log(1 - p), down to ``_ORACLE_V_MIN`` and in closed form
+    below it.  At a small c + sigma most of the mass lies within 1e-15 of 1."""
+    m, a = max(eps, 0.5), c + sigma
+    u = np.linspace(math.log(eps), math.log(m), 100_000)
+    p = np.exp(u)
+    lower = _cumulative_trapezoid(p**-sigma * (1.0 - p) ** (a - 1.0), u)
+    # tail[i]: the mass of p in [1 - exp(v[i]), 1)
+    v = np.linspace(_ORACLE_V_MIN, math.log1p(-m), 100_000)
+    tail = math.exp(_ORACLE_V_MIN * a) / a + _cumulative_trapezoid((-np.expm1(v)) ** (-1.0 - sigma) * np.exp(v * a), v)
+    total = lower[-1] + tail[-1]
+
+    def cdf(x):
+        x = np.clip(np.asarray(x, dtype=np.float64), eps, 1.0)
+        with np.errstate(divide="ignore"):
+            w = np.log1p(-x)
+        above = np.where(w < v[0], np.exp(w * a) / a, np.interp(w, v, tail))
+        return np.where(x < m, np.interp(np.log(x), u, lower), total - above) / total
+
+    return cdf
 
 
 class TestBinaryFeatureMatrix:
@@ -280,9 +303,7 @@ class TestSamplePiTruncated:
     )
     def test_split_envelope_distribution(self, rng, c, sigma, eps, pieces):
         # c + sigma < 1: a floor at or above 1/2 leaves only the tail piece,
-        # a lower one splits at 1/2; the last two at a tiny sigma.  c + sigma
-        # stays large enough that the oracle, which ends at 1 - 1e-12, misses
-        # no visible mass
+        # a lower one splits at 1/2; the last two at a tiny sigma
         m, w, _ = _envelope(c, sigma, eps)
         assert (m, w == 0.0) == ((eps, True) if pieces == "tail" else (0.5, False))
         with deadline(20):
@@ -303,6 +324,19 @@ class TestSamplePiTruncated:
             _, accept = _propose(np.random.default_rng(0).random(4000), 1.0, c, sigma, 1, eps)
         assert np.all(accept <= 1.0 + 1e-12)
         assert accept.mean() >= 0.2
+
+    def test_mass_at_the_ceiling(self, rng):
+        # at c + sigma = 0.01 about two thirds of the law lies above
+        # PI_CEILING, where the sampler clips it: the share of draws there
+        # against the oracle's mass above it, and the draws below against
+        # the oracle's CDF conditional on lying below
+        c, sigma, eps, n = 0.01, 1e-9, 1e-4, 20_000
+        cdf = restricted_density_cdf(c, sigma, eps)
+        draws = sample_pi_truncated(1.0, c, sigma, n, eps, rng)
+        at_ceiling = draws == PI_CEILING
+        below = float(cdf(PI_CEILING))
+        assert stats.binomtest(int(at_ceiling.sum()), n, 1.0 - below).pvalue > 0.01
+        assert stats.kstest(draws[~at_ceiling], lambda x: cdf(x) / below).pvalue > 0.01
 
     def test_grid_branch_distribution(self, rng):
         c, sigma, eps = 0.2, 0.3, 0.01
