@@ -26,7 +26,6 @@ from . import __version__
 from .container import atomic_write_text
 from .errors import S3RIBPError
 from .evaluate import (
-    _at_least_one,
     binomial_baseline_qq,
     evaluate_folds,
     feature_line,
@@ -37,7 +36,7 @@ from .evaluate import (
 )
 from .io import RunConfig, load_counts, load_raw_matrix, load_summary, make_splits, save_counts, save_summary
 from .mcmc import ChainConfig, ChainRunner, run_chain
-from .model import CountMatrix, HyperParams, rca_transform
+from .model import CountMatrix, HyperParams, _whole, rca_transform
 from .priors import sample_3p_ibp, sample_3r_ibp, sample_ibp
 
 __all__ = ["cli_dispatch", "main"]
@@ -276,7 +275,7 @@ def _cmd_topics(args, file_config):
 def _cmd_meta(args, file_config):
     summary = load_summary(args.posterior)
     hp = _resolve_hyper(args, file_config)
-    _at_least_one("top_m", args.top_m)
+    _whole(args.top_m, "top_m", 1)
     meta_summary = meta_features(summary, ChainConfig(hyper=hp))
     labels = tuple(f"F{k}" for k in np.flatnonzero(live_features(summary.z_mean)))
     report = top_features(meta_summary.b_mean, labels, args.top_m, live=live_features(meta_summary.z_mean))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DomainError, NumericsError
+from .model import _whole
 
 __all__ = [
     "LogESPTable",
@@ -86,15 +87,22 @@ def log_esp(odds):
     return LogESPTable(table)
 
 
+def _weights_and_sums(pi, s):
+    """``pi`` as float64, its logits, and the row sums ``s`` checked against
+    0..K (``_whole``), for every function here that takes a sum."""
+    pi = np.asarray(pi, dtype=np.float64)
+    return pi, log_odds(pi), _whole(s, "s", 0, pi.shape[0])
+
+
+def _log_pb(pi, log_e, s):
+    """log P(sum = s) for Bernoulli(pi) off ``log_e``, the ESP table of pi's odds."""
+    return float(log_e[s] + np.log1p(-pi).sum())
+
+
 def poisson_binomial_log_pmf(pi, s):
     """log P(sum of independent Bernoulli(pi) = s) = log e_s(w) + sum log(1-pi)."""
-    pi = np.asarray(pi, dtype=np.float64)
-    logw = log_odds(pi)
-    k = pi.shape[0]
-    if not 0 <= s <= k:
-        raise DomainError(f"sum {s} outside 0..{k}")
-    table = _log_esp_from_logw(logw)
-    return float(table[s] + np.log1p(-pi).sum())
+    pi, logw, s = _weights_and_sums(pi, s)
+    return _log_pb(pi, _log_esp_from_logw(logw), s)
 
 
 def inclusion_probs(pi, s):
@@ -104,11 +112,8 @@ def inclusion_probs(pi, s):
     where e_{s-1}(w_{-k}) = sum_j e_j(w_0..w_{k-1}) e_{s-1-j}(w_{k+1}..) is
     read off one prefix and one suffix table.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    logw = log_odds(pi)
+    pi, logw, s = _weights_and_sums(pi, s)
     k = pi.shape[0]
-    if not 0 <= s <= k:
-        raise DomainError(f"target sum {s} outside 0..{k}")
     if s == 0:
         return np.zeros(k)
     suffix = _suffix_log_esp(logw, s)
@@ -141,15 +146,11 @@ def sample_row_given_sum(pi, s, rng):
     off one suffix table built for the largest sum.  Exact, no rejection;
     one uniform per (row, coordinate).
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    logw = log_odds(pi)
+    pi, logw, sums = _weights_and_sums(pi, s)
     k = pi.shape[0]
-    sums = np.asarray(s, dtype=np.int64)
-    if np.any((sums < 0) | (sums > k)):
-        raise DomainError(f"target sum outside 0..{k}")
     r = np.atleast_1d(sums).copy()
     z = np.zeros((r.shape[0], k), dtype=np.int8)
-    t = _suffix_log_esp(logw, int(r.max(initial=0)))
+    t = _suffix_log_esp(logw, r.max(initial=0))
     u = rng.random((r.shape[0], k))
     for i in range(k):
         p_in = np.exp(logw[i] + t[i + 1, np.maximum(r - 1, 0)] - t[i, r])
@@ -158,7 +159,7 @@ def sample_row_given_sum(pi, s, rng):
         r -= take
     if np.any(r != 0):
         raise NumericsError("conditional Bernoulli sweep failed to place all ones")
-    return z if sums.ndim else z[0]
+    return z if np.ndim(sums) else z[0]
 
 
 def restricted_row_log_prior(z, pi, log_f, esp=None):
@@ -169,23 +170,14 @@ def restricted_row_log_prior(z, pi, log_f, esp=None):
     pmf over sums 0..K; ``esp`` optionally reuses a precomputed table for
     the full odds vector.
     """
-    z = np.asarray(z)
-    pi = np.asarray(pi, dtype=np.float64)
-    log_f = np.asarray(log_f, dtype=np.float64)
-    k = pi.shape[0]
-    if z.shape != (k,) or log_f.shape != (k + 1,):
+    z, pi, log_f = np.asarray(z), np.asarray(pi, dtype=np.float64), np.asarray(log_f, dtype=np.float64)
+    if z.shape != pi.shape or log_f.shape != (pi.shape[0] + 1,):
         raise DomainError("z, pi and log_f disagree on the number of coordinates")
     if not np.isin(z, (0, 1)).all():
         raise DomainError("z must be binary")
-    logw = log_odds(pi)
-    s = int(z.sum())
+    pi, logw, s = _weights_and_sums(pi, z.sum())
     if log_f[s] == _NEG_INF:
         return _NEG_INF
-    if esp is None:
-        table = _log_esp_from_logw(logw)
-    else:
-        table = esp.log_e
-    log1m = np.log1p(-pi)
-    bern = float(np.where(z == 1, np.log(pi), log1m).sum())
-    log_pb = float(table[s] + log1m.sum())
-    return float(log_f[s]) + bern - log_pb
+    table = _log_esp_from_logw(logw) if esp is None else esp.log_e
+    bern = float(np.where(z == 1, np.log(pi), np.log1p(-pi)).sum())
+    return float(log_f[s]) + bern - _log_pb(pi, table, s)

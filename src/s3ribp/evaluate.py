@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mcmc import _check_fitted_shape, _predictive_log_liks, run_chain
-from .model import CountMatrix, ObservationMask, poisson_log_pmf
+from .model import CountMatrix, ObservationMask, _whole, poisson_log_pmf
 
 __all__ = [
     "log_perplexity",
@@ -75,17 +75,12 @@ def baseline_row_mean_log_perplexity(data, mask):
     return -float(poisson_log_pmf(x, row_mean[rows]).mean())
 
 
-def _at_least_one(name, value):
-    if value < 1:
-        raise DomainError(f"{name} must be at least 1")
-
-
 def _top_columns(b_mean, top_m, live):
     """(k, the indices of its top_m largest weights) for each live feature
     with a positive weight; ties go to the lower column."""
     if b_mean.ndim != 2:
         raise DomainError("expected a feature-by-column weight matrix")
-    _at_least_one("top_m", top_m)
+    top_m = _whole(top_m, "top_m", 1)
     live = np.ones(b_mean.shape[0], dtype=bool) if live is None else np.asarray(live, dtype=bool)
     cols = np.arange(b_mean.shape[1])
     keep = live & np.any(b_mean > 0, axis=1)
@@ -102,20 +97,18 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     """
     b_mean = np.asarray(b_mean, dtype=np.float64)
     top = _top_columns(b_mean, top_m, live)
-    doc = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
     all_rows = np.arange(data.n_rows)[:, None]
     scores = []
     for _, cols in top:
-        # co[i, j]: rows with a count in both top columns i and j
+        # co[i, j]: rows with a count in both top columns i and j, so co[l, l] = D(v_l)
         present = (data.counts_at(all_rows, cols[None, :]) > 0).astype(np.float64)
         co = present.T @ present
+        # the pairs (m, l), l < m, row by row
+        m, l = np.tril_indices(len(cols), -1)
+        d_l = co[l, l]
         total = 0.0
-        for m in range(1, len(cols)):
-            for l in range(m):
-                d_l = doc[cols[l]]
-                if d_l == 0:
-                    continue
-                total += math.log((co[m, l] + 1.0) / d_l)
+        for ratio in (co[m, l][d_l > 0] + 1.0) / d_l[d_l > 0]:
+            total += math.log(ratio)
         scores.append(total)
     if not scores:
         raise DomainError("no live feature has positive weights; coherence is undefined")
@@ -130,7 +123,7 @@ def _replicate_qq(data, n_draws, rng, cell_probs):
     probabilities and draws one uniform per cell; the uniform and hit
     buffers are reused across replicates.
     """
-    _at_least_one("n_draws", n_draws)
+    n_draws = _whole(n_draws, "n_draws", 1)
     empirical = np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
     acc = np.zeros_like(empirical)
     shape = (data.n_rows, data.n_cols)
@@ -359,8 +352,7 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
     """
     if not masks:
         raise DomainError("need at least one fold mask")
-    _at_least_one("top_m", top_m)
-    _at_least_one("n_draws", qq_draws)
+    top_m, qq_draws = _whole(top_m, "top_m", 1), _whole(qq_draws, "qq_draws", 1)
     folds = []
     top_sets = []
     first_summary = None

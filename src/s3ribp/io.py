@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import compress, repeat
 
 import numpy as np
 
 from .container import atomic_write_text, read_records, write_records
 from .errors import DomainError, ParseError
-from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, dataclass_from_dict, typed_fields
+from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, _whole, dataclass_from_dict, typed_fields
 
 __all__ = [
     "load_counts",
@@ -269,8 +269,7 @@ def make_splits(data, fraction, n_folds, seed):
     """
     if not (0.0 < fraction < 1.0):
         raise DomainError("hold-out fraction must lie strictly between 0 and 1")
-    if n_folds < 1:
-        raise DomainError("need at least one fold")
+    n_folds = _whole(n_folds, "n_folds", 1)
     n_cells = data.n_rows * data.n_cols
     n_held = math.ceil(fraction * n_cells)
     if n_held >= n_cells:
@@ -302,8 +301,7 @@ class RunConfig:
             raise DomainError(f"unknown preprocessing mode {self.preproc!r}")
         if not (0.0 < self.holdout < 1.0):
             raise DomainError("hold-out fraction must lie strictly between 0 and 1")
-        if self.n_folds < 1:
-            raise DomainError("need at least one fold")
+        _whole(self.n_folds, "n_folds", 1)
         if self.fmt not in _FORMATS:
             raise DomainError(f"unknown format {self.fmt!r}")
 
@@ -325,9 +323,6 @@ class RunConfig:
         payload = json.loads(text)
         payload.pop("package_version", None)
         return cls.from_dict(payload)
-
-    def replace(self, **kw):
-        return replace(self, **kw)
 
 
 def save_summary(summary, path):

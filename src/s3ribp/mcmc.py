@@ -60,6 +60,7 @@ from .model import (
     ObservationMask,
     PosteriorSummary,
     _cell_indices,
+    _whole,
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     typed_fields,
@@ -156,10 +157,7 @@ def sample_alpha(k_plus, exposure_mass, hp, rng):
     measure (``levy_exposure_mass``), so K+ plays the role of a
     Poisson(alpha M) observation.
     """
-    k_plus = int(k_plus)
-    if k_plus < 0:
-        raise DomainError("k_plus must be non-negative")
-    shape = hp.alpha_prior_shape + k_plus
+    shape = hp.alpha_prior_shape + _whole(k_plus, "k_plus")
     rate = 1.0 / hp.alpha_prior_scale + exposure_mass
     return float(rng.gamma(shape, 1.0 / rate))
 

@@ -75,6 +75,28 @@ def _fractional(a):
     return np.zeros(a.shape, dtype=bool) if a.dtype.kind in "iu" else ~np.isfinite(a) | (a != np.floor(a))
 
 
+def _whole(values, name, least=0, most=None):
+    """``values`` as int64, a Python int where it is one number.  A value no
+    int64 equals (fractional, non-finite or out of int64's range) or one
+    outside least..most (``most`` None: no upper bound) is a DomainError
+    naming ``name`` and the first bad value; an integral float passes."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        whole = a.astype(np.int64, copy=False)
+    fractional = whole != a
+    bad = fractional | (whole < least)
+    if most is not None:
+        bad |= whole > most
+    if bad.any():
+        i = int(np.argmax(bad))
+        if fractional.flat[i]:
+            raise DomainError(f"{name} {a.flat[i]} is not an integer")
+        v = whole.flat[i]
+        what = f"exceeds {most}" if v >= least else "is negative" if least == 0 else f"is less than {least}"
+        raise DomainError(f"{name} {v} {what}")
+    return whole if whole.ndim else whole.item()
+
+
 def _cell_indices(rows, cols, n_rows, n_cols):
     """``rows`` and ``cols``, broadcast together, as int64 arrays; a DomainError
     names the first cell whose indices are not integers or lie outside the shape."""
@@ -123,11 +145,7 @@ class CountMatrix:
         except ValueError:
             raise DomainError("rows, cols and counts must have the same length") from None
         rows, cols = _cell_indices(coo[0], coo[1], self.n_rows, self.n_cols)
-        if _fractional(coo[2]).any():
-            raise DomainError(f"count {coo[2][np.argmax(_fractional(coo[2]))]} is not an integer")
-        rows, cols, counts = coo = np.array([rows, cols, coo[2]], dtype=np.int64)
-        if np.any(counts < 0):
-            raise DomainError(f"count {counts.min()} is negative")
+        rows, cols, counts = coo = np.array([rows, cols, _whole(coo[2], "count")])
         flat = rows * self.n_cols + cols
         order = np.argsort(flat, kind="stable")
         repeated = flat[order][1:][np.diff(flat[order]) == 0]
@@ -482,20 +500,13 @@ class PosteriorSummary:
 # densities
 
 
-def _validated_counts(x):
-    x = np.asarray(x)
-    if x.size and (np.any(x < 0) or np.any(x != np.floor(x))):
-        raise DomainError("counts must be non-negative integers")
-    return x.astype(np.float64)
-
-
 def poisson_log_pmf(x, lam):
     """log Poisson pmf, broadcasting over arrays.
 
     A rate of zero is the point mass at zero: log pmf is 0 for x = 0 and
     -inf for x > 0.
     """
-    x = _validated_counts(x)
+    x = np.asarray(_whole(x, "x"), dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.size and (np.any(lam < 0) or not np.all(np.isfinite(lam))):
         raise DomainError("rates must be finite and non-negative")
@@ -515,9 +526,7 @@ def negbin_log_pmf(s, r, p):
     """
     if not (r > 0 and 0.0 < p < 1.0):
         raise DomainError("need r > 0 and p in (0, 1)")
-    s = int(s)
-    if s < 0:
-        raise DomainError("counts must be non-negative")
+    s = _whole(s, "s")
     return float(
         math.lgamma(s + r) - math.lgamma(r) - math.lgamma(s + 1) + r * math.log(p) + s * math.log1p(-p)
     )
@@ -530,9 +539,7 @@ def negbin_row_sum_log_pmf(r, p, k_max):
     is exactly the law induced by drawing and clamping.  The result always
     has full support (the tail cell is at least the bare pmf at k_max).
     """
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    body = np.array([negbin_log_pmf(s, r, p) for s in range(k_max + 1)])
+    body = np.array([negbin_log_pmf(s, r, p) for s in range(_whole(k_max, "k_max", 1) + 1)])
     head_mass = float(np.exp(body[:-1]).sum())
     tail = max(1.0 - head_mass, float(np.exp(body[-1])))
     out = body.copy()

@@ -31,7 +31,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, NumericsError
-from .model import PI_CEILING
+from .model import PI_CEILING, _whole
 from .condbern import sample_row_given_sum
 
 __all__ = [
@@ -111,8 +111,7 @@ def sample_3p_ibp(alpha, c, sigma, n_rows, rng):
     is the classic process, ``sample_ibp``.
     """
     _check_weight_law(alpha, c, sigma)
-    if n_rows < 1:
-        raise DomainError("need at least one row")
+    n_rows = _whole(n_rows, "n_rows", 1)
     m = np.zeros(0, dtype=np.int64)
     rows = []
     for n in range(1, n_rows + 1):
@@ -223,8 +222,7 @@ def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
     support by inverse CDF.
     """
     _check_weight_law(alpha, c, sigma, eps_trunc)
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
+    k_max = _whole(k_max, "k_max", 1)
     if sigma == 0.0:
         a = alpha * c / k_max
         if not a > 0:
@@ -251,8 +249,7 @@ def sample_3r_ibp(hp, n_rows, rng, alpha=None):
     sample_pi_truncated checks it before any draw.  The weights depend on
     alpha only at sigma = 0: the power-law density has no alpha in it.
     """
-    if n_rows < 1:
-        raise DomainError("need at least one row")
+    n_rows = _whole(n_rows, "n_rows", 1)
     if alpha is None:
         alpha = rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale)
     pi = sample_pi_truncated(alpha, hp.c, hp.sigma, hp.k_max, hp.eps_trunc, rng)

@@ -41,7 +41,7 @@ from s3ribp import (
 
 from _acceptance_log import record
 from conftest import brute_force_inclusion, enumerate_rows
-from test_priors import harmonic, two_sample_chisq
+from test_priors import harmonic, poisson_chisq
 
 # the planted-recovery configuration: four disjoint 10-column blocks, one
 # spare feature slot, and the sparse-loading prior the blocks were drawn for
@@ -169,15 +169,22 @@ def test_criterion_3_prior_moments():
 
 
 def test_criterion_4_three_parameter_reduction_to_ibp():
+    # the three-parameter sampler at c = 1, sigma = 0 against the classic
+    # process's exact law, K+ ~ Poisson(alpha H_N)
     rng = np.random.default_rng(14)
     n_reps, alpha, n_rows = 10_000, 2.0, 20
-    k_ibp = np.array([sample_ibp(alpha, n_rows, rng).n_features for _ in range(n_reps)])
     k_3p = np.array(
         [sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng).n_features for _ in range(n_reps)]
     )
-    p_value = two_sample_chisq(np.bincount(k_ibp), np.bincount(k_3p))
+    mean = alpha * harmonic(n_rows)
+    p_value = poisson_chisq(k_3p, mean)
     ok = p_value > 0.01
-    record(4, ok, f"K+ histogram homogeneity p = {p_value:.3f} over 2x{n_reps} replicates")
+    record(
+        4,
+        ok,
+        f"K+ against Poisson(alpha H_N) p = {p_value:.3f}, mean {k_3p.mean():.3f} vs {mean:.3f}"
+        f" over {n_reps} replicates",
+    )
     assert p_value > 0.01
 
 

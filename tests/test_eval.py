@@ -31,6 +31,7 @@ from s3ribp import (
     umass_coherence,
 )
 from s3ribp import mcmc
+from s3ribp.evaluate import _top_columns
 from s3ribp.model import poisson_log_pmf
 from test_mcmc import make_summary, tiny_hyper
 
@@ -138,9 +139,57 @@ class TestBaselinePerplexity:
         np.testing.assert_allclose(baseline_row_mean_log_perplexity(data, mask), -np.mean(want), rtol=1e-12)
 
 
+def looped_coherence(b_mean, data, top_m, live):
+    """The oracle of ``umass_coherence``: D(v_l) from a bincount of the
+    stored cells and a double loop over the pairs (m, l), l < m."""
+    top = _top_columns(np.asarray(b_mean, dtype=np.float64), top_m, live)
+    doc = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
+    all_rows = np.arange(data.n_rows)[:, None]
+    scores = []
+    for _, cols in top:
+        present = (data.counts_at(all_rows, cols[None, :]) > 0).astype(np.float64)
+        co = present.T @ present
+        total = 0.0
+        for m in range(1, len(cols)):
+            for l in range(m):
+                d_l = doc[cols[l]]
+                if d_l == 0:
+                    continue
+                total += math.log((co[m, l] + 1.0) / d_l)
+        scores.append(total)
+    if not scores:
+        raise DomainError("no live feature has positive weights; coherence is undefined")
+    return float(np.mean(scores))
+
+
+@st.composite
+def _coherence_cases(draw):
+    """A count matrix of up to 9 x 7 cells, mostly zero so that top columns
+    are often empty, and a weight matrix with zero rows and tied weights."""
+    n, d, k = draw(st.integers(1, 9)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    x = draw(st.lists(st.sampled_from([0, 0, 0, 1, 3]), min_size=n * d, max_size=n * d))
+    b = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=k * d, max_size=k * d))
+    live = draw(st.none() | st.lists(st.booleans(), min_size=k, max_size=k))
+    return np.reshape(x, (n, d)), np.reshape(b, (k, d)), draw(st.integers(1, d + 1)), live
+
+
 class TestUmassCoherence:
     def co_data(self, present):
         return CountMatrix.from_dense(np.asarray(present, dtype=np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_coherence_cases())
+    @example(case=(np.array([[0, 1, 0], [0, 2, 0]]), np.array([[3.0, 2.0, 1.0]]), 3, None))
+    def test_equals_the_looped_oracle(self, case):
+        x, b, top_m, live = case
+        data = self.co_data(x)
+        try:
+            want = looped_coherence(b, data, top_m, live)
+        except DomainError:
+            with pytest.raises(DomainError):
+                umass_coherence(b, data, top_m, live)
+            return
+        assert umass_coherence(b, data, top_m, live) == want
 
     def test_single_column_feature_is_zero(self):
         data = self.co_data(np.ones((10, 2)))

@@ -601,11 +601,6 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="JSON object"):
             RunConfig.from_json('{"dataset": "x", "hyper": 3}')
 
-    def test_replace(self):
-        config = RunConfig(dataset="x")
-        assert config.replace(holdout=0.3).holdout == 0.3
-        assert config.holdout == 0.1
-
 
 @pytest.fixture(scope="module")
 def summary():

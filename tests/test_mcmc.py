@@ -38,6 +38,7 @@ from s3ribp import (
     sample_alpha,
     save_summary,
 )
+from s3ribp import mcmc
 from s3ribp.container import read_records, write_records
 from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
 from conftest import deadline, enumerate_rows
@@ -355,6 +356,22 @@ class TestMhUpdatePi:
             assert np.all(runner.pi >= hp.eps_trunc)
             assert np.all(runner.pi < 1.0)
             runner._validate_internal()
+
+    def test_low_acceptance_shrinks_the_step_to_its_floor(self, rng, monkeypatch):
+        # at a step of 40 on the logit scale most proposals leave the support,
+        # so each burn-in window of 100 iterations accepts under 20%: the
+        # step falls by 0.7x per window, and no lower than _STEP_MIN (raised
+        # here to 20 so that the floor is reached in two windows)
+        monkeypatch.setattr(mcmc, "_STEP_MIN", 20.0)
+        hp = tiny_hyper(mh_step=40.0, burn_in=300)
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=hp))
+        for want in (40.0 * 0.7, 20.0, 20.0):
+            for _ in range(99):
+                runner.step_once()
+            assert runner._win_acc < 0.2 * runner._win_prop
+            runner.step_once()
+            assert runner._step == want
+            assert runner._win_prop == 0
 
 
 class TestGibbsUpdateB:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3ribp import (
+    ChainConfig,
     CountMatrix,
     DomainError,
     HyperParams,
@@ -15,17 +17,32 @@ from s3ribp import (
     LatentState,
     ObservationMask,
     PosteriorSummary,
+    binomial_baseline_qq,
+    evaluate_folds,
+    inclusion_probs,
     levy_exposure_mass,
+    make_splits,
     negbin_log_pmf,
     negbin_row_sum_log_pmf,
+    poisson_binomial_log_pmf,
     poisson_log_pmf,
+    qq_row_nonzeros,
     rca_index,
     rca_transform,
+    sample_3p_ibp,
+    sample_3r_ibp,
+    sample_alpha,
+    sample_ibp,
+    sample_pi_truncated,
+    sample_row_given_sum,
+    top_features,
+    umass_coherence,
 )
 from s3ribp.container import canonical_bytes
-from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING
+from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING, _whole
 
 from conftest import cells
+from test_mcmc import make_summary, tiny_hyper
 
 
 class TestCountMatrix:
@@ -552,3 +569,77 @@ class TestRCA:
         data = rca_transform(raw, mode="round", row_labels=("fr",), col_labels=("wine", "oil"))
         assert data.row_labels == ("fr",)
         assert data.col_labels == ("wine", "oil")
+
+
+# Every count, row sum and size the package takes goes through one
+# whole-number rule: an integral float is the int, and a fractional,
+# non-finite or out-of-range value is a DomainError naming the argument and
+# the value.  Each entry: (argument name, kind, a valid value, the call).
+_PI = np.array([0.3, 0.6, 0.2])
+_COUNTS = CountMatrix.from_dense([[1, 0, 2], [0, 3, 1], [2, 1, 0], [0, 0, 4]])
+_B = np.array([[2.0, 1.0, 0.5], [0.0, 1.0, 3.0]])
+
+
+def _rng():
+    return np.random.default_rng(7)
+
+
+def _qq_summary():
+    z = np.array([[[1, 0], [1, 1], [0, 1], [1, 0]], [[0, 1], [1, 0], [1, 1], [0, 1]]])
+    return make_summary(z, np.stack([_B, _B[::-1]]))
+
+
+def _eval_folds(**kw):
+    config = ChainConfig(hyper=tiny_hyper(k_max=2, burn_in=3, n_samples=2))
+    return evaluate_folds(_COUNTS, make_splits(_COUNTS, 0.25, 1, 5), config, **kw).to_json()
+
+
+_WHOLE_NUMBER_ARGUMENTS = {
+    "poisson_log_pmf": ("x", "count", 3, lambda v: poisson_log_pmf(v, 1.5)),
+    "CountMatrix": ("count", "count", 2, lambda v: CountMatrix(1, 2, [0], [1], [v], ("a",), ("x", "y")).counts),
+    "negbin_log_pmf": ("s", "count", 2, lambda v: negbin_log_pmf(v, 1.0, 0.5)),
+    "sample_alpha": ("k_plus", "count", 2, lambda v: sample_alpha(v, 1.5, HyperParams(), _rng())),
+    "poisson_binomial_log_pmf": ("s", "sum", 2, lambda v: poisson_binomial_log_pmf(_PI, v)),
+    "inclusion_probs": ("s", "sum", 2, lambda v: inclusion_probs(_PI, v)),
+    "sample_row_given_sum": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, v, _rng())),
+    "sample_row_given_sum-vector": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, [1, v, 0], _rng())),
+    "negbin_row_sum_log_pmf": ("k_max", "size", 3, lambda v: negbin_row_sum_log_pmf(1.0, 0.5, v)),
+    "sample_3p_ibp": ("n_rows", "size", 4, lambda v: sample_3p_ibp(2.0, 1.0, 0.25, v, _rng()).z),
+    "sample_ibp": ("n_rows", "size", 4, lambda v: sample_ibp(2.0, v, _rng()).z),
+    "sample_3r_ibp": ("n_rows", "size", 4, lambda v: sample_3r_ibp(HyperParams(k_max=5), v, _rng()).z),
+    "sample_pi_truncated": ("k_max", "size", 3, lambda v: sample_pi_truncated(1.0, 1.0, 0.25, v, 1e-4, _rng())),
+    "sample_pi_truncated-beta": ("k_max", "size", 3, lambda v: sample_pi_truncated(1.0, 1.0, 0.0, v, 1e-4, _rng())),
+    "top_features": ("top_m", "size", 2, lambda v: top_features(_B, _COUNTS.col_labels, v)),
+    "umass_coherence": ("top_m", "size", 2, lambda v: umass_coherence(_B, _COUNTS, v)),
+    "qq_row_nonzeros": ("n_draws", "size", 3, lambda v: qq_row_nonzeros(_qq_summary(), _COUNTS, v, _rng())),
+    "binomial_baseline_qq": ("n_draws", "size", 3, lambda v: binomial_baseline_qq(_COUNTS, v, _rng())),
+    "evaluate_folds-top_m": ("top_m", "size", 2, lambda v: _eval_folds(top_m=v)),
+    "evaluate_folds-qq_draws": ("qq_draws", "size", 2, lambda v: _eval_folds(qq_draws=v)),
+    "make_splits": ("n_folds", "size", 2, lambda v: [m.held_out for m in make_splits(_COUNTS, 0.25, v, 3)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WHOLE_NUMBER_ARGUMENTS))
+def test_whole_number_rule(entry):
+    name, kind, valid, call = _WHOLE_NUMBER_ARGUMENTS[entry]
+    np.testing.assert_equal(call(float(valid)), call(valid))
+    bad = [1.5, math.inf, math.nan, -1] + {"count": [], "sum": [_PI.shape[0] + 1], "size": [0]}[kind]
+    for value in bad:
+        with pytest.raises(DomainError) as err:
+            call(value)
+        assert f"{name} {value} " in str(err.value), (value, str(err.value))
+
+
+def test_whole_number_rule_messages():
+    assert _whole(np.array([2.0, 0.0]), "count").dtype == np.int64
+    assert type(_whole(np.float64(3.0), "n_rows", 1)) is int
+    for value, least, most, message in (
+        (1.5, 0, None, "count 1.5 is not an integer"),
+        (-1, 0, None, "count -1 is negative"),
+        (0.0, 1, None, "count 0 is less than 1"),
+        (4, 0, 3, "count 4 exceeds 3"),
+        (2.0**63, 0, None, "count 9.223372036854776e+18 is not an integer"),
+    ):
+        # the first bad value is named, not a later one
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _whole([least, value, least - 1], "count", least, most)

@@ -60,6 +60,20 @@ def two_sample_chisq(counts_a, counts_b):
     return stats.chi2.sf(stat, dof)
 
 
+def poisson_chisq(draws, mean):
+    """Goodness-of-fit chi-square p-value of integer draws against
+    Poisson(mean), each thin tail pooled into one cell holding an expected
+    count of at least 5."""
+    n = draws.shape[0]
+    ks = np.arange(int(draws.max()) + int(mean) + 50)
+    lo = ks[np.argmax(n * stats.poisson.cdf(ks, mean) >= 5)]
+    hi = ks[np.flatnonzero(n * stats.poisson.sf(ks - 1, mean) >= 5)[-1]]
+    # cells: {0..lo}, lo + 1, ..., hi - 1, {hi, hi + 1, ...}
+    probs = np.diff(np.concatenate([[0.0], stats.poisson.cdf(np.arange(lo, hi), mean), [1.0]]))
+    observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
+    return stats.chisquare(observed, n * probs).pvalue
+
+
 def _cumulative_trapezoid(f, t):
     return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * np.diff(t))])
 
@@ -205,16 +219,14 @@ class TestNewDishRate:
 
 class TestSample3PIBP:
     def test_reduces_to_classic_process(self, rng):
+        # at c = 1, sigma = 0, K+ has the classic process's law Poisson(alpha H_N)
         draws = 4000
         n_rows = 10
         alpha = 1.5
-        k_classic = np.array(
-            [sample_ibp(alpha, n_rows, rng).n_features for _ in range(draws)]
-        )
         k_3p = np.array(
             [sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng).n_features for _ in range(draws)]
         )
-        p = two_sample_chisq(np.bincount(k_classic), np.bincount(k_3p))
+        p = poisson_chisq(k_3p, alpha * harmonic(n_rows))
         assert p > 0.01
 
     def test_power_law_enriches_singletons(self, rng):
