@@ -234,6 +234,8 @@ def _cmd_fit(args, file_config):
 
 
 def _cmd_eval(args, file_config):
+    _whole(args.draws, "--draws", 1)
+    _whole(args.top_m, "--top-m", 1)
     hp = _resolve_hyper(args, file_config)
     data, source = _load_data(args, file_config)
     holdout = _resolve(args, "holdout", file_config)
@@ -248,6 +250,7 @@ def _cmd_eval(args, file_config):
 
 
 def _cmd_qq(args, file_config):
+    _whole(args.draws, "--draws", 1)
     data, source = _load_data(args, file_config)
     summary = load_summary(args.posterior)
     rng = np.random.default_rng(args.seed)
@@ -261,6 +264,7 @@ def _cmd_qq(args, file_config):
 
 
 def _cmd_topics(args, file_config):
+    _whole(args.top_m, "--top-m", 1)
     data, source = _load_data(args, file_config)
     summary = load_summary(args.posterior)
     live = live_features(summary.z_mean)
@@ -273,9 +277,9 @@ def _cmd_topics(args, file_config):
 
 
 def _cmd_meta(args, file_config):
+    _whole(args.top_m, "--top-m", 1)
     summary = load_summary(args.posterior)
     hp = _resolve_hyper(args, file_config)
-    _whole(args.top_m, "top_m", 1)
     meta_summary = meta_features(summary, ChainConfig(hyper=hp))
     labels = tuple(f"F{k}" for k in np.flatnonzero(live_features(summary.z_mean)))
     report = top_features(meta_summary.b_mean, labels, args.top_m, live=live_features(meta_summary.z_mean))

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit, logsumexp
+from scipy.special import expit, gammaln
 
 from .condbern import _NEG_INF, _log_esp_from_logw, _suffix_log_esp, log_odds, sample_row_given_sum
 from .container import read_records, write_records
@@ -62,7 +62,6 @@ from .model import (
     _cell_indices,
     _whole,
     negbin_row_sum_log_pmf,
-    poisson_log_pmf,
     typed_fields,
 )
 from .priors import atom_log_prior, levy_exposure_mass, sample_pi_truncated
@@ -101,9 +100,10 @@ _LOG1P_IDENTITY = 2.0**-54
 # its proposals is its last; the units it leaves go to the pair split.
 _MIN_ROUND_ACCEPT = 0.5
 
-# Held-out cells scored per pass over the retained samples: each pass holds
-# an (n_samples, chunk) array of log-likelihoods.
-_SCORE_CHUNK = 20_000
+# The held-out scorer's rate block: each pass over the retained samples
+# multiplies out at most max(1, _SCORE_CELLS // D) rows, so it holds at most
+# max(_SCORE_CELLS, D) rates.
+_SCORE_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,15 @@ def sample_alpha(k_plus, exposure_mass, hp, rng):
     return float(rng.gamma(shape, 1.0 / rate))
 
 
+def _log_sum_exp(t, axis):
+    """log sum exp(t) along ``axis``, shifted by each slice's maximum; a slice
+    with no finite term comes out -inf, without a warning."""
+    top = t.max(axis=axis, keepdims=True)
+    top[top == _NEG_INF] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.squeeze(top, axis) + np.log(np.exp(t - top).sum(axis=axis))
+
+
 def _log_convolve(a, b):
     """Log-space product of two polynomials, truncated to a's length.
 
@@ -173,11 +182,7 @@ def _log_convolve(a, b):
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     # the lags of i > j read the -inf appended after b
     lag[lag < 0] = b.shape[0]
-    t = a + np.append(b, _NEG_INF)[lag]
-    top = t.max(axis=1)
-    top[top == _NEG_INF] = 0.0
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.exp(t - top[:, None]).sum(axis=1))
+    return _log_sum_exp(a + np.append(b, _NEG_INF)[lag], axis=1)
 
 
 def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
@@ -247,24 +252,57 @@ def _predictive_log_liks(summary, rows, cols, x, shape=None):
     per-sample rate Z_n . B_d; a rate of zero contributes the point mass at
     zero, so a positive count whose rate is zero in every sample scores
     -inf.  ``shape``, when given, is the shape of the data the cells come
-    from, and a summary fitted on another shape is a DomainError.  Loops
-    over samples, vectorised over cells in chunks.
+    from, and a summary fitted on another shape is a DomainError.
+
+    The cells are taken in row order, in passes of at most
+    max(1, _SCORE_CELLS // D) distinct rows.  For each pass and retained
+    sample one BLAS product Z_s[rows] B_s writes every rate of those rows
+    into one reused buffer, and the pass's cells read theirs from it.  Each
+    sample so costs at most one N x K x D product, whatever the cells, and a
+    pass holds at most max(_SCORE_CELLS, D) rates and, for distinct cells,
+    n_samples times that many log likelihoods.  Against gathering each
+    cell's K loadings, the product costs less once a uniform mask holds out
+    more than about 2-3% of the cells.  Every cell adds -rate, the positive
+    ones x log rate, and log x! is taken off after the mean over samples.
     """
-    x = np.asarray(x)
     s_total = summary.n_samples
     if s_total < 1:
         raise DomainError("summary holds no retained samples")
     if shape is not None:
         _check_fitted_shape(summary, shape)
-    rows, cols = _cell_indices(rows, cols, summary.z_samples.shape[1], summary.b_samples.shape[2])
-    out = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], _SCORE_CHUNK):
-        r, c, xc = rows[lo : lo + _SCORE_CHUNK], cols[lo : lo + _SCORE_CHUNK], x[lo : lo + _SCORE_CHUNK]
-        lp = np.empty((s_total, r.shape[0]))
+    n_cols = summary.b_samples.shape[2]
+    rows, cols = _cell_indices(rows, cols, summary.z_samples.shape[1], n_cols)
+    x = np.asarray(_whole(x, "x"))
+    order = np.argsort(rows, kind="stable")
+    rows, cols, x = rows[order], cols[order], x[order]
+    new_row = np.diff(rows, prepend=-1) != 0
+    firsts = np.flatnonzero(new_row)
+    bounds = np.append(firsts, rows.shape[0])
+    # each cell's flat index in a (distinct rows, D) block of rates
+    at = (np.cumsum(new_row) - 1) * n_cols + cols
+    per_pass = max(1, _SCORE_CELLS // n_cols)
+    buf = np.empty(min(per_pass, firsts.shape[0]) * n_cols)
+    scores = np.empty(rows.shape[0])
+    for p in range(0, firsts.shape[0], per_pass):
+        block_rows = rows[firsts[p : p + per_pass]]
+        block = buf[: block_rows.shape[0] * n_cols].reshape(block_rows.shape[0], n_cols)
+        lo, hi = bounds[p], bounds[p + block_rows.shape[0]]
+        cell_at, xc = at[lo:hi] - p * n_cols, x[lo:hi]
+        pos = np.flatnonzero(xc)
+        lp = np.empty((s_total, hi - lo))
         for s in range(s_total):
-            lam = np.einsum("ik,ki->i", summary.z_samples[s][r].astype(np.float64), summary.b_samples[s][:, c])
-            lp[s] = poisson_log_pmf(xc, lam)
-        out[lo : lo + _SCORE_CHUNK] = logsumexp(lp, axis=0) - math.log(s_total)
+            np.matmul(summary.z_samples[s][block_rows].astype(np.float64), summary.b_samples[s], out=block)
+            lam = block.take(cell_at)
+            if not (lam.min() >= 0 and lam.max() < math.inf):
+                raise DomainError("rates must be finite and non-negative")
+            np.negative(lam, out=lp[s])
+            with np.errstate(divide="ignore"):
+                lp[s, pos] += xc[pos] * np.log(lam[pos])
+        scores[lo:hi] = _log_sum_exp(lp, axis=0)
+    pos = np.flatnonzero(x)
+    scores[pos] -= gammaln(x[pos] + 1.0)
+    out = np.empty_like(scores)
+    out[order] = scores - math.log(s_total)
     return out
 
 

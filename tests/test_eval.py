@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from s3ribp import (
     ChainConfig,
@@ -65,10 +66,11 @@ class TestLogPerplexity:
             log_perplexity(summary, data, mask)
 
     @pytest.mark.parametrize("n_samples", [1, 4])
-    @pytest.mark.parametrize("chunk", [3, None])
-    def test_equals_mean_of_per_cell_predictive(self, rng, monkeypatch, n_samples, chunk):
-        if chunk:
-            monkeypatch.setattr(mcmc, "_SCORE_CHUNK", chunk)
+    @pytest.mark.parametrize("cells", [3, None])
+    def test_equals_mean_of_per_cell_predictive(self, rng, monkeypatch, n_samples, cells):
+        if cells:
+            # fewer cells than a row holds: one row per pass
+            monkeypatch.setattr(mcmc, "_SCORE_CELLS", cells)
         n, d, k = 6, 5, 3
         z = rng.integers(0, 2, size=(n_samples, n, k))
         z[:, 0] = 0  # row 0 has rate zero in every sample
@@ -99,6 +101,57 @@ class TestLogPerplexity:
         assert predictive_log_lik(summary, (0, 2), 0) == 0.0
         assert log_perplexity(summary, data, mask) == math.inf
         assert baseline_row_mean_log_perplexity(data, mask) == math.inf
+
+
+def gathered_log_liks(summary, rows, cols, x):
+    """The scorer the row-blocked one replaced, as its oracle: per retained
+    sample, each cell's rate from its own row of Z and column of B, the full
+    Poisson log pmf, then scipy's logsumexp over the samples."""
+    lp = np.empty((summary.n_samples, len(rows)))
+    for s in range(summary.n_samples):
+        lam = np.einsum("ik,ki->i", summary.z_samples[s][rows].astype(np.float64), summary.b_samples[s][:, cols])
+        lp[s] = poisson_log_pmf(x, lam)
+    return logsumexp(lp, axis=0) - math.log(summary.n_samples)
+
+
+class TestRowBlockedScorer:
+    """``_predictive_log_liks`` against the per-cell gather it replaced."""
+
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    @pytest.mark.parametrize("one_row_passes", [False, True])
+    def test_matches_the_gathered_scorer(self, rng, monkeypatch, n_samples, one_row_passes):
+        if one_row_passes:
+            monkeypatch.setattr(mcmc, "_SCORE_CELLS", 1)
+        n, d, k = 9, 7, 4
+        z = rng.integers(0, 2, size=(n_samples, n, k))
+        z[:, [0, 5]] = 0  # rows 0 and 5 have rate zero in every sample
+        summary = make_summary(z, rng.gamma(0.5, 2.0, size=(n_samples, k, d)))
+        x = rng.poisson(1.5, size=(n, d))
+        x[0, :3] = 0
+        x[0, 3:] = 2
+        # unsorted cells with repeats, a row's cells spread through the list
+        rows, cols = rng.integers(0, n, size=80), rng.integers(0, d, size=80)
+        rows, cols = np.append(rows, [0, 5, 0, 3, 0]), np.append(cols, [1, 2, 4, 3, 1])
+        got = mcmc._predictive_log_liks(summary, rows, cols, x[rows, cols])
+        want = gathered_log_liks(summary, rows, cols, x[rows, cols])
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        # a zero-rate row scores 0 at a zero count and -inf at a positive one
+        assert np.all(got[(rows == 0) & (cols < 3)] == 0.0)
+        assert np.all(got[(rows == 0) & (cols >= 3)] == -math.inf)
+        assert np.all(got[rows == 5][x[5, cols[rows == 5]] == 0] == 0.0)
+
+    @pytest.mark.parametrize("bad", [-3.0, math.nan, math.inf])
+    def test_bad_loading_at_a_scored_cell_is_refused(self, bad):
+        b = np.ones((2, 2, 3))
+        b[1, 0, 2] = bad
+        summary = make_summary(np.ones((2, 2, 2), dtype=np.int8), b)
+        # the check reads the rates of the scored cells only
+        assert np.isfinite(mcmc._predictive_log_liks(summary, [0, 1], [1, 0], [1, 2])).all()
+        with pytest.raises(DomainError, match="rates must be finite and non-negative"):
+            mcmc._predictive_log_liks(summary, [0, 1], [1, 2], [1, 2])
+        with pytest.raises(DomainError, match="rates must be finite and non-negative"):
+            predictive_log_lik(summary, (1, 2), 0)
 
 
 class TestBaselinePerplexity:

@@ -1139,23 +1139,27 @@ class TestCliRunConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, bad",
+        "command, bad, message",
         [
-            ("eval", ["--draws", "0"]),
-            ("eval", ["--top-m", "0"]),
-            ("eval", ["--holdout", "0.999"]),
-            ("meta", ["--top-m", "0"]),
+            ("eval", ["--draws", "0"], "--draws 0 is less than 1"),
+            ("eval", ["--top-m", "0"], "--top-m 0 is less than 1"),
+            ("eval", ["--holdout", "0.999"], "hold-out fraction leaves no training cells"),
+            ("meta", ["--top-m", "0"], "--top-m 0 is less than 1"),
+            ("qq", ["--draws", "0"], "--draws 0 is less than 1"),
+            ("topics", ["--top-m", "0"], "--top-m 0 is less than 1"),
         ],
-        ids=["eval-draws", "eval-top-m", "eval-holdout", "meta-top-m"],
+        ids=["eval-draws", "eval-top-m", "eval-holdout", "meta-top-m", "qq-draws", "topics-top-m"],
     )
     def test_bad_option_fits_no_chain_and_leaves_no_out_dir(
-        self, command_runs, tmp_path, capsys, monkeypatch, command, bad
+        self, command_runs, tmp_path, capsys, monkeypatch, command, bad, message
     ):
         _, argv = command_runs
         monkeypatch.setattr(s3ribp.evaluate, "run_chain", lambda *a, **k: pytest.fail("a chain ran before the check"))
         out = tmp_path / "o"
         assert cli_dispatch([command, *argv[command], *bad, "--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "DomainError"
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DomainError"
+        assert payload["message"] == message
         assert not out.exists()
 
 
