@@ -195,7 +195,18 @@ def _write_lines(args, name, lines):
     atomic_write_text(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
 
+def _truncation_share(summary):
+    """The share of retained draws with K+ = k_max, after a warning naming
+    --k-max when it is over half: the truncation then binds."""
+    k_max = summary.hyper.k_max
+    share = float(np.mean(summary.kplus_trace == k_max))
+    if share > 0.5:
+        log.warning("K+ = k_max = %d in %.0f%% of draws: the truncation binds; raise --k-max", k_max, 100 * share)
+    return share
+
+
 def _cmd_generate(args, file_config):
+    _whole(args.rows, "--rows", 1)
     hp = _resolve_hyper(args, file_config)
     rng = np.random.default_rng(hp.seed)
     alpha = 1.0 if args.alpha is None else args.alpha
@@ -228,7 +239,8 @@ def _cmd_fit(args, file_config):
     print(
         f"fit finished: {summary.n_samples} samples, K+ mode "
         f"{int(np.bincount(summary.kplus_trace).argmax())}, "
-        f"pi acceptance {summary.pi_accept_rate:.2f}"
+        f"pi acceptance {summary.pi_accept_rate:.2f}, "
+        f"K+ = k_max in {_truncation_share(summary):.0%} of draws"
     )
     return 0
 
@@ -287,7 +299,10 @@ def _cmd_meta(args, file_config):
     _open_out(args, ("top_m",), dataset=args.posterior, hyper=hp)
     save_summary(meta_summary, os.path.join(args.out, "meta_summary.bin"))
     _write_lines(args, "meta_topics.txt", lines)
-    print(f"meta fit finished: {len(lines)} live meta-features")
+    print(
+        f"meta fit finished: {len(lines)} live meta-features, "
+        f"K+ = k_max in {_truncation_share(meta_summary):.0%} of draws"
+    )
     return 0
 
 

@@ -77,10 +77,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 # The chain's scalar state: runner attribute ``_<name>`` is checkpointed
-# under ``name``.
-_CHAIN_SCALARS = ("iteration", "alpha", "step", "win_prop", "win_acc", "post_prop", "post_acc", "runtime", "n_retained")
+# under ``name``.  Each pi stage proposes K moves, so the proposal counts
+# are not state: a burn-in adaptation window holds _ADAPT_EVERY * K, and the
+# chain after burn-in K * (iteration - burn_in).
+_CHAIN_SCALARS = ("iteration", "alpha", "step", "win_acc", "post_acc", "runtime", "n_retained")
 _ADAPT_EVERY = 100
 _ADAPT_LO, _ADAPT_HI = 0.20, 0.40
 _STEP_MIN, _STEP_MAX = 1e-3, 50.0
@@ -375,7 +377,7 @@ class ChainRunner:
             self._iteration = 0
             self._step = float(self._hp.mh_step)
             self._runtime = 0.0
-            self._win_prop = self._win_acc = self._post_prop = self._post_acc = self._n_retained = 0
+            self._win_acc = self._post_acc = self._n_retained = 0
             if _state is None:
                 self._init_state()
             else:
@@ -540,10 +542,8 @@ class ChainRunner:
             self._pi, self._logw, self._log_e, m, s_hist, self._alpha, self._hp, self._rng, self._step
         )
         n_acc = int(accepted.sum())
-        self._win_prop += self._k
         self._win_acc += n_acc
         if self._iteration >= self._hp.burn_in:
-            self._post_prop += self._k
             self._post_acc += n_acc
 
     def _refresh_aux_internal(self):
@@ -693,13 +693,12 @@ class ChainRunner:
         self._update_alpha_internal()
         self._validate_internal()
         self._iteration += 1
-        if self._iteration <= self._hp.burn_in and self._iteration % _ADAPT_EVERY == 0 and self._win_prop:
-            rate = self._win_acc / self._win_prop
+        if self._iteration <= self._hp.burn_in and self._iteration % _ADAPT_EVERY == 0:
+            rate = self._win_acc / (_ADAPT_EVERY * self._k)
             if rate < _ADAPT_LO:
                 self._step = max(self._step * 0.7, _STEP_MIN)
             elif rate > _ADAPT_HI:
                 self._step = min(self._step * 1.4, _STEP_MAX)
-            self._win_prop = 0
             self._win_acc = 0
 
     # -- retention and results ----------------------------------------------
@@ -754,7 +753,8 @@ class ChainRunner:
         draws = {name: rows[: self._n_retained] for name, rows in self._draws.items()}
         for view in draws.values():
             view.flags.writeable = False
-        rate = self._post_acc / self._post_prop if self._post_prop else 0.0
+        # a retained draw means iteration > burn_in, so K * (iteration - burn_in) > 0
+        rate = self._post_acc / (self._k * (self._iteration - self._hp.burn_in))
         return PosteriorSummary(
             **draws,
             z_mean=draws["z_samples"].mean(axis=0),

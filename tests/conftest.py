@@ -45,6 +45,15 @@ def brute_force_sum_probs(pi):
     return np.bincount(rows.sum(axis=1), weights=probs, minlength=pi.shape[0] + 1)
 
 
+def brute_force_row_log_prior(z, pi, log_f):
+    """Restricted row log prior log f(|z|) + sum_k log Bernoulli(z_k; pi_k) -
+    log P(sum = |z|), the sum's law by enumeration: no ESP code."""
+    pi = np.asarray(pi, dtype=np.float64)
+    s = int(np.sum(z))
+    bern = np.where(np.asarray(z) == 1, np.log(pi), np.log1p(-pi)).sum()
+    return float(log_f[s] + bern - np.log(brute_force_sum_probs(pi)[s]))
+
+
 def brute_force_inclusion(pi, s):
     """Exact P(z_k = 1 | sum = s) by subset enumeration."""
     pi = np.asarray(pi, dtype=np.float64)

@@ -23,14 +23,11 @@ from s3ribp import (
     ObservationMask,
     baseline_row_mean_log_perplexity,
     binomial_baseline_qq,
-    inclusion_probs,
     jaccard_match,
-    log_esp,
     log_perplexity,
     make_splits,
     negbin_row_sum_log_pmf,
     qq_row_nonzeros,
-    restricted_row_log_prior,
     run_chain,
     sample_3p_ibp,
     sample_ibp,
@@ -41,6 +38,7 @@ from s3ribp import (
 
 from _acceptance_log import record
 from conftest import brute_force_inclusion, enumerate_rows
+from test_condbern import kernel_inclusion_probs, kernel_row_log_prior
 from test_priors import harmonic, poisson_chisq
 
 # the planted-recovery configuration: four disjoint 10-column blocks, one
@@ -113,7 +111,7 @@ def test_criterion_1_conditional_bernoulli_oracle():
         else:  # wide dynamic range to stress the log-space recursion
             pi = 10.0 ** rng.uniform(-6, -0.01, size=k)
         s = int(rng.integers(0, k + 1))
-        got = inclusion_probs(pi, s)
+        got = kernel_inclusion_probs(pi, s)
         want = brute_force_inclusion(pi, s)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.monotonic() - t0
@@ -130,10 +128,7 @@ def test_criterion_2_restricted_prior_normalization():
         k = int(rng.integers(1, 13))
         pi = rng.uniform(0.01, 0.95, size=k)
         log_f = np.log(rng.dirichlet(np.ones(k + 1)))
-        esp = log_esp(pi / (1.0 - pi))
-        log_total = logsumexp(
-            [restricted_row_log_prior(row, pi, log_f, esp=esp) for row in enumerate_rows(k)]
-        )
+        log_total = logsumexp(kernel_row_log_prior(enumerate_rows(k), pi, log_f))
         worst = max(worst, abs(float(np.exp(log_total)) - 1.0))
     ok = worst < 1e-8
     record(2, ok, f"max |sum - 1| {worst:.2e} over 50 random (pi, f)")

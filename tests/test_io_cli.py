@@ -1141,6 +1141,7 @@ class TestCliRunConfig:
     @pytest.mark.parametrize(
         "command, bad, message",
         [
+            ("generate", ["--rows", "0"], "--rows 0 is less than 1"),
             ("eval", ["--draws", "0"], "--draws 0 is less than 1"),
             ("eval", ["--top-m", "0"], "--top-m 0 is less than 1"),
             ("eval", ["--holdout", "0.999"], "hold-out fraction leaves no training cells"),
@@ -1148,7 +1149,7 @@ class TestCliRunConfig:
             ("qq", ["--draws", "0"], "--draws 0 is less than 1"),
             ("topics", ["--top-m", "0"], "--top-m 0 is less than 1"),
         ],
-        ids=["eval-draws", "eval-top-m", "eval-holdout", "meta-top-m", "qq-draws", "topics-top-m"],
+        ids=["generate-rows", "eval-draws", "eval-top-m", "eval-holdout", "meta-top-m", "qq-draws", "topics-top-m"],
     )
     def test_bad_option_fits_no_chain_and_leaves_no_out_dir(
         self, command_runs, tmp_path, capsys, monkeypatch, command, bad, message
@@ -1161,6 +1162,45 @@ class TestCliRunConfig:
         assert payload["error"] == "DomainError"
         assert payload["message"] == message
         assert not out.exists()
+
+
+class TestTruncationShare:
+    """fit and meta close with the share of draws whose K+ is k_max, and warn,
+    naming --k-max, when it is over half."""
+
+    @pytest.fixture(scope="class")
+    def six_blocks(self, tmp_path_factory):
+        # six disjoint 4x4 blocks of strong counts: one feature per block
+        dense = np.zeros((24, 24), dtype=np.int64)
+        for j in range(6):
+            dense[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = 10
+        path = tmp_path_factory.mktemp("six") / "six.tsv"
+        save_counts(CountMatrix.from_dense(dense), path, fmt="dense")
+        return str(path)
+
+    def fit(self, data, out, k_max, caplog, capsys):
+        # FIT_FLAGS from --seed on, with this k_max and a shorter schedule
+        flags = ["--k-max", str(k_max), "--burn-in", "100", "--samples", "20", *FIT_FLAGS[6:]]
+        with caplog.at_level(logging.WARNING, logger="s3ribp.cli"):
+            assert cli_dispatch(["fit", "--data", data, "--out", out, *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_six_blocks_in_three_slots_warn(self, six_blocks, tmp_path, caplog, capsys):
+        out = self.fit(six_blocks, str(tmp_path / "fit"), 3, caplog, capsys)
+        assert "K+ = k_max in 100% of draws" in out
+        assert "--k-max" in caplog.text
+        # the meta layer's rows each have a count, so one slot binds
+        caplog.clear()
+        meta = ["meta", "--posterior", str(tmp_path / "fit" / "summary.bin"), "--out", str(tmp_path / "meta")]
+        with caplog.at_level(logging.WARNING, logger="s3ribp.cli"):
+            assert cli_dispatch([*meta, "--k-max", "1", "--burn-in", "5", "--samples", "5"]) == 0
+        assert "K+ = k_max in 100% of draws" in capsys.readouterr().out
+        assert "--k-max" in caplog.text
+
+    def test_spare_slots_do_not_warn(self, six_blocks, tmp_path, caplog, capsys):
+        out = self.fit(six_blocks, str(tmp_path / "fit"), 12, caplog, capsys)
+        assert "K+ = k_max in 0% of draws" in out
+        assert not caplog.records
 
 
 def test_package_exports_every_module_name():

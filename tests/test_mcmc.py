@@ -33,7 +33,6 @@ from s3ribp import (
     negbin_row_sum_log_pmf,
     poisson_log_pmf,
     predictive_log_lik,
-    restricted_row_log_prior,
     run_chain,
     sample_alpha,
     save_summary,
@@ -41,7 +40,7 @@ from s3ribp import (
 from s3ribp import mcmc
 from s3ribp.container import read_records, write_records
 from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
-from conftest import deadline, enumerate_rows
+from conftest import brute_force_row_log_prior, deadline, enumerate_rows
 from test_priors import restricted_density_cdf
 
 
@@ -209,7 +208,7 @@ class TestSweepZ:
         log_f = negbin_row_sum_log_pmf(hp.nb_r, hp.nb_p, 3)
         log_p = np.array(
             [
-                restricted_row_log_prior(z, pi, log_f) + poisson_log_pmf(x[0], z @ b).sum()
+                brute_force_row_log_prior(z, pi, log_f) + poisson_log_pmf(x[0], z @ b).sum()
                 for z in rows.astype(np.float64)
             ]
         )
@@ -243,7 +242,7 @@ class TestSweepZ:
         hp = runner.config.hyper
         rows = enumerate_rows(3)
         log_f = negbin_row_sum_log_pmf(hp.nb_r, hp.nb_p, 3)
-        prior = np.array([restricted_row_log_prior(z, pi, log_f) for z in rows])
+        prior = np.array([brute_force_row_log_prior(z, pi, log_f) for z in rows])
         rates = rows.astype(np.float64) @ b
         want = []
         for n in range(2):
@@ -315,12 +314,10 @@ class TestMhUpdatePi:
 
     def test_acceptance_counts_match_moved_atoms(self, rng):
         runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper()))
-        k = runner.config.hyper.k_max
         for _ in range(20):
             pi_before = runner.pi.copy()
-            prop_before, acc_before = runner._win_prop, runner._win_acc
+            acc_before = runner._win_acc
             runner._mh_pi_internal()
-            assert runner._win_prop - prop_before == k
             assert runner._win_acc - acc_before == int((runner.pi != pi_before).sum())
 
     def test_prior_only_stationary_distribution(self):
@@ -368,10 +365,11 @@ class TestMhUpdatePi:
         for want in (40.0 * 0.7, 20.0, 20.0):
             for _ in range(99):
                 runner.step_once()
-            assert runner._win_acc < 0.2 * runner._win_prop
+            # 99 pi stages of k_max proposals each
+            assert runner._win_acc < 0.2 * 99 * hp.k_max
             runner.step_once()
             assert runner._step == want
-            assert runner._win_prop == 0
+            assert runner._win_acc == 0
 
 
 class TestGibbsUpdateB:
@@ -745,7 +743,7 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 6
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 7
         assert meta["hyper"] == hp.to_dict() and meta["hyper_digest"] == hp.digest()
         # the chain's state holds no file path
         assert meta["checkpoint_interval"] == 0
@@ -799,10 +797,11 @@ class TestCheckpointing:
 
     def test_old_schema_rejected(self, tmp_path, rng):
         # schema 2 stored the aux split, schema 3 named the retained draws
-        # ret_*, schema 4 stored the mask's cells and schema 5 the chain
-        # config with its checkpoint path; a schema-6 reader reads none of them
+        # ret_*, schema 4 stored the mask's cells, schema 5 the chain config
+        # with its checkpoint path and schema 6 the pi stage's proposal
+        # counts; a schema-7 reader reads none of them
         path = str(tmp_path / "old.bin")
-        for old in (1, 2, 3, 4, 5):
+        for old in (1, 2, 3, 4, 5, 6):
             write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
             with pytest.raises(CheckpointError, match=f"schema {old}"):
                 ChainRunner.from_checkpoint(path, tiny_data(rng))

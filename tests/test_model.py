@@ -19,12 +19,10 @@ from s3ribp import (
     PosteriorSummary,
     binomial_baseline_qq,
     evaluate_folds,
-    inclusion_probs,
     levy_exposure_mass,
     make_splits,
     negbin_log_pmf,
     negbin_row_sum_log_pmf,
-    poisson_binomial_log_pmf,
     poisson_log_pmf,
     qq_row_nonzeros,
     rca_index,
@@ -146,7 +144,7 @@ class TestCountMatrix:
             {"shape": [2, 3], "rows": ["a", "b"], "cols": ["x", "y", "z"]},
         )
         assert data.digest() == hashlib.sha256(payload).hexdigest()
-        # a fixed value, because schema-6 checkpoints store it
+        # a fixed value, because schema-7 checkpoints store it
         assert data.digest() == "e787754d763f19f1cb6844bf7c542227de190bd5c690a9895ccfa6d78145e2ff"
 
     def test_needs_at_least_one_row_and_column(self):
@@ -218,7 +216,7 @@ class TestObservationMask:
         mask = ObservationMask([(2, 1), (0, 3)], 3, 4)
         payload = canonical_bytes({"cells": np.array([[0, 3], [2, 1]])}, {"shape": [3, 4]})
         assert mask.digest() == hashlib.sha256(payload).hexdigest()
-        # a fixed value, because schema-6 checkpoints store it
+        # a fixed value, because schema-7 checkpoints store it
         assert mask.digest() == "a9d85bce432c282a78ac9f5de0504a60ef95c6c2877f892cd22886838c4a0c80"
 
 
@@ -599,8 +597,6 @@ _WHOLE_NUMBER_ARGUMENTS = {
     "CountMatrix": ("count", "count", 2, lambda v: CountMatrix(1, 2, [0], [1], [v], ("a",), ("x", "y")).counts),
     "negbin_log_pmf": ("s", "count", 2, lambda v: negbin_log_pmf(v, 1.0, 0.5)),
     "sample_alpha": ("k_plus", "count", 2, lambda v: sample_alpha(v, 1.5, HyperParams(), _rng())),
-    "poisson_binomial_log_pmf": ("s", "sum", 2, lambda v: poisson_binomial_log_pmf(_PI, v)),
-    "inclusion_probs": ("s", "sum", 2, lambda v: inclusion_probs(_PI, v)),
     "sample_row_given_sum": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, v, _rng())),
     "sample_row_given_sum-vector": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, [1, v, 0], _rng())),
     "negbin_row_sum_log_pmf": ("k_max", "size", 3, lambda v: negbin_row_sum_log_pmf(1.0, 0.5, v)),
