@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .container import atomic_write_text
-from .errors import S3RIBPError
+from .errors import DomainError, S3RIBPError
 from .evaluate import (
     binomial_baseline_qq,
     evaluate_folds,
@@ -99,7 +99,7 @@ def _build_parser():
 
     gen = command("generate", _cmd_generate, "forward-sample a prior to a matrix file")
     gen.add_argument("--prior", default="s3r", choices=["ibp", "3p", "s3r"], help="which process to sample")
-    alpha_help = "mass parameter (default 1; s3r draws it from its prior; its weights use it only at sigma = 0)"
+    alpha_help = "mass parameter of the ibp and 3p priors (default 1); s3r refuses it, since no s3r draw reads it"
     gen.add_argument("--alpha", type=float, default=None, help=alpha_help)
     gen.add_argument("--rows", type=int, default=100, help="number of rows to sample")
     gen.add_argument("--format", default="dense", dest="fmt", choices=["dense", "triplet"], help="matrix file format")
@@ -195,11 +195,11 @@ def _write_lines(args, name, lines):
     atomic_write_text(os.path.join(args.out, name), "\n".join(lines) + "\n")
 
 
-def _truncation_share(summary):
-    """The share of retained draws with K+ = k_max, after a warning naming
-    --k-max when it is over half: the truncation then binds."""
-    k_max = summary.hyper.k_max
-    share = float(np.mean(summary.kplus_trace == k_max))
+def _truncation_share(k_max, *shares):
+    """The largest of ``shares``, each one chain's share of retained draws
+    with K+ = k_max, after a warning naming --k-max when it is over half:
+    the truncation then binds."""
+    share = max(shares)
     if share > 0.5:
         log.warning("K+ = k_max = %d in %.0f%% of draws: the truncation binds; raise --k-max", k_max, 100 * share)
     return share
@@ -207,6 +207,8 @@ def _truncation_share(summary):
 
 def _cmd_generate(args, file_config):
     _whole(args.rows, "--rows", 1)
+    if args.prior == "s3r" and args.alpha is not None:
+        raise DomainError("--alpha sets only the ibp and 3p priors; s3r draws no alpha")
     hp = _resolve_hyper(args, file_config)
     rng = np.random.default_rng(hp.seed)
     alpha = 1.0 if args.alpha is None else args.alpha
@@ -215,7 +217,7 @@ def _cmd_generate(args, file_config):
     elif args.prior == "3p":
         z = sample_3p_ibp(alpha, hp.c, hp.sigma, args.rows, rng).z
     else:
-        z = sample_3r_ibp(hp, args.rows, rng, alpha=args.alpha).z
+        z = sample_3r_ibp(hp, args.rows, rng).z
     data = CountMatrix.from_dense(
         z.astype(np.int64),
         row_labels=tuple(f"r{i}" for i in range(z.shape[0])),
@@ -229,6 +231,7 @@ def _cmd_generate(args, file_config):
 
 
 def _cmd_fit(args, file_config):
+    _whole(args.checkpoint_interval, "--checkpoint-interval")
     hp = _resolve_hyper(args, file_config)
     data, source = _load_data(args, file_config)
     ckpt = os.path.join(args.out, "checkpoint.bin") if args.checkpoint_interval else None
@@ -240,7 +243,7 @@ def _cmd_fit(args, file_config):
         f"fit finished: {summary.n_samples} samples, K+ mode "
         f"{int(np.bincount(summary.kplus_trace).argmax())}, "
         f"pi acceptance {summary.pi_accept_rate:.2f}, "
-        f"K+ = k_max in {_truncation_share(summary):.0%} of draws"
+        f"K+ = k_max in {_truncation_share(hp.k_max, summary.truncation_share):.0%} of draws"
     )
     return 0
 
@@ -257,7 +260,11 @@ def _cmd_eval(args, file_config):
     _open_out(args, ("draws", "top_m"), holdout=holdout, n_folds=n_folds, hyper=hp, **source)
     atomic_write_text(os.path.join(args.out, "report.json"), report.to_json() + "\n")
     atomic_write_text(os.path.join(args.out, "report.txt"), report.to_text())
-    print(f"eval finished over {n_folds} folds: {report.perplexity_line()}")
+    share = _truncation_share(hp.k_max, *(f["truncation_share"] for f in report.folds))
+    print(
+        f"eval finished over {n_folds} folds: {report.perplexity_line()}; "
+        f"K+ = k_max in up to {share:.0%} of a fold's draws"
+    )
     return 0
 
 
@@ -301,7 +308,7 @@ def _cmd_meta(args, file_config):
     _write_lines(args, "meta_topics.txt", lines)
     print(
         f"meta fit finished: {len(lines)} live meta-features, "
-        f"K+ = k_max in {_truncation_share(meta_summary):.0%} of draws"
+        f"K+ = k_max in {_truncation_share(hp.k_max, meta_summary.truncation_share):.0%} of draws"
     )
     return 0
 

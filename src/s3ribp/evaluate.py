@@ -275,9 +275,10 @@ class EvalReport:
     digest, log-perplexity, the number of held-out cells whose predictive
     probability is zero (each makes the log-perplexity +inf) and the
     log-perplexity over the other cells (None if there are none), baseline
-    perplexity, and coherence.  The spread of the fold log-perplexities is
-    None when any of them is +inf.  Feature matches compare every later
-    fold's top-column sets against fold 0's.
+    perplexity, coherence, the mode of K+ and the share of retained draws
+    with K+ = k_max.  The spread of the fold log-perplexities is None when
+    any of them is +inf.  Feature matches compare every later fold's
+    top-column sets against fold 0's.
     """
 
     folds: tuple
@@ -378,6 +379,7 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
                 "baseline_log_perplexity": baseline_row_mean_log_perplexity(data, mask),
                 "coherence": umass_coherence(summary.b_mean, data, top_m, live=live),
                 "k_plus_mode": int(np.bincount(summary.kplus_trace).argmax()),
+                "truncation_share": summary.truncation_share,
             }
         )
     matches = []

@@ -22,7 +22,8 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
    loadings cost no pairs for most entries.  The split is held as one
    feature per unit plus the (K, D) sums the B stage reads;
 4. B draw (``_update_b_internal``): the conjugate loading draw;
-5. alpha draw (``_update_alpha_internal``): the conjugate mass draw;
+5. alpha draw (``_update_alpha_internal``): the mass parameter's exact
+   conditional given k_max atoms above the floor (``sample_alpha``);
 6. invariant check (``_validate_internal``).
 
 No stage reads the auxiliary split before the aux stage redraws it whole
@@ -152,14 +153,16 @@ def gibbs_update_B(aux_sums, activity_sums, hp, rng):
     return np.maximum(rng.gamma(shape, 1.0 / rate), _B_FLOOR)
 
 
-def sample_alpha(k_plus, exposure_mass, hp, rng):
-    """Mass-parameter draw: Gamma(prior shape + K+, rate 1/prior scale + M).
+def sample_alpha(exposure_mass, hp, rng):
+    """Mass-parameter draw: Gamma(prior shape + k_max, rate 1/prior scale + M).
 
     M = ``exposure_mass`` is the exposure mass of the truncated weight
-    measure (``levy_exposure_mass``), so K+ plays the role of a
-    Poisson(alpha M) observation.
+    measure (``levy_exposure_mass``), and the truncation's k_max atoms are
+    a Poisson(alpha M) count of the atoms above its floor.  No atom law
+    involves alpha, so this is alpha's exact conditional whatever the rest
+    of the state, and its law under the prior.
     """
-    shape = hp.alpha_prior_shape + _whole(k_plus, "k_plus")
+    shape = hp.alpha_prior_shape + hp.k_max
     rate = 1.0 / hp.alpha_prior_scale + exposure_mass
     return float(rng.gamma(shape, 1.0 / rate))
 
@@ -187,7 +190,7 @@ def _log_convolve(a, b):
     return _log_sum_exp(a + np.append(b, _NEG_INF)[lag], axis=1)
 
 
-def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
+def _pi_sweep(pi, logw, log_e, m, s_hist, hp, rng, step):
     """Random-walk MH pass over atoms in ascending index order, in place.
 
     The target is the atom prior times every row's restricted prior; the
@@ -210,9 +213,7 @@ def _pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
     # the atom prior and logit Jacobian terms, for the proposals in support
     p_in, p_old = p_prop[inside], pi[inside]
     rest = np.zeros(k)
-    rest[inside] = atom_log_prior(p_in, alpha, hp.c, hp.sigma, hp.k_max) - atom_log_prior(
-        p_old, alpha, hp.c, hp.sigma, hp.k_max
-    )
+    rest[inside] = atom_log_prior(p_in, hp.c, hp.sigma) - atom_log_prior(p_old, hp.c, hp.sigma)
     rest[inside] += (np.log(p_in) + np.log1p(-p_in)) - (np.log(p_old) + np.log1p(-p_old))
     with np.errstate(divide="ignore"):
         log_u = np.log(draws[:, 1])
@@ -443,8 +444,8 @@ class ChainRunner:
     def _init_state(self):
         hp = self._hp
         rng = self._rng
-        alpha = float(rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale))
-        pi = sample_pi_truncated(alpha, hp.c, hp.sigma, self._k, hp.eps_trunc, rng)
+        alpha = sample_alpha(self._levy_mass, hp, rng)
+        pi = sample_pi_truncated(hp.c, hp.sigma, self._k, hp.eps_trunc, rng)
         b = rng.gamma(hp.alpha_b, hp.mu_b / hp.alpha_b, size=(self._k, self._d))
         s = np.minimum(rng.negative_binomial(hp.nb_r, hp.nb_p, size=self._n), self._k)
         # a row with positive counts needs an active feature (loadings are
@@ -538,9 +539,7 @@ class ChainRunner:
     def _mh_pi_internal(self):
         m = self._z.sum(axis=0, dtype=np.int64)
         s_hist = np.bincount(self._row_sums, minlength=self._k + 1).astype(np.float64)
-        accepted = _pi_sweep(
-            self._pi, self._logw, self._log_e, m, s_hist, self._alpha, self._hp, self._rng, self._step
-        )
+        accepted = _pi_sweep(self._pi, self._logw, self._log_e, m, s_hist, self._hp, self._rng, self._step)
         n_acc = int(accepted.sum())
         self._win_acc += n_acc
         if self._iteration >= self._hp.burn_in:
@@ -671,8 +670,7 @@ class ChainRunner:
         self._b = gibbs_update_B(self._split.sums, activity, self._hp, self._rng)
 
     def _update_alpha_internal(self):
-        k_plus = int(self._z.any(axis=0).sum())
-        self._alpha = sample_alpha(k_plus, self._levy_mass, self._hp, self._rng)
+        self._alpha = sample_alpha(self._levy_mass, self._hp, self._rng)
 
     def _validate_internal(self):
         split = self._split

@@ -481,6 +481,11 @@ class PosteriorSummary:
     def n_samples(self):
         return int(self.z_samples.shape[0])
 
+    @property
+    def truncation_share(self):
+        """The share of retained draws with K+ = k_max; over half, the truncation binds."""
+        return float(np.mean(self.kplus_trace == self.hyper.k_max))
+
     def to_records(self):
         """The summary as (arrays, meta) for ``write_records``: array fields
         become arrays, ``hyper`` a dict and ``runtime_seconds`` is left out."""

@@ -12,9 +12,11 @@ Three nested processes over binary feature matrices:
 
 The restricted variant works on a fixed truncation: k_max atom weights are
 drawn i.i.d. from the weight measure's normalized density restricted to
-[eps_trunc, 1), at sigma > 0 by one exact rejection loop.  The exposure
-mass of that restriction (the expected number of atoms above the floor per
-unit of alpha) is also computed here; the MCMC alpha update consumes it.
+[eps_trunc, 1), at every sigma in [0, 1) by one exact rejection loop.  The
+exposure mass of that restriction (the expected number of atoms above the
+floor per unit of alpha) is also computed here.  k_max is read as an
+observed Poisson(alpha M) count of atoms above the floor: no atom law
+involves alpha, and alpha given k_max is Gamma (``mcmc.sample_alpha``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from math import lgamma
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, NumericsError
 from .model import PI_CEILING, _whole
@@ -131,22 +132,18 @@ def sample_ibp(alpha, n_rows, rng):
     return sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng)
 
 
-def atom_log_prior(p, alpha, c, sigma, k_max):
-    """Unnormalized log density of one truncated atom weight on [eps, 1).
-
-    sigma > 0: the restricted power-law measure p^(-1-sigma) (1-p)^(c+sigma-1);
-    sigma = 0: the finite-model marginal Beta(alpha c / k_max, c).
+def atom_log_prior(p, c, sigma):
+    """Unnormalized log density of one truncated atom weight on [eps, 1): the
+    weight measure's p^(-1-sigma) (1-p)^(c+sigma-1), at sigma = 0 too.
     Support restriction is the caller's job; the normalizer cancels in MH.
     """
-    if sigma > 0.0:
-        return (-1.0 - sigma) * np.log(p) + (c + sigma - 1.0) * np.log1p(-p)
-    a = alpha * c / k_max
-    return (a - 1.0) * np.log(p) + (c - 1.0) * np.log1p(-p)
+    return (-1.0 - sigma) * np.log(p) + (c + sigma - 1.0) * np.log1p(-p)
 
 
 # Below this a = -sigma log(eps), the power law on [eps, 1) is its sigma -> 0
-# limit, the log-uniform, to within a relative 1e-200, and a subnormal a
-# would lose digits, so the power-law formulas use a at least this large.
+# limit, the log-uniform, to within a relative 1e-200, and a subnormal or
+# zero a would lose digits or divide by zero, so the power-law formulas use
+# a at least this large: at sigma = 0 they draw the log-uniform itself.
 _MIN_POWER_LAW_EXPONENT = 1e-200
 
 
@@ -197,7 +194,7 @@ def _envelope(c, sigma, eps):
     return 0.5, math.exp(lower - np.logaddexp(lower, log_tail(0.5))), bound
 
 
-def _propose(u, alpha, c, sigma, k_max, eps):
+def _propose(u, c, sigma, eps):
     """The envelope's points at uniforms u, clipped to [eps, PI_CEILING],
     and the probability of accepting each: u below the lower piece's share
     w maps to it through u / w, the rest to the upper piece."""
@@ -209,50 +206,38 @@ def _propose(u, alpha, c, sigma, k_max, eps):
     p = np.clip(p, eps, PI_CEILING)
     upper = (c + sigma - 1.0) * np.log1p(-p) + (-1.0 - sigma) * math.log(m)
     log_envelope = np.where(lower, (-1.0 - sigma) * np.log(p) + bound, upper)
-    return p, np.exp(atom_log_prior(p, alpha, c, sigma, k_max) - log_envelope)
+    return p, np.exp(atom_log_prior(p, c, sigma) - log_envelope)
 
 
-def sample_pi_truncated(alpha, c, sigma, k_max, eps_trunc, rng):
+def sample_pi_truncated(c, sigma, k_max, eps_trunc, rng):
     """k_max i.i.d. truncated atom weights, sorted descending.
 
-    sigma > 0 draws from the normalized density p^(-1-sigma) (1-p)^(c+sigma-1)
-    on [eps_trunc, 1) by exact rejection off ``_envelope``, accepting w.p.
-    exp(atom_log_prior minus the log envelope), the density the pi stage's
-    MH target reads.  sigma = 0 draws Beta(alpha c / k_max, c) on the same
-    support by inverse CDF.
+    Draws from the normalized density p^(-1-sigma) (1-p)^(c+sigma-1) on
+    [eps_trunc, 1), at every sigma in [0, 1), by exact rejection off
+    ``_envelope``, accepting w.p. exp(atom_log_prior minus the log
+    envelope), the density the pi stage's MH target reads.
     """
-    _check_weight_law(alpha, c, sigma, eps_trunc)
+    _check_weight_law(1.0, c, sigma, eps_trunc)
     k_max = _whole(k_max, "k_max", 1)
-    if sigma == 0.0:
-        a = alpha * c / k_max
-        if not a > 0:
-            raise DomainError("degenerate Beta shape")
-        floor = betainc(a, c, eps_trunc)
-        u = floor + (1.0 - floor) * rng.random(k_max)
-        return np.sort(np.clip(betaincinv(a, c, u), eps_trunc, PI_CEILING))[::-1].copy()
     draws = np.empty(0)
     while draws.shape[0] < k_max:
-        batch, accept = _propose(rng.random(max(2 * (k_max - draws.shape[0]), 16)), alpha, c, sigma, k_max, eps_trunc)
+        batch, accept = _propose(rng.random(max(2 * (k_max - draws.shape[0]), 16)), c, sigma, eps_trunc)
         keep = rng.random(batch.shape[0]) < accept
         draws = np.concatenate([draws, batch[keep]])
     return np.sort(draws[:k_max])[::-1].copy()
 
 
-def sample_3r_ibp(hp, n_rows, rng, alpha=None):
+def sample_3r_ibp(hp, n_rows, rng):
     """Forward draw from the restricted process on the fixed truncation.
 
     Atom weights come from sample_pi_truncated; each row's feature count is
     a negative binomial draw clamped to k_max (with a logged warning when
     clamping bites); the row itself is conditional Bernoulli given its
     count.  Unused atoms are dropped so the result has no empty columns.
-    ``alpha`` pins the mass parameter instead of drawing it from its prior;
-    sample_pi_truncated checks it before any draw.  The weights depend on
-    alpha only at sigma = 0: the power-law density has no alpha in it.
+    No draw reads alpha, so none is made.
     """
     n_rows = _whole(n_rows, "n_rows", 1)
-    if alpha is None:
-        alpha = rng.gamma(hp.alpha_prior_shape, hp.alpha_prior_scale)
-    pi = sample_pi_truncated(alpha, hp.c, hp.sigma, hp.k_max, hp.eps_trunc, rng)
+    pi = sample_pi_truncated(hp.c, hp.sigma, hp.k_max, hp.eps_trunc, rng)
     sums = rng.negative_binomial(hp.nb_r, hp.nb_p, size=n_rows)
     clamped = int(np.sum(sums > hp.k_max))
     if clamped:

@@ -834,9 +834,9 @@ class TestCliCommands:
         assert echoed["hyper"]["seed"] == 3
 
     def test_generate_other_priors(self, tmp_path):
-        for prior in ("3p", "s3r"):
+        for prior, alpha in (("3p", ["--alpha", "1.5"]), ("s3r", [])):
             out = str(tmp_path / prior)
-            argv = ["generate", "--prior", prior, "--alpha", "1.5", "--rows", "10",
+            argv = ["generate", "--prior", prior, *alpha, "--rows", "10",
                     "--seed", "2", "--out", out, "--sigma", "0.25", "--c", "1.0",
                     "--k-max", "8", "--nb-p", "0.5"]
             assert cli_dispatch(argv) == 0
@@ -1142,6 +1142,8 @@ class TestCliRunConfig:
         "command, bad, message",
         [
             ("generate", ["--rows", "0"], "--rows 0 is less than 1"),
+            ("generate", ["--prior", "s3r", "--alpha", "2"], "--alpha sets only the ibp and 3p priors; s3r draws no alpha"),
+            ("fit", ["--checkpoint-interval", "-2"], "--checkpoint-interval -2 is negative"),
             ("eval", ["--draws", "0"], "--draws 0 is less than 1"),
             ("eval", ["--top-m", "0"], "--top-m 0 is less than 1"),
             ("eval", ["--holdout", "0.999"], "hold-out fraction leaves no training cells"),
@@ -1149,13 +1151,25 @@ class TestCliRunConfig:
             ("qq", ["--draws", "0"], "--draws 0 is less than 1"),
             ("topics", ["--top-m", "0"], "--top-m 0 is less than 1"),
         ],
-        ids=["generate-rows", "eval-draws", "eval-top-m", "eval-holdout", "meta-top-m", "qq-draws", "topics-top-m"],
+        ids=[
+            "generate-rows",
+            "generate-s3r-alpha",
+            "fit-checkpoint-interval",
+            "eval-draws",
+            "eval-top-m",
+            "eval-holdout",
+            "meta-top-m",
+            "qq-draws",
+            "topics-top-m",
+        ],
     )
     def test_bad_option_fits_no_chain_and_leaves_no_out_dir(
         self, command_runs, tmp_path, capsys, monkeypatch, command, bad, message
     ):
         _, argv = command_runs
-        monkeypatch.setattr(s3ribp.evaluate, "run_chain", lambda *a, **k: pytest.fail("a chain ran before the check"))
+        for module in (s3ribp.evaluate, cli):
+            monkeypatch.setattr(module, "run_chain", lambda *a, **k: pytest.fail("a chain ran before the check"))
+        monkeypatch.setattr(cli, "sample_3r_ibp", lambda *a, **k: pytest.fail("a prior was drawn before the check"))
         out = tmp_path / "o"
         assert cli_dispatch([command, *argv[command], *bad, "--out", str(out)]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -1165,8 +1179,9 @@ class TestCliRunConfig:
 
 
 class TestTruncationShare:
-    """fit and meta close with the share of draws whose K+ is k_max, and warn,
-    naming --k-max, when it is over half."""
+    """fit and meta close with the share of draws whose K+ is k_max, eval
+    records it per fold, and each warns, naming --k-max, when it is over
+    half."""
 
     @pytest.fixture(scope="class")
     def six_blocks(self, tmp_path_factory):
@@ -1195,6 +1210,16 @@ class TestTruncationShare:
         with caplog.at_level(logging.WARNING, logger="s3ribp.cli"):
             assert cli_dispatch([*meta, "--k-max", "1", "--burn-in", "5", "--samples", "5"]) == 0
         assert "K+ = k_max in 100% of draws" in capsys.readouterr().out
+        assert "--k-max" in caplog.text
+
+    def test_eval_records_each_folds_share(self, six_blocks, tmp_path, caplog, capsys):
+        out = tmp_path / "eval"
+        flags = ["--folds", "2", "--draws", "2", "--k-max", "3", "--burn-in", "100", "--samples", "20", *FIT_FLAGS[6:]]
+        with caplog.at_level(logging.WARNING, logger="s3ribp.cli"):
+            assert cli_dispatch(["eval", "--data", six_blocks, "--out", str(out), *flags]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [fold["truncation_share"] for fold in report["folds"]] == [1.0, 1.0]
+        assert "K+ = k_max in up to 100% of a fold's draws" in capsys.readouterr().out
         assert "--k-max" in caplog.text
 
     def test_spare_slots_do_not_warn(self, six_blocks, tmp_path, caplog, capsys):

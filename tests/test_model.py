@@ -29,7 +29,6 @@ from s3ribp import (
     rca_transform,
     sample_3p_ibp,
     sample_3r_ibp,
-    sample_alpha,
     sample_ibp,
     sample_pi_truncated,
     sample_row_given_sum,
@@ -596,15 +595,13 @@ _WHOLE_NUMBER_ARGUMENTS = {
     "poisson_log_pmf": ("x", "count", 3, lambda v: poisson_log_pmf(v, 1.5)),
     "CountMatrix": ("count", "count", 2, lambda v: CountMatrix(1, 2, [0], [1], [v], ("a",), ("x", "y")).counts),
     "negbin_log_pmf": ("s", "count", 2, lambda v: negbin_log_pmf(v, 1.0, 0.5)),
-    "sample_alpha": ("k_plus", "count", 2, lambda v: sample_alpha(v, 1.5, HyperParams(), _rng())),
     "sample_row_given_sum": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, v, _rng())),
     "sample_row_given_sum-vector": ("s", "sum", 2, lambda v: sample_row_given_sum(_PI, [1, v, 0], _rng())),
     "negbin_row_sum_log_pmf": ("k_max", "size", 3, lambda v: negbin_row_sum_log_pmf(1.0, 0.5, v)),
     "sample_3p_ibp": ("n_rows", "size", 4, lambda v: sample_3p_ibp(2.0, 1.0, 0.25, v, _rng()).z),
     "sample_ibp": ("n_rows", "size", 4, lambda v: sample_ibp(2.0, v, _rng()).z),
     "sample_3r_ibp": ("n_rows", "size", 4, lambda v: sample_3r_ibp(HyperParams(k_max=5), v, _rng()).z),
-    "sample_pi_truncated": ("k_max", "size", 3, lambda v: sample_pi_truncated(1.0, 1.0, 0.25, v, 1e-4, _rng())),
-    "sample_pi_truncated-beta": ("k_max", "size", 3, lambda v: sample_pi_truncated(1.0, 1.0, 0.0, v, 1e-4, _rng())),
+    "sample_pi_truncated": ("k_max", "size", 3, lambda v: sample_pi_truncated(1.0, 0.25, v, 1e-4, _rng())),
     "top_features": ("top_m", "size", 2, lambda v: top_features(_B, _COUNTS.col_labels, v)),
     "umass_coherence": ("top_m", "size", 2, lambda v: umass_coherence(_B, _COUNTS, v)),
     "qq_row_nonzeros": ("n_draws", "size", 3, lambda v: qq_row_nonzeros(_qq_summary(), _COUNTS, v, _rng())),

@@ -20,7 +20,7 @@ from s3ribp.priors import atom_log_prior
 from test_mcmc import tiny_hyper
 
 
-def recursion_pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
+def recursion_pi_sweep(pi, logw, log_e, m, s_hist, hp, rng, step):
     """Random-walk MH pass over atoms in ascending index order, in place.
 
     The target is the atom prior times every row's restricted prior; the
@@ -43,9 +43,7 @@ def recursion_pi_sweep(pi, logw, log_e, m, s_hist, alpha, hp, rng, step):
         le_prop = _log_esp_from_logw(logw)
         logw[kk] = u_old
         delta = float(m[kk]) * (u_prop - u_old) - float(s_hist @ (le_prop - log_e))
-        delta += atom_log_prior(p_prop, alpha, hp.c, hp.sigma, hp.k_max) - atom_log_prior(
-            p_old, alpha, hp.c, hp.sigma, hp.k_max
-        )
+        delta += atom_log_prior(p_prop, hp.c, hp.sigma) - atom_log_prior(p_old, hp.c, hp.sigma)
         delta += (math.log(p_prop) + math.log1p(-p_prop)) - (math.log(p_old) + math.log1p(-p_old))
         if u_accept <= 0.0 or math.log(u_accept) < delta:
             pi[kk] = p_prop
@@ -72,7 +70,7 @@ def random_state(rng, k=None, rows="random", eps=1e-4):
     return pi, z
 
 
-def sweep_both(pi, z, hp, alpha, step, rng):
+def sweep_both(pi, z, hp, step, rng):
     """Run both sweeps from copies of one state and generator; return both results."""
     out = []
     state = rng.bit_generator.state
@@ -83,7 +81,7 @@ def sweep_both(pi, z, hp, alpha, step, rng):
         s_hist = np.bincount(z.sum(axis=1), minlength=pi.shape[0] + 1).astype(np.float64)
         gen = np.random.default_rng()
         gen.bit_generator.state = state
-        acc = sweep(p, logw, log_e, m, s_hist, alpha, hp, gen, step)
+        acc = sweep(p, logw, log_e, m, s_hist, hp, gen, step)
         out.append((p, logw, log_e, acc, gen.bit_generator.state))
     rng.bit_generator.state = out[0][4]
     return out
@@ -101,7 +99,7 @@ class TestAgainstRecursionOracle:
         for _ in range(200):
             pi, z = random_state(rng)
             hp = tiny_hyper(k_max=pi.shape[0], sigma=float(rng.choice([0.0, 0.25, 0.5, 0.9])))
-            old, new = sweep_both(pi, z, hp, float(rng.gamma(2.0)), float(rng.uniform(0.1, 5.0)), rng)
+            old, new = sweep_both(pi, z, hp, float(rng.uniform(0.1, 5.0)), rng)
             assert_same_sweep(old, new)
             moved += int(new[3].sum())
         assert moved > 500
@@ -111,21 +109,21 @@ class TestAgainstRecursionOracle:
         hp = tiny_hyper(k_max=1)
         for _ in range(40):
             pi, z = random_state(rng, k=1, rows=rows)
-            assert_same_sweep(*sweep_both(pi, z, hp, 1.0, 2.0, rng))
+            assert_same_sweep(*sweep_both(pi, z, hp, 2.0, rng))
 
     @pytest.mark.parametrize("rows", ["empty", "full"])
     def test_every_row_empty_or_full(self, rng, rows):
         for _ in range(30):
             pi, z = random_state(rng, rows=rows)
             hp = tiny_hyper(k_max=pi.shape[0])
-            assert_same_sweep(*sweep_both(pi, z, hp, 1.0, 1.0, rng))
+            assert_same_sweep(*sweep_both(pi, z, hp, 1.0, rng))
 
     def test_proposals_leaving_the_support(self, rng):
         # a huge step sends most proposals past eps or the ceiling
         for _ in range(30):
             pi, z = random_state(rng, eps=0.2)
             hp = tiny_hyper(k_max=pi.shape[0], eps_trunc=0.2)
-            old, new = sweep_both(pi, z, hp, 1.0, 80.0, rng)
+            old, new = sweep_both(pi, z, hp, 80.0, rng)
             assert_same_sweep(old, new)
             assert np.all(new[0] >= 0.2)
 
@@ -133,7 +131,7 @@ class TestAgainstRecursionOracle:
         for _ in range(30):
             pi, z = random_state(rng)
             hp = tiny_hyper(k_max=pi.shape[0], sigma=0.0)
-            assert_same_sweep(*sweep_both(pi, z, hp, float(rng.gamma(2.0)), 1.0, rng))
+            assert_same_sweep(*sweep_both(pi, z, hp, 1.0, rng))
 
     def test_no_runtime_warning_at_the_edges(self, rng):
         # every row full puts E_K = -inf into the sweep; nothing may warn
@@ -142,7 +140,7 @@ class TestAgainstRecursionOracle:
         logw = log_odds(pi)
         s_hist = np.bincount(z.sum(axis=1), minlength=8).astype(np.float64)
         with np.errstate(all="raise"):
-            _pi_sweep(pi, logw, _log_esp_from_logw(logw), z.sum(axis=0), s_hist, 1.0, tiny_hyper(k_max=7), rng, 3.0)
+            _pi_sweep(pi, logw, _log_esp_from_logw(logw), z.sum(axis=0), s_hist, tiny_hyper(k_max=7), rng, 3.0)
 
 
 class TestLeaveOneOutESP:

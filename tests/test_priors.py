@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import betainc, expit, logit
+from scipy.special import expit, logit
 
 from s3ribp import (
     BinaryFeatureMatrix,
@@ -150,12 +150,13 @@ FIXED_SEED_DRAWS = {
     "3r": (
         lambda rng: sample_3r_ibp(_restricted_hp(), 40, rng),
         (40, 8),
-        "af837a41b6d298aebb6eb9a81ae83b3da853c1ba3b986a327332de00f4b4bda0",
+        "580daaa18e5c878da77de8e72d5f1d6648f90faef9837ce213335a4f74abce08",
     ),
-    "3r-beta-pinned-alpha": (
-        lambda rng: sample_3r_ibp(_restricted_hp(sigma=0.0), 40, rng, alpha=2.0),
-        (40, 5),
-        "16718f9ca8f10cc3b4b5e8780fb38f287bf77188feac7030adddb6a2cc00ba86",
+    # c + sigma < 1 at sigma = 0: the two-piece envelope with the log-uniform below 1/2
+    "3r-sigma-zero": (
+        lambda rng: sample_3r_ibp(_restricted_hp(sigma=0.0, c=0.5), 40, rng),
+        (40, 8),
+        "553d424ca375c702f6f9c31108d39c3d5c1c103e8e140545e3895faf9e5c572a",
     ),
 }
 
@@ -253,44 +254,42 @@ class TestSample3PIBP:
 
 class TestAtomLogPrior:
     def test_power_law_branch(self):
-        p, alpha, c, sigma = 0.2, 1.7, 2.0, 0.4
+        p, c, sigma = 0.2, 2.0, 0.4
         want = (-1 - sigma) * np.log(p) + (c + sigma - 1) * np.log1p(-p)
-        np.testing.assert_allclose(atom_log_prior(p, alpha, c, sigma, 8), want, rtol=1e-12)
-        # alpha and k_max do not enter the power-law branch
-        np.testing.assert_allclose(atom_log_prior(p, 9.9, c, sigma, 3), want, rtol=1e-12)
+        np.testing.assert_allclose(atom_log_prior(p, c, sigma), want, rtol=1e-12)
 
-    def test_beta_branch(self):
-        p, alpha, c, k_max = 0.3, 2.0, 3.0, 10
-        a = alpha * c / k_max
-        want = (a - 1) * np.log(p) + (c - 1) * np.log1p(-p)
-        np.testing.assert_allclose(atom_log_prior(p, alpha, c, 0.0, k_max), want, rtol=1e-12)
+    def test_sigma_zero_is_the_same_law(self):
+        # the weight measure's density at sigma = 0: p^-1 (1-p)^(c-1)
+        p, c = 0.3, 3.0
+        want = -np.log(p) + (c - 1) * np.log1p(-p)
+        np.testing.assert_allclose(atom_log_prior(p, c, 0.0), want, rtol=1e-12)
 
 
 class TestSamplePiTruncated:
     def test_support_and_order(self, rng):
         for c, sigma in ((2.0, 0.0), (1.0, 0.5), (0.2, 0.3)):
-            draws = sample_pi_truncated(1.5, c, sigma, 50, 0.01, rng)
+            draws = sample_pi_truncated(c, sigma, 50, 0.01, rng)
             assert draws.shape == (50,)
             assert np.all(draws >= 0.01) and np.all(draws <= PI_CEILING)
             assert np.all(np.diff(draws) <= 0)
 
-    def test_beta_branch_distribution(self, rng):
-        # the Beta shape depends on k_max, so pool repeated draws at fixed k_max
-        alpha, c, k_max, eps = 1.5, 2.0, 5, 0.01
-        a = alpha * c / k_max
-        draws = np.concatenate(
-            [sample_pi_truncated(alpha, c, 0.0, k_max, eps, rng) for _ in range(600)]
-        )
-        floor = betainc(a, c, eps)
+    @pytest.mark.parametrize("c, eps", [(2.0, 0.01), (0.3, 1e-4)])
+    def test_sigma_zero_distribution(self, rng, c, eps):
+        # sigma = 0 runs the same rejection loop: the power-law piece is the
+        # log-uniform, reached through _MIN_POWER_LAW_EXPONENT
+        draws = sample_pi_truncated(c, 0.0, 3000, eps, rng)
+        assert stats.kstest(draws, restricted_density_cdf(c, 0.0, eps)).pvalue > 0.01
 
-        def cdf(x):
-            return (betainc(a, c, np.clip(x, eps, 1.0)) - floor) / (1.0 - floor)
-
-        assert stats.kstest(draws, cdf).pvalue > 0.01
+    @pytest.mark.parametrize("c, eps", [(1.0, 1e-4), (0.2, 0.01), (5.0, 1e-4)])
+    def test_sigma_zero_is_the_limit_of_small_sigma(self, c, eps):
+        # one law at every sigma: sigma = 0 and sigma = 1e-12 draw alike
+        at_zero = sample_pi_truncated(c, 0.0, 4000, eps, np.random.default_rng(1))
+        near_zero = sample_pi_truncated(c, 1e-12, 4000, eps, np.random.default_rng(2))
+        assert stats.ks_2samp(at_zero, near_zero).pvalue > 0.01
 
     def test_rejection_branch_distribution(self, rng):
         c, sigma, eps = 1.0, 0.5, 0.01
-        draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        draws = sample_pi_truncated(c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     @pytest.mark.parametrize("c, sigma, eps", [(30.27, 0.19, 0.398), (8.9, 0.74, 0.94), (30.0, 0.5, 0.1)])
@@ -298,7 +297,7 @@ class TestSamplePiTruncated:
         # a large c with a floor far from zero: the tail proposal's envelope
         # is the tighter one, and the power law alone would accept ~1e-8
         assert _envelope(c, sigma, eps)[:2] == (eps, 0.0)
-        draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        draws = sample_pi_truncated(c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     @pytest.mark.parametrize("c, sigma, eps", [(2.08, 5.8e-127, 2.4e-9), (2.0, 5e-324, 0.9)])
@@ -306,7 +305,7 @@ class TestSamplePiTruncated:
         # eps^-sigma rounds to 1: the power law (first case) and the tail
         # proposal (second) still draw the power-law density's sigma -> 0 limit
         with deadline(20):
-            draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+            draws = sample_pi_truncated(c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     @pytest.mark.parametrize(
@@ -319,7 +318,7 @@ class TestSamplePiTruncated:
         m, w, _ = _envelope(c, sigma, eps)
         assert (m, w == 0.0) == ((eps, True) if pieces == "tail" else (0.5, False))
         with deadline(20):
-            draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+            draws = sample_pi_truncated(c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     @settings(max_examples=40, deadline=None)
@@ -333,7 +332,7 @@ class TestSamplePiTruncated:
         # 4,000 proposals under 0.2 is 8 standard errors below that
         c = c_plus_sigma - sigma
         with deadline(20):
-            _, accept = _propose(np.random.default_rng(0).random(4000), 1.0, c, sigma, 1, eps)
+            _, accept = _propose(np.random.default_rng(0).random(4000), c, sigma, eps)
         assert np.all(accept <= 1.0 + 1e-12)
         assert accept.mean() >= 0.2
 
@@ -344,7 +343,7 @@ class TestSamplePiTruncated:
         # the oracle's CDF conditional on lying below
         c, sigma, eps, n = 0.01, 1e-9, 1e-4, 20_000
         cdf = restricted_density_cdf(c, sigma, eps)
-        draws = sample_pi_truncated(1.0, c, sigma, n, eps, rng)
+        draws = sample_pi_truncated(c, sigma, n, eps, rng)
         at_ceiling = draws == PI_CEILING
         below = float(cdf(PI_CEILING))
         assert stats.binomtest(int(at_ceiling.sum()), n, 1.0 - below).pvalue > 0.01
@@ -352,18 +351,18 @@ class TestSamplePiTruncated:
 
     def test_grid_branch_distribution(self, rng):
         c, sigma, eps = 0.2, 0.3, 0.01
-        draws = sample_pi_truncated(1.0, c, sigma, 3000, eps, rng)
+        draws = sample_pi_truncated(c, sigma, 3000, eps, rng)
         assert stats.kstest(draws, restricted_density_cdf(c, sigma, eps)).pvalue > 0.01
 
     def test_validation(self, rng):
         with pytest.raises(DomainError):
-            sample_pi_truncated(0.0, 1.0, 0.0, 5, 0.01, rng)
+            sample_pi_truncated(-0.5, 0.3, 5, 0.01, rng)
         with pytest.raises(DomainError):
-            sample_pi_truncated(1.0, 1.0, -0.1, 5, 0.01, rng)
+            sample_pi_truncated(1.0, -0.1, 5, 0.01, rng)
         with pytest.raises(DomainError):
-            sample_pi_truncated(1.0, 1.0, 0.0, 0, 0.01, rng)
+            sample_pi_truncated(1.0, 0.0, 0, 0.01, rng)
         with pytest.raises(DomainError):
-            sample_pi_truncated(1.0, 1.0, 0.0, 5, 1.5, rng)
+            sample_pi_truncated(1.0, 0.0, 5, 1.5, rng)
 
 
 class TestSample3RIBP:
@@ -380,9 +379,7 @@ class TestSample3RIBP:
 
     def test_row_sums_follow_clamped_negative_binomial(self, rng):
         hp = self.hp(k_max=30, nb_r=2.0, nb_p=0.4)
-        sums = np.concatenate(
-            [sample_3r_ibp(hp, 50, rng, alpha=1.0).row_sums() for _ in range(80)]
-        )
+        sums = np.concatenate([sample_3r_ibp(hp, 50, rng).row_sums() for _ in range(80)])
         want = 50 * 80 * np.exp(
             np.array(
                 [
@@ -402,21 +399,6 @@ class TestSample3RIBP:
             fm = sample_3r_ibp(hp, 30, rng)
         assert np.all(fm.row_sums() <= 2)
         assert any("clamped" in rec.message for rec in caplog.records)
-
-    def test_alpha_override(self, rng):
-        fm = sample_3r_ibp(self.hp(), 20, rng, alpha=2.5)
-        assert fm.n_rows == 20
-        with pytest.raises(DomainError):
-            sample_3r_ibp(self.hp(), 20, rng, alpha=0.0)
-
-    def test_alpha_counts_only_at_sigma_zero(self):
-        # at sigma > 0 the atom weights' density has no alpha in it
-        def draw(sigma, alpha):
-            return sample_3r_ibp(self.hp(sigma=sigma), 40, np.random.default_rng(3), alpha=alpha).z
-
-        np.testing.assert_array_equal(draw(0.5, 0.1), draw(0.5, 10.0))
-        a, b = draw(0.0, 0.1), draw(0.0, 10.0)
-        assert a.shape != b.shape or not np.array_equal(a, b)
 
     def test_deterministic_given_seed(self):
         a = sample_3r_ibp(self.hp(), 25, np.random.default_rng(11))
