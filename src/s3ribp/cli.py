@@ -36,7 +36,7 @@ from .evaluate import (
 )
 from .io import RunConfig, load_counts, load_raw_matrix, load_summary, make_splits, save_counts, save_summary
 from .mcmc import ChainConfig, ChainRunner, run_chain
-from .model import CountMatrix, HyperParams, _whole, rca_transform
+from .model import CountMatrix, HyperParams, _check_seed, _whole, rca_transform
 from .priors import sample_3p_ibp, sample_3r_ibp, sample_ibp
 
 __all__ = ["cli_dispatch", "main"]
@@ -270,6 +270,7 @@ def _cmd_eval(args, file_config):
 
 def _cmd_qq(args, file_config):
     _whole(args.draws, "--draws", 1)
+    _check_seed(args.seed, "--seed")
     data, source = _load_data(args, file_config)
     summary = load_summary(args.posterior)
     rng = np.random.default_rng(args.seed)

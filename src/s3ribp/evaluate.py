@@ -97,12 +97,18 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     """
     b_mean = np.asarray(b_mean, dtype=np.float64)
     top = _top_columns(b_mean, top_m, live)
-    all_rows = np.arange(data.n_rows)[:, None]
+    if not top:
+        raise DomainError("no live feature has positive weights; coherence is undefined")
+    # one 0/1 matrix over the union of the top columns, sliced per feature
+    union = np.unique(np.concatenate([cols for _, cols in top]))
+    keep = np.isin(data.cols, union)
+    present = np.zeros((data.n_rows, union.size))
+    present[data.rows[keep], np.searchsorted(union, data.cols[keep])] = 1.0
     scores = []
     for _, cols in top:
         # co[i, j]: rows with a count in both top columns i and j, so co[l, l] = D(v_l)
-        present = (data.counts_at(all_rows, cols[None, :]) > 0).astype(np.float64)
-        co = present.T @ present
+        here = present[:, np.searchsorted(union, cols)]
+        co = here.T @ here
         # the pairs (m, l), l < m, row by row
         m, l = np.tril_indices(len(cols), -1)
         d_l = co[l, l]
@@ -110,55 +116,92 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
         for ratio in (co[m, l][d_l > 0] + 1.0) / d_l[d_l > 0]:
             total += math.log(ratio)
         scores.append(total)
-    if not scores:
-        raise DomainError("no live feature has positive weights; coherence is undefined")
     return float(np.mean(scores))
 
 
-def _replicate_qq(data, n_draws, rng, cell_probs):
-    """qq pairs of per-row non-zero counts: the data's, sorted, against the
-    mean over n_draws replicates of the same sorted vector.
+# A retained sample expecting at most N * D times this many Poisson units
+# per replicate takes the unit path; a unit costs about ten cells' draws.
+_UNIT_SHARE = 1 / 16
 
-    Each replicate calls ``cell_probs()`` for an N x D array of non-zero
-    probabilities and draws one uniform per cell; the uniform and hit
-    buffers are reused across replicates.
-    """
-    n_draws = _whole(n_draws, "n_draws", 1)
+
+def _replicate_qq(data, n_draws, replicates):
+    """qq pairs: the data's sorted per-row non-zero counts against the mean of
+    the n_draws sorted vectors ``replicates`` yields, by the cell or the unit
+    path (``_cell_replicates``, ``_unit_replicates``: one law; the unit path
+    when a sample expects at most N * D * ``_UNIT_SHARE`` = 1/16 units)."""
     empirical = np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
     acc = np.zeros_like(empirical)
-    shape = (data.n_rows, data.n_cols)
-    u, hit = np.empty(shape), np.empty(shape, dtype=bool)
-    for _ in range(n_draws):
-        # cell_probs may draw from rng too, before the uniforms
-        p = cell_probs()
+    for counts in replicates:
+        acc += np.sort(counts)
+    return [(float(e), float(q)) for e, q in zip(empirical, acc / n_draws)]
+
+
+def _cell_replicates(p, reps, rng):
+    """reps replicates' per-row non-zero counts, one at a time: cell (n, d) is
+    non-zero iff its uniform (one N x D block each, 17 bytes a cell with p) < p[n, d]."""
+    u, hit = np.empty(p.shape), np.empty(p.shape, dtype=bool)
+    for _ in range(reps):
         np.less(rng.random(out=u), p, out=hit)
-        acc += np.sort(np.count_nonzero(hit, axis=1))
-    predicted = acc / n_draws
-    return [(float(e), float(q)) for e, q in zip(empirical, predicted)]
+        yield np.count_nonzero(hit, axis=1)
+
+
+def _unit_replicates(z, b, reps, rng):
+    """reps replicates' per-row non-zero counts, one at a time, drawn as units:
+    T_nk ~ Poisson(beta_k), beta_k = sum_d b_kd, for each active pair (n, k).
+    A unit takes column d with probability b_kd / beta_k, by one uniform and
+    a fixed-step lower bound in feature k's normalised cumulative loadings
+    (row k of ``cum``, +inf from column D - 1 on and for a feature with
+    all-zero loadings, which draws no unit), as the aux split does.  So cell
+    (n, d) is non-zero with probability 1 - exp(-lam_nd), as on the cell
+    path.  Nothing held is N x D."""
+    n_rows, n_cols = z.shape[0], b.shape[1]
+    rows, feats = np.nonzero(z)
+    width = 1 << (n_cols - 1).bit_length()
+    col_cum = np.cumsum(b, axis=1)
+    beta = col_cum[:, -1]
+    cum = np.full((b.shape[0], width), np.inf)
+    np.divide(col_cum[:, :-1], beta[:, None], out=cum[:, : n_cols - 1], where=beta[:, None] > 0)
+    cum, starts, means, cells = cum.ravel(), feats * width, beta.take(feats), rows * n_cols
+    for _ in range(reps):
+        units = rng.poisson(means)
+        key = np.subtract(1.0, rng.random(int(units.sum())))
+        lo = np.repeat(starts, units)
+        for j in reversed(range(width.bit_length() - 1)):
+            # probe lo + step - 1, read through a view that starts there
+            step = 1 << j
+            lo += (cum[step - 1 :].take(lo) < key) * step
+        lo &= width - 1
+        lo += np.repeat(cells, units)
+        lo.sort()
+        # a cell's units are adjacent now; its last one counts it
+        yield np.bincount(lo[np.diff(lo, append=-1) != 0] // n_cols, minlength=n_rows)
 
 
 def qq_row_nonzeros(summary, data, n_draws, rng):
     """qq pairs of per-row non-zero counts: empirical vs posterior predictive.
 
-    The empirical side is the sorted vector of each row's non-zero count.
-    The predicted side averages, over n_draws replicate matrices drawn
-    Poisson(Z B) at randomly chosen retained samples, the same sorted vector.
-    A replicate cell is non-zero with probability 1 - exp(-lam), so each
-    replicate draws one integer for its sample, then one uniform per cell
-    instead of a Poisson count.  A summary fitted on a matrix of another
-    shape is a DomainError.
-    """
+    The empirical side is the sorted vector of each row's non-zero count;
+    the predicted side averages it over n_draws replicates of Poisson(Z B),
+    each at a retained sample, all drawn first.  Each distinct sample serves
+    its replicates in turn, ascending: by the unit path if it expects at most
+    N * D * ``_UNIT_SHARE`` (1/16) units (sum_k m_k beta_k, m_k rows holding
+    feature k), else by the cell path, its 1 - exp(-lam) built once.  A
+    summary fitted on a matrix of another shape is a DomainError."""
     _check_fitted_shape(summary, (data.n_rows, data.n_cols))
-    s_total = summary.n_samples
-    p_nonzero = np.empty((data.n_rows, data.n_cols))
+    n_draws = _whole(n_draws, "n_draws", 1)
+    picks = rng.integers(summary.n_samples, size=n_draws)
 
-    def cell_probs():
-        s = int(rng.integers(s_total))
-        np.matmul(summary.z_samples[s].astype(np.float64), summary.b_samples[s], out=p_nonzero)
-        # -expm1(-lam), in place
-        return np.negative(np.expm1(np.negative(p_nonzero, out=p_nonzero), out=p_nonzero), out=p_nonzero)
+    def replicates():
+        for s, reps in zip(*np.unique(picks, return_counts=True)):
+            z, b = summary.z_samples[s], summary.b_samples[s]
+            if z.sum(axis=0, dtype=np.float64) @ b.sum(axis=1) <= data.n_rows * data.n_cols * _UNIT_SHARE:
+                yield from _unit_replicates(z, b, reps, rng)
+            else:
+                p = z.astype(np.float64) @ b
+                # -expm1(-lam), in place
+                yield from _cell_replicates(np.negative(np.expm1(np.negative(p, out=p), out=p), out=p), reps, rng)
 
-    return _replicate_qq(data, n_draws, rng, cell_probs)
+    return _replicate_qq(data, n_draws, replicates())
 
 
 def binomial_baseline_qq(data, n_draws, rng):
@@ -168,6 +211,7 @@ def binomial_baseline_qq(data, n_draws, rng):
     and k_d are the row and column non-zero counts and W the matrix total;
     an empty matrix gives probability zero everywhere.
     """
+    n_draws = _whole(n_draws, "n_draws", 1)
     k_n = np.bincount(data.rows, minlength=data.n_rows).astype(np.float64)
     k_d = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
     w = float(data.n_nonzero)
@@ -175,7 +219,7 @@ def binomial_baseline_qq(data, n_draws, rng):
         p = np.minimum(1.0, np.outer(k_n, k_d) / w)
     else:
         p = np.zeros((data.n_rows, data.n_cols))
-    return _replicate_qq(data, n_draws, rng, lambda: p)
+    return _replicate_qq(data, n_draws, _cell_replicates(p, n_draws, rng))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,12 @@ def _whole(values, name, least=0, most=None):
     return whole if whole.ndim else whole.item()
 
 
+def _check_seed(seed, name):
+    """A DomainError naming ``name`` unless ``seed`` is a 64-bit unsigned integer."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+
+
 def _cell_indices(rows, cols, n_rows, n_cols):
     """``rows`` and ``cols``, broadcast together, as int64 arrays; a DomainError
     names the first cell whose indices are not integers or lie outside the shape."""
@@ -314,8 +320,7 @@ class HyperParams:
         for name, least in (("k_max", 1), ("burn_in", 0), ("n_samples", 1), ("thin", 1)):
             if getattr(self, name) < least:
                 raise DomainError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed, "seed")
         try:
             levy_exposure_mass(self.eps_trunc, self.c, self.sigma)
         except NumericsError as exc:

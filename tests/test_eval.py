@@ -31,8 +31,8 @@ from s3ribp import (
     top_features,
     umass_coherence,
 )
-from s3ribp import mcmc
-from s3ribp.evaluate import _top_columns
+from s3ribp import evaluate, mcmc
+from s3ribp.evaluate import _cell_replicates, _top_columns, _unit_replicates
 from s3ribp.model import poisson_log_pmf
 from test_mcmc import make_summary, tiny_hyper
 
@@ -293,6 +293,42 @@ class TestUmassCoherence:
             umass_coherence(np.ones((1, 2)), data, top_m=0)
 
 
+def path_counts(path, z, b, n_draws, rng):
+    """n_draws replicates' per-row non-zero counts of the sample (z, b), drawn
+    by one path's per-replicate helper, as an n_draws x N array."""
+    z, b = np.asarray(z), np.asarray(b, dtype=np.float64)
+    if path == "unit":
+        return np.array(list(_unit_replicates(z, b, n_draws, rng)))
+    return np.array(list(_cell_replicates(-np.expm1(-(z @ b)), n_draws, rng)))
+
+
+def poisson_binomial_pmf(probs):
+    """The law of a sum of independent Bernoulli(probs[i]), by convolution."""
+    pmf = np.ones(1)
+    for p in probs:
+        pmf = np.convolve(pmf, [1.0 - p, p])
+    return pmf
+
+
+def unit_qq_oracle(z, b, picks, gen):
+    """The unit path written with numpy alone: per replicate, Poisson(beta_k)
+    units for each active pair in row-major order, then one uniform per unit
+    turned into a column by searchsorted on the normalised cumulative
+    loadings, then each row's distinct columns; the sorted counts summed."""
+    acc = np.zeros(z.shape[1])
+    for s in np.unique(picks):
+        rows, feats = np.nonzero(z[s])
+        cum = np.cumsum(b[s], axis=1)
+        for _ in range(int(np.sum(picks == s))):
+            units = gen.poisson(cum[feats, -1])
+            keys = 1.0 - gen.random(int(units.sum()))
+            unit_feats = np.repeat(feats, units)
+            cols = [np.searchsorted(cum[k] / cum[k, -1], key) for k, key in zip(unit_feats, keys)]
+            cells = set(zip(np.repeat(rows, units).tolist(), cols))
+            acc += np.sort(np.bincount([n for n, _ in cells], minlength=z.shape[1]))
+    return acc
+
+
 class TestQQRowNonzeros:
     def test_two_row_analytic_means(self, rng):
         summary = make_summary(z_samples=[[[1], [1]]], b_samples=[[[2.0]]])
@@ -303,6 +339,9 @@ class TestQQRowNonzeros:
         assert empirical == [1.0, 1.0]
         p = 1.0 - np.exp(-2.0)
         np.testing.assert_allclose(predicted, [p * p, 2 * p - p * p], atol=0.025)
+        for path in ("unit", "cell"):
+            counts = np.sort(path_counts(path, [[1], [1]], [[2.0]], 4000, rng), axis=1)
+            np.testing.assert_allclose(counts.mean(axis=0), [p * p, 2 * p - p * p], atol=0.025)
 
     def test_predicted_side_is_sorted(self, rng):
         summary = make_summary(
@@ -344,22 +383,102 @@ class TestQQRowNonzeros:
         data = CountMatrix.from_dense(np.array([[0, 0], [3, 0]]))
         points = qq_row_nonzeros(summary, data, 200, rng)
         assert points == [(0.0, 0.0), (1.0, 1.0)]
+        for path in ("unit", "cell"):
+            counts = path_counts(path, [[0], [1]], [[50.0, 0.0]], 200, rng)
+            assert np.array_equal(counts, np.tile([0, 1], (200, 1)))
+
+    def test_unit_path_row_counts_follow_the_poisson_binomial_law(self):
+        # 3 x 5, K = 2: row 0 holds both features, row 1 one, row 2 none;
+        # feature 1 loads nothing on column 3, so row 1 never counts it
+        z = np.array([[1, 1], [0, 1], [0, 0]])
+        b = np.array([[0.1, 0.6, 0.0, 1.5, 0.3], [0.4, 0.05, 0.9, 0.0, 2.0]])
+        n_draws = 20_000
+        counts = path_counts("unit", z, b, n_draws, np.random.default_rng(23))
+        cell_p = -np.expm1(-(z @ b))
+        for n in range(3):
+            pmf = poisson_binomial_pmf(cell_p[n])
+            freq = np.bincount(counts[:, n], minlength=6) / n_draws
+            assert freq.size == 6
+            se = np.sqrt(pmf * (1.0 - pmf) / n_draws)
+            assert np.all(np.abs(freq - pmf) <= 4.0 * se + 1e-12), (n, freq, pmf)
+
+    def test_both_paths_agree_in_mean(self):
+        gen = np.random.default_rng(31)
+        z = gen.integers(0, 2, size=(6, 3))
+        b = gen.gamma(0.5, 0.6, size=(3, 8))
+        n_draws = 4_000
+        unit = path_counts("unit", z, b, n_draws, gen)
+        cell = path_counts("cell", z, b, n_draws, gen)
+        se = np.sqrt((unit.var(axis=0) + cell.var(axis=0)) / n_draws)
+        assert np.all(np.abs(unit.mean(axis=0) - cell.mean(axis=0)) <= 4.0 * se + 1e-12)
+        np.testing.assert_allclose(cell.mean(axis=0), (-np.expm1(-(z @ b))).sum(axis=1), atol=0.1)
+
+    @pytest.mark.parametrize(
+        "loading, path",
+        [(0.25, "unit"), (0.2500001, "cell"), (2.0, "cell")],
+        ids=["at-the-rule", "just-above", "dense"],
+    )
+    def test_a_sample_takes_the_unit_path_iff_its_units_are_at_most_a_sixteenth_of_the_cells(
+        self, rng, monkeypatch, loading, path
+    ):
+        # 4 x 4 cells: the rule allows 16 / 16 = 1 expected unit, and the one
+        # active pair expects sum_d b_0d = 4 * loading
+        calls = {"unit": 0, "cell": 0}
+        for name in ("unit", "cell"):
+            helper = getattr(evaluate, f"_{name}_replicates")
+
+            def counted(*args, name=name, helper=helper):
+                calls[name] += args[-2]
+                return helper(*args)
+
+            monkeypatch.setattr(evaluate, f"_{name}_replicates", counted)
+        summary = make_summary(z_samples=[[[1], [0], [0], [0]]], b_samples=[[[loading] * 4]])
+        qq_row_nonzeros(summary, CountMatrix.from_dense(np.eye(4, dtype=np.int64)), 7, rng)
+        assert calls == {"unit": 7 if path == "unit" else 0, "cell": 7 if path == "cell" else 0}
+
+    def test_feature_with_all_zero_loadings_draws_no_unit(self, rng):
+        # feature 1's cumulative loadings are not divided by its zero total,
+        # so no RuntimeWarning (an error in this suite) is raised; row 1
+        # holds only feature 1
+        z = np.array([[1, 1], [0, 1], [0, 0]])
+        b = np.array([[0.3, 0.0, 0.2, 0.1], [0.0, 0.0, 0.0, 0.0]])
+        counts = path_counts("unit", z, b, 300, rng)
+        assert np.all(counts[:, 1:] == 0)
+        assert 0 < counts[:, 0].mean() < 3
 
     def test_one_integer_and_one_uniform_per_cell_each_replicate(self, rng):
-        # the same draws as P(Poisson(lam) > 0) = -expm1(-lam) tested against
-        # one N x D uniform array per replicate, after one sample index
+        # every sample index first, then per distinct sample in ascending
+        # order: P(Poisson(lam) > 0) = -expm1(-lam) built once, tested
+        # against one N x D uniform array per replicate
         z = rng.integers(0, 2, size=(3, 5, 2))
         b = rng.gamma(1.0, 0.5, size=(3, 2, 4))
         summary = make_summary(z, b)
         data = CountMatrix.from_dense(rng.poisson(1.0, size=(5, 4)))
         got = qq_row_nonzeros(summary, data, 30, np.random.default_rng(4))
         gen = np.random.default_rng(4)
+        picks = gen.integers(3, size=30)
         acc = np.zeros(5)
-        for _ in range(30):
-            s = int(gen.integers(3))
+        for s in np.unique(picks):
             lam = z[s].astype(np.float64) @ b[s]
-            acc += np.sort(np.count_nonzero(gen.random(lam.shape) < -np.expm1(-lam), axis=1))
+            assert lam.sum() > lam.size / 16
+            for _ in range(int(np.sum(picks == s))):
+                acc += np.sort(np.count_nonzero(gen.random(lam.shape) < -np.expm1(-lam), axis=1))
         np.testing.assert_array_equal([p[1] for p in got], acc / 30)
+
+    def test_one_poisson_per_active_pair_and_one_uniform_per_unit_each_replicate(self, rng):
+        # a sparse 12 x 40 summary: every sample takes the unit path
+        z = (rng.random(size=(3, 12, 3)) < 0.4).astype(np.int64)
+        b = rng.gamma(0.3, 0.05, size=(3, 3, 40))
+        b[0, 1, :] = 0.0
+        summary = make_summary(z, b)
+        for s in range(3):
+            assert (z[s] @ b[s]).sum() <= 12 * 40 / 16
+        data = CountMatrix.from_dense(rng.poisson(0.1, size=(12, 40)))
+        got = qq_row_nonzeros(summary, data, 25, np.random.default_rng(5))
+        gen = np.random.default_rng(5)
+        want = unit_qq_oracle(z, b, gen.integers(3, size=25), gen)
+        assert want.sum() > 0
+        np.testing.assert_array_equal([p[1] for p in got], want / 25)
 
 
 class TestBinomialBaselineQQ:

@@ -1149,6 +1149,8 @@ class TestCliRunConfig:
             ("eval", ["--holdout", "0.999"], "hold-out fraction leaves no training cells"),
             ("meta", ["--top-m", "0"], "--top-m 0 is less than 1"),
             ("qq", ["--draws", "0"], "--draws 0 is less than 1"),
+            ("qq", ["--seed", "-1"], "--seed must be a 64-bit unsigned integer, got -1"),
+            ("qq", ["--seed", str(2**64)], f"--seed must be a 64-bit unsigned integer, got {2**64}"),
             ("topics", ["--top-m", "0"], "--top-m 0 is less than 1"),
         ],
         ids=[
@@ -1160,6 +1162,8 @@ class TestCliRunConfig:
             "eval-holdout",
             "meta-top-m",
             "qq-draws",
+            "qq-seed-negative",
+            "qq-seed-2-to-64",
             "topics-top-m",
         ],
     )
@@ -1176,6 +1180,13 @@ class TestCliRunConfig:
         assert payload["error"] == "DomainError"
         assert payload["message"] == message
         assert not out.exists()
+
+    def test_qq_seed_is_checked_before_the_data_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.tsv")
+        argv = ["qq", "--data", missing, "--posterior", missing, "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert cli_dispatch(argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "DomainError", "message": "--seed must be a 64-bit unsigned integer, got -1"}
 
 
 class TestTruncationShare:
