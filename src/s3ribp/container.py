@@ -21,7 +21,7 @@ from .errors import ParseError
 
 MAGIC = b"S3RB\x00\x01\x00\x00"
 
-__all__ = ["write_records", "read_records", "canonical_bytes", "digest", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["write_records", "read_records", "digest", "atomic_write_bytes", "atomic_write_text"]
 
 
 def _chunks(arrays, meta):
@@ -37,14 +37,9 @@ def _chunks(arrays, meta):
     return [MAGIC + len(header).to_bytes(8, "little") + header, *views]
 
 
-def canonical_bytes(arrays, meta):
-    """Deterministic byte encoding of the payload (no I/O)."""
-    return b"".join(_chunks(arrays, meta))
-
-
 def digest(arrays, meta):
-    """sha256 hex of ``canonical_bytes(arrays, meta)``: how the program
-    identifies its data, masks and hyperparameters."""
+    """sha256 hex of the bytes ``write_records(path, arrays, meta)`` writes:
+    how the program identifies its data, masks and hyperparameters."""
     h = hashlib.sha256()
     for chunk in _chunks(arrays, meta):
         h.update(chunk)

@@ -138,11 +138,13 @@ def _replicate_qq(data, n_draws, replicates):
 
 def _cell_replicates(p, reps, rng):
     """reps replicates' per-row non-zero counts, one at a time: cell (n, d) is
-    non-zero iff its uniform (one N x D block each, 17 bytes a cell with p) < p[n, d]."""
+    non-zero iff its uniform (one N x D block each, 17 bytes a cell with p) < p[n, d].
+    A row's hits are summed as bytes in the smallest unsigned type holding D."""
     u, hit = np.empty(p.shape), np.empty(p.shape, dtype=bool)
+    count_type = np.min_scalar_type(p.shape[1])
     for _ in range(reps):
         np.less(rng.random(out=u), p, out=hit)
-        yield np.count_nonzero(hit, axis=1)
+        yield np.add.reduce(hit.view(np.uint8), axis=1, dtype=count_type)
 
 
 def _unit_replicates(z, b, reps, rng):
@@ -231,12 +233,8 @@ class MatchResult:
     unmatched_b: tuple
 
     @property
-    def scores(self):
-        return tuple(p[2] for p in self.pairs)
-
-    @property
     def mean_score(self):
-        return float(np.mean(self.scores)) if self.pairs else 0.0
+        return float(np.mean([p[2] for p in self.pairs])) if self.pairs else 0.0
 
 
 def jaccard_match(features_a, features_b):

@@ -219,13 +219,12 @@ def load_counts(path, fmt="auto"):
     else:
         data = CountMatrix.from_dense(*_read_dense(*lines, allow_float=False))
     log.info(
-        "loaded %dx%d counts from %s: %d non-zeros, density %.3f, zero share %.3f",
+        "loaded %dx%d counts from %s: %d non-zeros, density %.3f",
         data.n_rows,
         data.n_cols,
         path,
         data.n_nonzero,
         data.density,
-        data.zero_share,
     )
     return data
 

@@ -28,8 +28,8 @@ runs six stages in a fixed order, each a ``ChainRunner`` method:
 
 No stage reads the auxiliary split before the aux stage redraws it whole
 from (Z, B), so a chain started from any (Z, B, pi, alpha) needs no stored
-split: ``ChainRunner.from_state`` draws a fresh one, and a chain restored
-from a checkpoint holds none until its next aux stage.
+split: ``ChainRunner(data, mask, config, state=...)`` draws a fresh one, and
+a chain restored from a checkpoint holds none until its next aux stage.
 
 The driver is deterministic given the seed: one numpy Generator drives every
 draw in a fixed order, and checkpoints capture the full generator state, so
@@ -336,11 +336,13 @@ class ChainRunner:
     """The kernel and its driver: the only implementation of the sampler.
 
     ``step_once`` runs the six stages in order: Z sweep, pi MH, aux split,
-    B draw, alpha draw, invariant check.  A chain starts from a prior draw
-    (the constructor), from a given state (``from_state``) or mid-trajectory
-    from a checkpoint (``from_checkpoint``).  The aux stage redraws every
-    auxiliary split from (Z, B) before anything reads it, so a start state
-    needs no split of its own, and a restored chain holds none (``_split``
+    B draw, alpha draw, invariant check.  The constructor starts a chain at
+    a prior draw, or at a copy of the LatentState ``state``, refused with a
+    DomainError unless Z is N x k_max, B k_max x D and every weight in
+    [eps_trunc, PI_CEILING]; its loadings are floored like the B stage's.
+    ``from_checkpoint`` restarts a chain mid-trajectory.  The aux stage
+    redraws every auxiliary split from (Z, B) before anything reads it, so
+    ``state.aux`` is ignored, and a restored chain holds no split (``_split``
     is None) until its first aux stage.
 
     All randomness flows through one generator in a fixed order (column
@@ -351,15 +353,23 @@ class ChainRunner:
     ``summary`` views read-only: no filled row is written again.
     """
 
-    def __init__(self, data, mask, config, _restore=None, _state=None):
+    def __init__(self, data, mask, config, state=None, _restore=None):
         if mask is None:
             mask = ObservationMask.none_held_out(data.n_rows, data.n_cols)
         if mask.n_rows != data.n_rows or mask.n_cols != data.n_cols:
             raise DomainError("mask shape disagrees with data shape")
+        self._hp = config.hyper
+        if state is not None:
+            if state.z.shape != (data.n_rows, self._hp.k_max) or state.b.shape[1] != data.n_cols:
+                raise DomainError("state shape disagrees with the data shape and k_max")
+            eps = self._hp.eps_trunc
+            outside = np.flatnonzero(~((eps <= state.pi) & (state.pi <= PI_CEILING)))
+            if outside.size:
+                k = int(outside[0])
+                raise DomainError(f"start weight pi[{k}] = {state.pi[k]:.17g} lies outside [{eps:g}, PI_CEILING]")
         self.data = data
         self.mask = mask
         self.config = config
-        self._hp = config.hyper
         self._n, self._d = data.n_rows, data.n_cols
         self._k = self._hp.k_max
         self._log_f = negbin_row_sum_log_pmf(self._hp.nb_r, self._hp.nb_p, self._k)
@@ -379,27 +389,13 @@ class ChainRunner:
             self._step = float(self._hp.mh_step)
             self._runtime = 0.0
             self._win_acc = self._post_acc = self._n_retained = 0
-            if _state is None:
+            if state is None:
                 self._init_state()
             else:
-                self._set_state(_state.z, _state.b, _state.pi, _state.alpha)
+                self._set_state(state.z, state.b, state.pi, state.alpha)
             self._draws = self._empty_draws()
             self._refresh_aux_internal()
         self._validate_internal()
-
-    @classmethod
-    def from_state(cls, data, mask, config, state):
-        """Start a chain at a given LatentState instead of a prior draw.
-
-        The generator is seeded from ``config.hyper.seed`` as for a fresh
-        chain, and its first draws are a new auxiliary split: ``state.aux``
-        is ignored, since no stage reads the split before redrawing it.
-        Loadings are floored like the B stage's draws.
-        """
-        n, k = state.z.shape
-        if (n, k) != (data.n_rows, config.hyper.k_max) or state.b.shape[1] != data.n_cols:
-            raise DomainError("state shape disagrees with the data shape and k_max")
-        return cls(data, mask, config, _state=state)
 
     # -- workspace ---------------------------------------------------------
 

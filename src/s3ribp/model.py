@@ -202,11 +202,6 @@ class CountMatrix:
         """Share of cells holding a nonzero count."""
         return self.n_nonzero / (self.n_rows * self.n_cols)
 
-    @property
-    def zero_share(self):
-        """Share of cells that are zero (the complement of density)."""
-        return 1.0 - self.density
-
     def digest(self):
         return self._digest
 
@@ -245,10 +240,6 @@ class ObservationMask:
     @classmethod
     def none_held_out(cls, n_rows, n_cols):
         return cls(np.empty((0, 2), dtype=np.int64), n_rows, n_cols)
-
-    @classmethod
-    def all_held_out(cls, n_rows, n_cols):
-        return cls(np.stack(np.divmod(np.arange(n_rows * n_cols), n_cols), axis=1), n_rows, n_cols)
 
     @property
     def n_held_out(self):
@@ -382,7 +373,8 @@ class LatentState:
     length-K integer vector splitting that count over features; cells
     absent from the map carry an all-zero split.  The sampler holds its
     split as one feature per count unit and builds this map only in
-    ``ChainRunner.state_snapshot``; ``ChainRunner.from_state`` ignores it.
+    ``ChainRunner.state_snapshot``; a chain started at a state
+    (``ChainRunner(data, mask, config, state=...)``) ignores it.
     """
 
     z: np.ndarray

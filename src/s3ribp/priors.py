@@ -51,7 +51,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BinaryFeatureMatrix:
-    """Binary matrix in dish-creation order with per-column taker counts.
+    """Binary (rows x features) matrix, its features in dish-creation order.
 
     No column is all-zero: a feature exists only if somebody uses it.
     """
@@ -67,22 +67,6 @@ class BinaryFeatureMatrix:
             raise DomainError("feature matrix must be binary")
         if z.shape[1] and np.any(z.sum(axis=0) == 0):
             raise DomainError("feature matrix must not contain all-zero columns")
-
-    @property
-    def m(self):
-        """Per-feature taker counts."""
-        return self.z.sum(axis=0, dtype=np.int64)
-
-    @property
-    def n_rows(self):
-        return self.z.shape[0]
-
-    @property
-    def n_features(self):
-        return self.z.shape[1]
-
-    def row_sums(self):
-        return self.z.sum(axis=1, dtype=np.int64)
 
 
 def _check_weight_law(alpha, c, sigma, eps_trunc=None):

@@ -1,8 +1,12 @@
 import contextlib
+import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
+
+from s3ribp.container import write_records
 
 from _acceptance_log import RESULTS
 
@@ -67,6 +71,20 @@ def brute_force_inclusion(pi, s):
 def cells(data):
     """A CountMatrix's stored cells as [row, col, count] lists, in stored order."""
     return np.stack([data.rows, data.cols, data.counts], axis=1).tolist()
+
+
+def every_cell(n_rows, n_cols):
+    """Every cell of an n_rows x n_cols matrix as an (N * D, 2) array, row-major."""
+    return np.argwhere(np.ones((n_rows, n_cols), dtype=bool))
+
+
+def written_bytes(arrays, meta):
+    """The bytes ``write_records`` writes for ``arrays`` and ``meta``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.bin")
+        write_records(path, arrays, meta)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 @pytest.fixture

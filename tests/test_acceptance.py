@@ -39,7 +39,7 @@ from s3ribp import (
 )
 
 from _acceptance_log import record
-from conftest import brute_force_inclusion, enumerate_rows
+from conftest import brute_force_inclusion, enumerate_rows, every_cell
 from test_condbern import kernel_inclusion_probs, kernel_row_log_prior
 from test_priors import harmonic, poisson_chisq
 
@@ -145,8 +145,8 @@ def test_criterion_3_prior_moments():
     k_plus = np.empty(n_draws)
     for i in range(n_draws):
         draw = sample_ibp(alpha, n_rows, rng)
-        row_means[i] = draw.row_sums().mean()
-        k_plus[i] = draw.n_features
+        row_means[i] = draw.z.sum(axis=1).mean()
+        k_plus[i] = draw.z.shape[1]
     elapsed = time.monotonic() - t0
     se_rows = row_means.std(ddof=1) / np.sqrt(n_draws)
     se_k = k_plus.std(ddof=1) / np.sqrt(n_draws)
@@ -171,7 +171,7 @@ def test_criterion_4_three_parameter_reduction_to_ibp():
     rng = np.random.default_rng(14)
     n_reps, alpha, n_rows = 10_000, 2.0, 20
     k_3p = np.array(
-        [sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng).n_features for _ in range(n_reps)]
+        [sample_3p_ibp(alpha, 1.0, 0.0, n_rows, rng).z.shape[1] for _ in range(n_reps)]
     )
     mean = alpha * harmonic(n_rows)
     p_value = poisson_chisq(k_3p, mean)
@@ -223,11 +223,11 @@ def geweke_gaps(hp, n_rows, n_cols, steps, stats_of, names, seeds):
     srng = np.random.default_rng(seeds[1])
     alpha0, pi0, z0, b0 = prior_draw(hp, n_rows, n_cols, srng)
     x0 = srng.poisson(z0.astype(np.float64) @ b0)
-    runner = ChainRunner.from_state(
+    runner = ChainRunner(
         CountMatrix.from_dense(x0),
         None,
         ChainConfig(hyper=hp),
-        LatentState(z=z0, b=b0, pi=pi0, alpha=alpha0),
+        state=LatentState(z=z0, b=b0, pi=pi0, alpha=alpha0),
     )
     successive = np.empty_like(marginal)
     for t in range(steps):
@@ -301,7 +301,7 @@ def test_criterion_6_prior_restoration_without_observations():
     )
     n_rows, n_cols = 10, 4
     data = CountMatrix.from_dense(np.zeros((n_rows, n_cols), dtype=np.int64))
-    mask = ObservationMask.all_held_out(n_rows, n_cols)
+    mask = ObservationMask(every_cell(n_rows, n_cols), n_rows, n_cols)
     summary = run_chain(data, mask, ChainConfig(hyper=hp))
     sums = summary.z_samples.sum(axis=2).ravel()
     observed = np.bincount(sums, minlength=hp.k_max + 1).astype(np.float64)

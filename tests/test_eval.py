@@ -480,6 +480,15 @@ class TestQQRowNonzeros:
         assert want.sum() > 0
         np.testing.assert_array_equal([p[1] for p in got], want / 25)
 
+    @pytest.mark.parametrize("n_cols", [255, 256, 2**16 - 1, 2**16, 2**16 + 3])
+    def test_cell_path_counts_do_not_wrap_at_any_width(self, n_cols):
+        # a certain cell in every column: each row counts n_cols, which a
+        # fixed 8- or 16-bit accumulator would wrap at 256 or 65,536
+        p = np.ones((2, n_cols))
+        p[1, ::2] = 0.0
+        (counts,) = _cell_replicates(p, 1, np.random.default_rng(0))
+        assert counts.tolist() == [n_cols, n_cols // 2]
+
 
 class TestBinomialBaselineQQ:
     def test_saturated_matrix_is_exact_diagonal(self, rng):
@@ -556,7 +565,8 @@ class TestJaccardMatch:
 
     def test_partial_overlap(self):
         m = jaccard_match([{"a", "b", "c"}], [{"b", "c", "d"}])
-        np.testing.assert_allclose(m.scores, [0.5])
+        assert m.pairs == ((0, 0, 0.5),)
+        assert m.mean_score == 0.5
 
     def test_disjoint_sets_still_pair_at_zero(self):
         m = jaccard_match([{1}], [{2}])
@@ -577,8 +587,8 @@ class TestJaccardMatch:
     def test_score_multiset_is_symmetric(self):
         a = [{1, 2}, {3, 4}, {5}]
         b = [{2, 3}, {5, 6}]
-        ab = sorted(jaccard_match(a, b).scores)
-        ba = sorted(jaccard_match(b, a).scores)
+        ab = sorted(p[2] for p in jaccard_match(a, b).pairs)
+        ba = sorted(p[2] for p in jaccard_match(b, a).pairs)
         np.testing.assert_allclose(ab, ba)
 
     def test_empty_set_is_an_error(self):

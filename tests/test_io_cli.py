@@ -35,13 +35,12 @@ from s3ribp.cli import cli_dispatch
 from s3ribp.container import (
     MAGIC,
     atomic_write_bytes,
-    canonical_bytes,
     read_records,
     write_records,
 )
 from s3ribp.io import _parse_count
 
-from conftest import cells
+from conftest import cells, written_bytes
 from test_mcmc import tiny_data, tiny_hyper
 
 
@@ -684,9 +683,7 @@ class TestContainer:
 
     def test_equal_content_equal_bytes(self, rng):
         arrays = {"w": rng.normal(size=4)}
-        assert canonical_bytes(arrays, {"k": 1}) == canonical_bytes(
-            {"w": arrays["w"].copy()}, {"k": 1}
-        )
+        assert written_bytes(arrays, {"k": 1}) == written_bytes({"w": arrays["w"].copy()}, {"k": 1})
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -1,6 +1,6 @@
 """The kernel's stages and the chain driver: conjugate draws, sweeps, determinism.
 
-Stage tests start a ChainRunner at a chosen state (``from_state``) and call
+Stage tests start a ChainRunner at a chosen state (``state=``) and call
 one stage method at a time, so they check the code that ``fit`` runs.
 """
 
@@ -40,6 +40,7 @@ from s3ribp import (
 from s3ribp import mcmc
 from s3ribp.container import read_records, write_records
 from s3ribp.mcmc import _B_FLOOR, CHECKPOINT_SCHEMA
+from s3ribp.model import PI_CEILING
 from conftest import brute_force_row_log_prior, deadline, enumerate_rows
 from test_priors import restricted_density_cdf
 
@@ -72,7 +73,7 @@ def runner_at(x, z, b, pi, mask=None, alpha=1.0, **hyper):
     z = np.asarray(z, dtype=np.int8)
     hp = tiny_hyper(**{"k_max": z.shape[1], **hyper})
     state = LatentState(z=z, b=b, pi=pi, alpha=alpha)
-    return ChainRunner.from_state(CountMatrix.from_dense(x), mask, ChainConfig(hyper=hp), state)
+    return ChainRunner(CountMatrix.from_dense(x), mask, ChainConfig(hyper=hp), state=state)
 
 
 def make_summary(z_samples, b_samples):
@@ -167,14 +168,14 @@ class TestSweepZ:
             snap.validate_against(runner.data, runner.mask, runner.config.hyper.eps_trunc)
 
     def test_input_state_is_not_mutated(self, rng):
-        # from_state copies its start state; stepping the chain leaves it alone
+        # the runner copies its start state; stepping the chain leaves it alone
         data = tiny_data(rng)
         mask = ObservationMask.none_held_out(6, 4)
         cfg = ChainConfig(hyper=tiny_hyper())
         state = ChainRunner(data, mask, cfg).state_snapshot()
         z_before, b_before, pi_before = state.z.copy(), state.b.copy(), state.pi.copy()
         aux_before = {k: v.copy() for k, v in state.aux.items()}
-        runner = ChainRunner.from_state(data, mask, cfg, state)
+        runner = ChainRunner(data, mask, cfg, state=state)
         for _ in range(3):
             runner.step_once()
         np.testing.assert_array_equal(state.z, z_before)
@@ -693,15 +694,39 @@ class TestChainRunner:
         with pytest.raises(DomainError):
             ChainRunner(tiny_data(rng), ObservationMask.none_held_out(3, 3), ChainConfig(hyper=tiny_hyper()))
 
-    def test_from_state_shape_mismatch(self, rng):
+    def test_start_state_shape_mismatch(self, rng):
         data = tiny_data(rng)
         state = ChainRunner(data, None, ChainConfig(hyper=tiny_hyper())).state_snapshot()
         with pytest.raises(DomainError):
-            ChainRunner.from_state(data, None, ChainConfig(hyper=tiny_hyper(k_max=4)), state)
+            ChainRunner(data, None, ChainConfig(hyper=tiny_hyper(k_max=4)), state=state)
         with pytest.raises(DomainError):
-            ChainRunner.from_state(tiny_data(rng, n=5), None, ChainConfig(hyper=tiny_hyper()), state)
+            ChainRunner(tiny_data(rng, n=5), None, ChainConfig(hyper=tiny_hyper()), state=state)
         with pytest.raises(DomainError):
-            ChainRunner.from_state(tiny_data(rng, d=5), None, ChainConfig(hyper=tiny_hyper()), state)
+            ChainRunner(tiny_data(rng, d=5), None, ChainConfig(hyper=tiny_hyper()), state=state)
+
+    @pytest.mark.parametrize("weight", [1e-5, 1.0 - 1e-16, 1.0, np.nan])
+    def test_start_weight_outside_its_support_is_refused(self, weight):
+        # each weight lies outside [eps_trunc, PI_CEILING] = [1e-3, 1 - 1e-15]
+        z = np.array([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(DomainError, match=r"start weight pi\[1\] = .* lies outside \[0\.001, PI_CEILING\]"):
+            runner_at([[1, 2], [3, 0]], z, np.ones((3, 2)), [0.5, weight, 0.5], eps_trunc=1e-3)
+
+    def test_start_weights_at_the_support_edges_run(self):
+        runner = runner_at([[1, 2], [3, 0]], [[1, 0], [0, 1]], np.ones((2, 2)), [1e-3, PI_CEILING], eps_trunc=1e-3)
+        runner.step_once()
+
+    def test_start_state_summary_is_pinned(self, tmp_path):
+        # the sha256 of a summary from a fixed start state, so a change to
+        # how a given state starts a chain that moves a draw shows here
+        rng = np.random.default_rng(5)
+        x = rng.poisson(1.5, size=(20, 8))
+        z = (rng.random((20, 4)) < 0.5).astype(np.int8)
+        z[:, 0] = 1
+        state = LatentState(z=z, b=rng.gamma(1.0, 1.0, size=(4, 8)), pi=rng.uniform(0.1, 0.9, size=4), alpha=2.0)
+        config = ChainConfig(hyper=tiny_hyper(k_max=4, burn_in=10, n_samples=5, seed=3))
+        save_summary(ChainRunner(CountMatrix.from_dense(x), None, config, state=state).run(), tmp_path / "s.bin")
+        digest = hashlib.sha256((tmp_path / "s.bin").read_bytes()).hexdigest()
+        assert digest == "d9729a5b03714d239590130b3ecee0bceb6dc9151624c0f7a9da54b27ddb35e2"
 
     def test_set_data_counts_swaps_and_validates(self, rng):
         data = tiny_data(rng)

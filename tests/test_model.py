@@ -35,10 +35,9 @@ from s3ribp import (
     top_features,
     umass_coherence,
 )
-from s3ribp.container import canonical_bytes
 from s3ribp.model import _VALIDATE_CHUNK, MIN_C_PLUS_SIGMA, SIGMA_CEILING, _whole
 
-from conftest import cells
+from conftest import cells, every_cell, written_bytes
 from test_mcmc import make_summary, tiny_hyper
 
 
@@ -120,10 +119,9 @@ class TestCountMatrix:
         with pytest.raises(DomainError, match="not an integer"):
             data.counts_at([np.nan], [0])
 
-    def test_density_and_zero_share(self):
+    def test_density(self):
         data = CountMatrix.from_dense([[1, 0], [2, 3]])
         assert data.density == pytest.approx(0.75)
-        assert data.zero_share == pytest.approx(0.25)
 
     def test_digest_sensitive_to_values_and_labels(self):
         a = CountMatrix.from_dense([[1, 0]])
@@ -136,9 +134,9 @@ class TestCountMatrix:
     def test_digest_payload_is_unchanged(self):
         # checkpoints store this digest, so within a checkpoint schema its
         # payload must not move: the sorted cell arrays, the shape and the
-        # labels, in the container's canonical bytes
+        # labels, in the bytes the container writes
         data = CountMatrix(2, 3, [1, 0, 1], [2, 1, 0], [4, 2, 7], ("a", "b"), ("x", "y", "z"))
-        payload = canonical_bytes(
+        payload = written_bytes(
             {"rows": np.array([0, 1, 1]), "cols": np.array([1, 0, 2]), "counts": np.array([2, 7, 4])},
             {"shape": [2, 3], "rows": ["a", "b"], "cols": ["x", "y", "z"]},
         )
@@ -166,7 +164,7 @@ class TestObservationMask:
 
     def test_constructors(self):
         none = ObservationMask.none_held_out(3, 2)
-        every = ObservationMask.all_held_out(3, 2)
+        every = ObservationMask(every_cell(3, 2), 3, 2)
         assert none.n_held_out == 0
         assert every.n_held_out == 6
         assert every.is_held_out(*np.divmod(np.arange(6), 2)).all()
@@ -204,7 +202,7 @@ class TestObservationMask:
         with pytest.raises(ValueError):
             mask.held_out[0, 0] = 1
         # the digest is the one computed from the cell set directly
-        payload = canonical_bytes({"cells": np.array(sorted(cells))}, {"shape": [40, 40]})
+        payload = written_bytes({"cells": np.array(sorted(cells))}, {"shape": [40, 40]})
         assert mask.digest() == hashlib.sha256(payload).hexdigest()
         assert mask.digest() == mask.digest()
         empty = ObservationMask.none_held_out(2, 3)
@@ -213,7 +211,7 @@ class TestObservationMask:
 
     def test_digest_payload_is_unchanged(self):
         mask = ObservationMask([(2, 1), (0, 3)], 3, 4)
-        payload = canonical_bytes({"cells": np.array([[0, 3], [2, 1]])}, {"shape": [3, 4]})
+        payload = written_bytes({"cells": np.array([[0, 3], [2, 1]])}, {"shape": [3, 4]})
         assert mask.digest() == hashlib.sha256(payload).hexdigest()
         # a fixed value, because schema-7 checkpoints store it
         assert mask.digest() == "a9d85bce432c282a78ac9f5de0504a60ef95c6c2877f892cd22886838c4a0c80"
@@ -305,7 +303,7 @@ class TestHyperParams:
         assert again == hp
         assert again.digest() == hp.digest()
         assert hp.replace(seed=12).digest() != hp.digest()
-        assert hp.digest() == hashlib.sha256(canonical_bytes({}, hp.to_dict())).hexdigest()
+        assert hp.digest() == hashlib.sha256(written_bytes({}, hp.to_dict())).hexdigest()
 
     def test_numbers_take_their_declared_type(self):
         # an integral value is a valid int and any number a valid float, so

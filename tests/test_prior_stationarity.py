@@ -28,6 +28,7 @@ from s3ribp import (
 # imported under a name pytest does not collect a second time
 from test_acceptance import TestCriterion5Geweke as _Criterion5
 from test_acceptance import batch_se, geweke_gaps
+from conftest import every_cell
 
 # criterion 6's setup: a 10x4 matrix with every cell held out
 NO_DATA_HP = dict(
@@ -50,7 +51,7 @@ def test_no_data_chain_draws_the_prior_alpha_and_weights(c, sigma):
     hp = HyperParams(c=c, sigma=sigma, **NO_DATA_HP)
     n_rows, n_cols = 10, 4
     data = CountMatrix.from_dense(np.zeros((n_rows, n_cols), dtype=np.int64))
-    summary = run_chain(data, ObservationMask.all_held_out(n_rows, n_cols), ChainConfig(hyper=hp))
+    summary = run_chain(data, ObservationMask(every_cell(n_rows, n_cols), n_rows, n_cols), ChainConfig(hyper=hp))
     rng = np.random.default_rng(17)
     mass = levy_exposure_mass(hp.eps_trunc, c, sigma)
     exact_alpha = np.array([sample_alpha(mass, hp, rng) for _ in range(20_000)])
