@@ -119,8 +119,9 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     return float(np.mean(scores))
 
 
-# A retained sample expecting at most N * D times this many Poisson units
-# per replicate takes the unit path; a unit costs about ten cells' draws.
+# A qq table whose replicate expects at most N * D times this many units
+# (a retained sample's Poisson units, the baseline's proposals) takes the
+# unit path; a unit costs about ten cells' draws.
 _UNIT_SHARE = 1 / 16
 
 
@@ -128,7 +129,7 @@ def _replicate_qq(data, n_draws, replicates):
     """qq pairs: the data's sorted per-row non-zero counts against the mean of
     the n_draws sorted vectors ``replicates`` yields, by the cell or the unit
     path (``_cell_replicates``, ``_unit_replicates``: one law; the unit path
-    when a sample expects at most N * D * ``_UNIT_SHARE`` = 1/16 units)."""
+    when a replicate expects at most N * D * ``_UNIT_SHARE`` = 1/16 units)."""
     empirical = np.sort(np.bincount(data.rows, minlength=data.n_rows)).astype(np.float64)
     acc = np.zeros_like(empirical)
     for counts in replicates:
@@ -147,36 +148,50 @@ def _cell_replicates(p, reps, rng):
         yield np.add.reduce(hit.view(np.uint8), axis=1, dtype=count_type)
 
 
-def _unit_replicates(z, b, reps, rng):
-    """reps replicates' per-row non-zero counts, one at a time, drawn as units:
-    T_nk ~ Poisson(beta_k), beta_k = sum_d b_kd, for each active pair (n, k).
-    A unit takes column d with probability b_kd / beta_k, by one uniform and
-    a fixed-step lower bound in feature k's normalised cumulative loadings
-    (row k of ``cum``, +inf from column D - 1 on and for a feature with
-    all-zero loadings, which draws no unit), as the aux split does.  So cell
-    (n, d) is non-zero with probability 1 - exp(-lam_nd), as on the cell
-    path.  Nothing held is N x D."""
-    n_rows, n_cols = z.shape[0], b.shape[1]
-    rows, feats = np.nonzero(z)
-    width = 1 << (n_cols - 1).bit_length()
-    col_cum = np.cumsum(b, axis=1)
-    beta = col_cum[:, -1]
-    cum = np.full((b.shape[0], width), np.inf)
-    np.divide(col_cum[:, :-1], beta[:, None], out=cum[:, : n_cols - 1], where=beta[:, None] > 0)
-    cum, starts, means, cells = cum.ravel(), feats * width, beta.take(feats), rows * n_cols
+def _unit_tables(weights):
+    """Each row of ``weights`` (G x D, non-negative) as a normalised cumulative
+    table of power-of-two width: +inf from column D - 1 on, and everywhere in
+    a row of zero total, which draws no unit.  Returns (tables, totals)."""
+    n_cols = weights.shape[1]
+    col_cum = np.cumsum(weights, axis=1)
+    total = col_cum[:, -1]
+    cum = np.full((weights.shape[0], 1 << (n_cols - 1).bit_length()), np.inf)
+    np.divide(col_cum[:, :-1], total[:, None], out=cum[:, : n_cols - 1], where=total[:, None] > 0)
+    return cum, total
+
+
+def _unit_replicates(n_rows, rows, means, cum, group, keep, reps, rng):
+    """reps replicates' per-row non-zero counts, one at a time, drawn as units.
+
+    Pair i draws Poisson(means[i]) units in row rows[i]; a unit takes column
+    d with probability given by row group[i] of ``cum`` (``_unit_tables``), by
+    one uniform and a fixed-step lower bound, as the aux split does.  With
+    ``keep`` (a function of the units' rows and columns), one more uniform per
+    unit keeps it with that probability.  A row counts the distinct columns
+    of its kept units.  The model table passes its active (row, feature)
+    pairs and no ``keep``: cell (n, d) is then non-zero with probability
+    1 - exp(-lam_nd).  The baseline passes one pair per row and one group,
+    thinned (``binomial_baseline_qq``).  Nothing held is N x D."""
+    width = cum.shape[1]
+    cum, starts = cum.ravel(), group * width
     for _ in range(reps):
         units = rng.poisson(means)
-        key = np.subtract(1.0, rng.random(int(units.sum())))
+        n_units = int(units.sum())
+        key = np.subtract(1.0, rng.random(n_units))
         lo = np.repeat(starts, units)
         for j in reversed(range(width.bit_length() - 1)):
             # probe lo + step - 1, read through a view that starts there
             step = 1 << j
             lo += (cum[step - 1 :].take(lo) < key) * step
         lo &= width - 1
-        lo += np.repeat(cells, units)
+        unit_rows = np.repeat(rows, units)
+        if keep is not None:
+            kept = rng.random(n_units) < keep(unit_rows, lo)
+            lo, unit_rows = lo[kept], unit_rows[kept]
+        lo += unit_rows * width
         lo.sort()
         # a cell's units are adjacent now; its last one counts it
-        yield np.bincount(lo[np.diff(lo, append=-1) != 0] // n_cols, minlength=n_rows)
+        yield np.bincount(lo[np.diff(lo, append=-1) != 0] // width, minlength=n_rows)
 
 
 def qq_row_nonzeros(summary, data, n_draws, rng):
@@ -197,7 +212,9 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
         for s, reps in zip(*np.unique(picks, return_counts=True)):
             z, b = summary.z_samples[s], summary.b_samples[s]
             if z.sum(axis=0, dtype=np.float64) @ b.sum(axis=1) <= data.n_rows * data.n_cols * _UNIT_SHARE:
-                yield from _unit_replicates(z, b, reps, rng)
+                rows, feats = np.nonzero(z)
+                cum, beta = _unit_tables(b)
+                yield from _unit_replicates(data.n_rows, rows, beta.take(feats), cum, feats, None, reps, rng)
             else:
                 p = z.astype(np.float64) @ b
                 # -expm1(-lam), in place
@@ -209,19 +226,47 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
 def binomial_baseline_qq(data, n_draws, rng):
     """qq pairs under an entrywise Bernoulli baseline.
 
-    Cell (n, d) is non-zero with probability min(1, k_n k_d / W) where k_n
-    and k_d are the row and column non-zero counts and W the matrix total;
-    an empty matrix gives probability zero everywhere.
+    Cell (n, d) is non-zero with probability p_nd = min(1, k_n k_d / W),
+    where k_n and k_d are the row and column non-zero counts and W the
+    number of non-zero cells; an empty matrix gives probability zero
+    everywhere.  Two paths draw this one law.  A cell with k_n k_d >= W
+    (compared as integers) is sure; p_max is the largest p_nd over the other
+    cells and g = -log1p(-p_max) / p_max (0 when p_max is 0).  If the
+    expected proposals g W are at most N * D * ``_UNIT_SHARE`` (1/16), the
+    unit path counts each row's sure cells once, by a search over the sorted
+    k_d, and row n draws Poisson(g k_n) units, each taking column d with
+    probability k_d / W and kept with probability -log1p(-p_nd) / (g p_nd),
+    never on a sure cell (``_unit_replicates``).  A cell's kept units are
+    then Poisson(-log1p(-p_nd)), so it is non-zero with probability p_nd
+    (thinning; Lewis & Shedler 1979).  Otherwise the cell path builds the
+    N x D probabilities once and draws one uniform per cell each replicate.
     """
     n_draws = _whole(n_draws, "n_draws", 1)
-    k_n = np.bincount(data.rows, minlength=data.n_rows).astype(np.float64)
-    k_d = np.bincount(data.cols, minlength=data.n_cols).astype(np.float64)
-    w = float(data.n_nonzero)
-    if w > 0:
-        p = np.minimum(1.0, np.outer(k_n, k_d) / w)
+    k_n = np.bincount(data.rows, minlength=data.n_rows)
+    k_d = np.bincount(data.cols, minlength=data.n_cols)
+    w = data.n_nonzero
+    # row n's sure cells have k_d >= ceil(W / k_n); an empty row has none
+    sorted_kd = np.sort(k_d)
+    below = np.searchsorted(sorted_kd, np.where(k_n > 0, -(-w // np.maximum(k_n, 1)), w + 1))
+    # each row's largest k_n k_d short of W, 0 where no cell falls short
+    nearest = k_n * np.where(below > 0, sorted_kd[np.maximum(below - 1, 0)], 0)
+    p_max = int(nearest.max()) / max(w, 1)
+    g = -math.log1p(-p_max) / p_max if p_max > 0 else 0.0
+    if g * w <= data.n_rows * data.n_cols * _UNIT_SHARE:
+
+        def keep(rows, cols):
+            cross = k_n[rows] * k_d[cols]
+            p = np.where(cross < w, cross, 0) / w
+            return np.divide(-np.log1p(-p), g * p, out=np.zeros_like(p), where=p > 0)
+
+        cum, _ = _unit_tables(k_d[None, :].astype(np.float64))
+        pairs = np.arange(data.n_rows)
+        units = _unit_replicates(data.n_rows, pairs, g * k_n, cum, np.zeros_like(pairs), keep, n_draws, rng)
+        sure = data.n_cols - below
+        replicates = (sure + counts for counts in units)
     else:
-        p = np.zeros((data.n_rows, data.n_cols))
-    return _replicate_qq(data, n_draws, _cell_replicates(p, n_draws, rng))
+        replicates = _cell_replicates(np.minimum(1.0, np.outer(k_n, k_d) / float(w)), n_draws, rng)
+    return _replicate_qq(data, n_draws, replicates)
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,10 @@ class ChainRunner:
             if state is None:
                 self._init_state()
             else:
+                # the aux split needs a rate at every observed positive cell
+                empty = np.flatnonzero((self._row_counts > 0) & ~np.any(state.z, axis=1))
+                if empty.size:
+                    raise DomainError(f"start row {empty[0]} has an observed positive count but no active feature")
                 self._set_state(state.z, state.b, state.pi, state.alpha)
             self._draws = self._empty_draws()
             self._refresh_aux_internal()

@@ -32,7 +32,7 @@ from s3ribp import (
     umass_coherence,
 )
 from s3ribp import evaluate, mcmc
-from s3ribp.evaluate import _cell_replicates, _top_columns, _unit_replicates
+from s3ribp.evaluate import _cell_replicates, _top_columns, _unit_replicates, _unit_tables
 from s3ribp.model import poisson_log_pmf
 from test_mcmc import make_summary, tiny_hyper
 
@@ -298,8 +298,24 @@ def path_counts(path, z, b, n_draws, rng):
     by one path's per-replicate helper, as an n_draws x N array."""
     z, b = np.asarray(z), np.asarray(b, dtype=np.float64)
     if path == "unit":
-        return np.array(list(_unit_replicates(z, b, n_draws, rng)))
+        rows, feats = np.nonzero(z)
+        cum, beta = _unit_tables(b)
+        return np.array(list(_unit_replicates(z.shape[0], rows, beta[feats], cum, feats, None, n_draws, rng)))
     return np.array(list(_cell_replicates(-np.expm1(-(z @ b)), n_draws, rng)))
+
+
+def count_path_calls(monkeypatch):
+    """Count the replicates each path's helper is asked for, by path name."""
+    calls = {"unit": 0, "cell": 0}
+    for name in ("unit", "cell"):
+        helper = getattr(evaluate, f"_{name}_replicates")
+
+        def counted(*args, name=name, helper=helper):
+            calls[name] += args[-2]
+            return helper(*args)
+
+        monkeypatch.setattr(evaluate, f"_{name}_replicates", counted)
+    return calls
 
 
 def poisson_binomial_pmf(probs):
@@ -423,15 +439,7 @@ class TestQQRowNonzeros:
     ):
         # 4 x 4 cells: the rule allows 16 / 16 = 1 expected unit, and the one
         # active pair expects sum_d b_0d = 4 * loading
-        calls = {"unit": 0, "cell": 0}
-        for name in ("unit", "cell"):
-            helper = getattr(evaluate, f"_{name}_replicates")
-
-            def counted(*args, name=name, helper=helper):
-                calls[name] += args[-2]
-                return helper(*args)
-
-            monkeypatch.setattr(evaluate, f"_{name}_replicates", counted)
+        calls = count_path_calls(monkeypatch)
         summary = make_summary(z_samples=[[[1], [0], [0], [0]]], b_samples=[[[loading] * 4]])
         qq_row_nonzeros(summary, CountMatrix.from_dense(np.eye(4, dtype=np.int64)), 7, rng)
         assert calls == {"unit": 7 if path == "unit" else 0, "cell": 7 if path == "cell" else 0}
@@ -490,7 +498,109 @@ class TestQQRowNonzeros:
         assert counts.tolist() == [n_cols, n_cols // 2]
 
 
+def baseline_law(x):
+    """The baseline's cell probabilities min(1, k_n k_d / W) of the dense
+    matrix x, with its sure cells (k_n k_d >= W, as integers) and the
+    expected proposals g W of its unit path."""
+    k_n, k_d = np.count_nonzero(x, axis=1), np.count_nonzero(x, axis=0)
+    w = int(np.count_nonzero(x))
+    cross = np.outer(k_n, k_d)
+    sure = cross >= w
+    p_max = cross[~sure].max(initial=0) / w
+    g = -math.log1p(-p_max) / p_max if p_max > 0 else 0.0
+    return np.minimum(1.0, cross / w), sure, g, g * w
+
+
+def baseline_counts(data, n_draws, rng, monkeypatch):
+    """The per-row non-zero counts of each baseline replicate, n_draws x N,
+    read off the replicates ``binomial_baseline_qq`` hands to its qq table."""
+    got = []
+    monkeypatch.setattr(evaluate, "_replicate_qq", lambda data, n_draws, replicates: got.extend(replicates))
+    binomial_baseline_qq(data, n_draws, rng)
+    return np.array(got)
+
+
+# a 12 x 12 sparse matrix: cell (0, 0) is sure (k_n k_d = 9 >= W = 6), and
+# the unit path expects g W = 6 * 2 log 2 = 8.3 proposals, at most 144 / 16
+_SPARSE_WITH_A_SURE_CELL = np.zeros((12, 12), dtype=np.int64)
+for _n, _d in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (5, 7)):
+    _SPARSE_WITH_A_SURE_CELL[_n, _d] = 1 + _n
+
+
 class TestBinomialBaselineQQ:
+    def test_dense_matrix_takes_the_cell_path_bit_for_bit(self):
+        # one N x D uniform block per replicate against min(1, k_n k_d / W);
+        # the full first row and column make some cells sure
+        x = np.random.default_rng(8).poisson(1.0, size=(7, 9))
+        x[0, :] = x[:, 0] = 1
+        p, sure, _, proposals = baseline_law(x)
+        assert proposals > x.size / 16 and sure.any() and not sure.all()
+        got = binomial_baseline_qq(CountMatrix.from_dense(x), 40, np.random.default_rng(6))
+        gen = np.random.default_rng(6)
+        acc = np.zeros(7)
+        for _ in range(40):
+            acc += np.sort(np.count_nonzero(gen.random(p.shape) < p, axis=1))
+        np.testing.assert_array_equal([q for _, q in got], acc / 40)
+
+    def test_unit_path_row_counts_follow_the_poisson_binomial_law(self, monkeypatch):
+        x = _SPARSE_WITH_A_SURE_CELL
+        p, sure, _, proposals = baseline_law(x)
+        assert proposals <= x.size / 16 and sure.sum() == 1
+        n_draws = 10_000
+        counts = baseline_counts(CountMatrix.from_dense(x), n_draws, np.random.default_rng(12), monkeypatch)
+        for n in range(12):
+            pmf = poisson_binomial_pmf(p[n])
+            freq = np.bincount(counts[:, n], minlength=pmf.size) / n_draws
+            assert freq.size == pmf.size
+            se = np.sqrt(pmf * (1.0 - pmf) / n_draws)
+            assert np.all(np.abs(freq - pmf) <= 4.0 * se + 1e-12), (n, freq, pmf)
+
+    def test_one_poisson_per_row_then_a_column_and_a_keep_uniform_per_unit(self):
+        # a sparse 25 x 40 matrix with a dense first row and column, so some
+        # cells are sure and the rest thinned
+        gen = np.random.default_rng(14)
+        x = (gen.random((25, 40)) < 0.015).astype(np.int64)
+        x[0, :10] = x[:6, 0] = 1
+        p, sure, g, proposals = baseline_law(x)
+        assert proposals <= x.size / 16 and sure.any() and (p[~sure] > 0).any()
+        got = binomial_baseline_qq(CountMatrix.from_dense(x), 30, np.random.default_rng(2))
+        k_n, k_d = np.count_nonzero(x, axis=1), np.count_nonzero(x, axis=0)
+        w = int(np.count_nonzero(x))
+        cum = np.cumsum(k_d) / w
+        gen = np.random.default_rng(2)
+        acc = np.zeros(25)
+        for _ in range(30):
+            units = gen.poisson(g * k_n)
+            cols = np.searchsorted(cum, 1.0 - gen.random(int(units.sum())))
+            rows = np.repeat(np.arange(25), units)
+            u = gen.random(rows.size)
+            cross = k_n[rows] * k_d[cols]
+            thin = np.where(cross < w, cross, 0) / w
+            keep = np.divide(-np.log1p(-thin), g * thin, out=np.zeros_like(thin), where=thin > 0)
+            cells = set(zip(rows[u < keep].tolist(), cols[u < keep].tolist()))
+            acc += np.sort(sure.sum(axis=1) + np.bincount([n for n, _ in cells], minlength=25))
+        assert acc.sum() > sure.sum() * 30
+        np.testing.assert_array_equal([q for _, q in got], acc / 30)
+
+    @pytest.mark.parametrize(
+        "cells, path",
+        [(15, "unit"), (16, "cell"), ("all", "unit")],
+        ids=["below-the-rule", "above-the-rule", "every-cell-sure"],
+    )
+    def test_the_unit_path_iff_its_proposals_are_at_most_a_sixteenth_of_the_cells(
+        self, rng, monkeypatch, cells, path
+    ):
+        # 16 x 16 cells, so the rule allows 16 proposals.  A diagonal of m
+        # cells has p_max = 1/m and expects -m^2 log1p(-1/m): 15.52 at
+        # m = 15, 16.52 at m = 16.  A full matrix has only sure cells, so
+        # g = 0 and no proposal is drawn
+        x = np.ones((16, 16), dtype=np.int64) if cells == "all" else np.diag(np.ones(cells, dtype=np.int64))
+        x = np.pad(x, [(0, 16 - x.shape[0]), (0, 16 - x.shape[1])])
+        assert (baseline_law(x)[3] <= 16) == (path == "unit")
+        calls = count_path_calls(monkeypatch)
+        binomial_baseline_qq(CountMatrix.from_dense(x), 7, rng)
+        assert calls == {"unit": 7 if path == "unit" else 0, "cell": 7 if path == "cell" else 0}
+
     def test_saturated_matrix_is_exact_diagonal(self, rng):
         data = CountMatrix.from_dense(np.full((4, 3), 2))
         points = binomial_baseline_qq(data, 10, rng)

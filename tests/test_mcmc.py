@@ -146,8 +146,9 @@ class TestSampleAuxCounts:
         for bad in (-1.0, np.inf):
             with pytest.raises(DomainError):
                 runner_at([[2]], [[1]], np.array([[bad]]), np.array([0.5]))
-        # a positive count whose row has no active feature has all-zero rates
-        with pytest.raises(InvariantError):
+        # a positive count whose row has no active feature has all-zero
+        # rates, which the constructor refuses
+        with pytest.raises(DomainError, match="start row 0 has an observed positive count but no active feature"):
             runner_at([[2]], [[0, 0]], np.ones((2, 1)), np.full(2, 0.5))
 
 
@@ -446,8 +447,11 @@ class TestRefreshAux:
         assert sorted(map(tuple, cells.tolist())) == want
 
     def test_zero_membership_with_positive_count_is_an_error(self):
-        with pytest.raises(InvariantError):
-            runner_at([[3]], [[0]], np.array([[2.0]]), np.array([0.5]))
+        # the constructor refuses such a start state, so the counts are
+        # swapped in under a row with no active feature
+        runner = runner_at([[0]], [[0]], np.array([[2.0]]), np.array([0.5]))
+        with pytest.raises(InvariantError, match=r"positive count with all-zero rates at cell \(0, 0\)"):
+            runner.set_data_counts(np.array([[3]]))
 
 
 class TestPredictiveLogLik:
@@ -710,6 +714,15 @@ class TestChainRunner:
         z = np.array([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(DomainError, match=r"start weight pi\[1\] = .* lies outside \[0\.001, PI_CEILING\]"):
             runner_at([[1, 2], [3, 0]], z, np.ones((3, 2)), [0.5, weight, 0.5], eps_trunc=1e-3)
+
+    def test_start_row_with_an_observed_count_and_no_feature_is_refused(self):
+        with pytest.raises(DomainError, match=r"start row 1 has an observed positive count but no active feature"):
+            runner_at([[1, 2], [3, 0]], [[1, 0], [0, 0]], np.ones((2, 2)), [0.5, 0.5])
+
+    def test_start_row_whose_positive_counts_are_all_held_out_may_be_empty(self):
+        mask = ObservationMask([(1, 0)], 2, 2)
+        runner = runner_at([[1, 2], [3, 0]], [[1, 0], [0, 0]], np.ones((2, 2)), [0.5, 0.5], mask=mask)
+        runner.step_once()
 
     def test_start_weights_at_the_support_edges_run(self):
         runner = runner_at([[1, 2], [3, 0]], [[1, 0], [0, 1]], np.ones((2, 2)), [1e-3, PI_CEILING], eps_trunc=1e-3)
