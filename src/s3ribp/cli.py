@@ -59,7 +59,6 @@ _HYPER_FLAGS = (
     ("--nb-r", "nb_r", "row-count NB size"),
     ("--nb-p", "nb_p", "row-count NB probability"),
     ("--eps-trunc", "eps_trunc", "atom floor"),
-    ("--mh-step", "mh_step", "logit proposal scale"),
     ("--alpha-shape", "alpha_prior_shape", "mass prior shape"),
     ("--alpha-scale", "alpha_prior_scale", "mass prior scale"),
 )

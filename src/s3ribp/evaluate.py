@@ -434,13 +434,18 @@ def evaluate_folds(data, masks, config, top_m=10, qq_draws=50):
     """Fit one chain per fold mask and aggregate the evaluation metrics.
 
     Fold i runs with seed (base seed + i) mod 2**64, which its fold record
-    stores.  qq tables come from the first fold's summary over the full
-    matrix; feature matches compare each fold's live top-column sets to
-    fold 0's.  top_m and qq_draws are checked before the first chain runs.
+    stores.  qq tables come from fold 0's summary over the full matrix;
+    feature matches compare each fold's live top-column sets to fold 0's.
+    top_m, qq_draws and the masks are checked before the first chain runs.
     """
     if not masks:
         raise DomainError("need at least one fold mask")
     top_m, qq_draws = _whole(top_m, "top_m", 1), _whole(qq_draws, "qq_draws", 1)
+    for i, mask in enumerate(masks):
+        if (mask.n_rows, mask.n_cols) != (data.n_rows, data.n_cols):
+            raise DomainError(f"fold {i}'s mask is {mask.n_rows}x{mask.n_cols}, the data {data.n_rows}x{data.n_cols}")
+        if not mask.n_held_out:
+            raise DomainError(f"fold {i}'s mask holds nothing out; there is nothing to score")
     folds = []
     top_sets = []
     first_summary = None

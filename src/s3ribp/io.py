@@ -24,7 +24,8 @@ import numpy as np
 
 from .container import atomic_write_text, read_records, write_records
 from .errors import DomainError, ParseError
-from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, _whole, dataclass_from_dict, typed_fields
+from .model import CountMatrix, HyperParams, ObservationMask, PosteriorSummary, _check_seed, _whole
+from .model import dataclass_from_dict, typed_fields
 
 __all__ = [
     "load_counts",
@@ -39,7 +40,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _FORMATS = ("auto", "dense", "triplet")
-_SUMMARY_SCHEMA = 2
+_SUMMARY_SCHEMA = 3
 
 
 def _parse_count(text, lineno, allow_float=False):
@@ -266,6 +267,7 @@ def make_splits(data, fraction, n_folds, seed):
     Fold i is driven by the seed sequence (seed, i), so any (seed, fold)
     pair reproduces its mask exactly regardless of the other folds.
     """
+    _check_seed(seed, "seed")
     if not (0.0 < fraction < 1.0):
         raise DomainError("hold-out fraction must lie strictly between 0 and 1")
     n_folds = _whole(n_folds, "n_folds", 1)

@@ -78,15 +78,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 # The chain's scalar state: runner attribute ``_<name>`` is checkpointed
-# under ``name``.  Each pi stage proposes K moves, so the proposal counts
-# are not state: a burn-in adaptation window holds _ADAPT_EVERY * K, and the
-# chain after burn-in K * (iteration - burn_in).
-_CHAIN_SCALARS = ("iteration", "alpha", "step", "win_acc", "post_acc", "runtime", "n_retained")
+# under ``name``.  ``win_acc`` counts pi accepts since the last adaptation
+# window or burn-in ended; proposals, K per pi stage, are not state.
+_CHAIN_SCALARS = ("iteration", "alpha", "step", "win_acc", "runtime", "n_retained")
+# The pi step starts at _STEP_START, moves toward 20-40% acceptance every
+# _ADAPT_EVERY burn-in iterations, then stays put for the retained draws.
 _ADAPT_EVERY = 100
 _ADAPT_LO, _ADAPT_HI = 0.20, 0.40
-_STEP_MIN, _STEP_MAX = 1e-3, 50.0
+_STEP_START, _STEP_MIN, _STEP_MAX = 0.5, 1e-3, 50.0
 
 # Gamma draws with shape far below one (alpha_b defaults to 0.01) underflow
 # to exactly zero often enough to matter; a zero loading puts zero rate on a
@@ -113,10 +114,7 @@ _SCORE_CELLS = 2**14
 class ChainConfig:
     """The hyperparameters, where the chain checkpoints, and how often it logs.
 
-    The retention schedule (burn_in, n_samples, thin) and the seed live on
-    the HyperParams only.  The runner tunes the MH step during burn-in
-    toward a 20-40% acceptance rate and freezes it afterwards, so the
-    retained draws come from a time-homogeneous kernel.
+    The schedule (burn_in, n_samples, thin) and the seed live on ``hyper`` only.
     """
 
     hyper: HyperParams
@@ -386,9 +384,9 @@ class ChainRunner:
         else:
             self._rng = np.random.default_rng(self._hp.seed)
             self._iteration = 0
-            self._step = float(self._hp.mh_step)
+            self._step = _STEP_START
             self._runtime = 0.0
-            self._win_acc = self._post_acc = self._n_retained = 0
+            self._win_acc = self._n_retained = 0
             if state is None:
                 self._init_state()
             else:
@@ -540,10 +538,7 @@ class ChainRunner:
         m = self._z.sum(axis=0, dtype=np.int64)
         s_hist = np.bincount(self._row_sums, minlength=self._k + 1).astype(np.float64)
         accepted = _pi_sweep(self._pi, self._logw, self._log_e, m, s_hist, self._hp, self._rng, self._step)
-        n_acc = int(accepted.sum())
-        self._win_acc += n_acc
-        if self._iteration >= self._hp.burn_in:
-            self._post_acc += n_acc
+        self._win_acc += int(accepted.sum())
 
     def _refresh_aux_internal(self):
         """Draw every observed count unit's feature: x'_ndk ~ Poisson(z_nk b_kd).
@@ -698,6 +693,8 @@ class ChainRunner:
             elif rate > _ADAPT_HI:
                 self._step = min(self._step * 1.4, _STEP_MAX)
             self._win_acc = 0
+        if self._iteration == self._hp.burn_in:
+            self._win_acc = 0
 
     # -- retention and results ----------------------------------------------
 
@@ -751,14 +748,12 @@ class ChainRunner:
         draws = {name: rows[: self._n_retained] for name, rows in self._draws.items()}
         for view in draws.values():
             view.flags.writeable = False
-        # a retained draw means iteration > burn_in, so K * (iteration - burn_in) > 0
-        rate = self._post_acc / (self._k * (self._iteration - self._hp.burn_in))
         return PosteriorSummary(
             **draws,
             z_mean=draws["z_samples"].mean(axis=0),
             b_mean=draws["b_samples"].mean(axis=0),
-            pi_accept_rate=float(rate),
-            mh_step_final=float(self._step),
+            # a retained draw means iteration > burn_in, so K * (iteration - burn_in) > 0
+            pi_accept_rate=self._win_acc / (self._k * (self._iteration - self._hp.burn_in)),
             hyper=self._hp,
             runtime_seconds=float(self._runtime),
         )

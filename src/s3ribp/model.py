@@ -284,7 +284,6 @@ class HyperParams:
     mu_b: float = 1.0
     k_max: int = 50
     eps_trunc: float = 1e-6
-    mh_step: float = 0.5
     burn_in: int = 30_000
     n_samples: int = 1_000
     thin: int = 1
@@ -303,7 +302,7 @@ class HyperParams:
         _check_weight_law(1.0, self.c, self.sigma, self.eps_trunc)
         if not self.c + self.sigma >= MIN_C_PLUS_SIGMA:
             raise DomainError(f"c + sigma must be at least {MIN_C_PLUS_SIGMA}, got c={self.c}, sigma={self.sigma}")
-        for name in ("alpha_prior_shape", "alpha_prior_scale", "nb_r", "alpha_b", "mu_b", "mh_step"):
+        for name in ("alpha_prior_shape", "alpha_prior_scale", "nb_r", "alpha_b", "mu_b"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.nb_p < 1.0:
@@ -455,7 +454,6 @@ class PosteriorSummary:
     z_mean: np.ndarray
     b_mean: np.ndarray
     pi_accept_rate: float
-    mh_step_final: float
     hyper: HyperParams
     runtime_seconds: float = 0.0
 

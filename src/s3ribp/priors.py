@@ -71,15 +71,15 @@ class BinaryFeatureMatrix:
 
 def _check_weight_law(alpha, c, sigma, eps_trunc=None):
     """The (alpha, c, sigma) every member of the family needs: alpha > 0,
-    sigma in [0, 1), c > -sigma; and a truncation floor, if given, in (0, 1)."""
+    sigma in [0, 1), c > -sigma; and a weight floor, if given, in (0, PI_CEILING]."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= sigma < 1.0:
         raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
     if not c > -sigma:
         raise DomainError(f"c must exceed -sigma, got c={c}, sigma={sigma}")
-    if eps_trunc is not None and not 0.0 < eps_trunc < 1.0:
-        raise DomainError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
+    if eps_trunc is not None and not 0.0 < eps_trunc <= PI_CEILING:
+        raise DomainError(f"eps_trunc must lie in (0, PI_CEILING = {PI_CEILING!r}], got {eps_trunc!r}")
 
 
 def new_dish_rate(alpha, c, sigma, n):

@@ -207,13 +207,15 @@ def batch_se(x, n_batches=200):
     return means.std(ddof=1) / np.sqrt(n_batches)
 
 
-def geweke_gaps(hp, n_rows, n_cols, steps, stats_of, names, seeds):
+def geweke_gaps(hp, n_rows, n_cols, steps, stats_of, names, seeds, mask=None):
     """Geweke's joint-distribution test of the kernel (Geweke 2004, JASA).
 
     The marginal-conditional side is ``steps`` independent prior draws; the
     successive-conditional side starts at an exact prior draw and alternates
     kernel steps with data refreshes, so it is stationary from step one and
-    every step contributes.  ``stats_of(alpha, pi, z, b)`` gives the named
+    every step contributes.  The chain runs with the held-out ``mask`` (None
+    holds nothing out); a refresh redraws every cell, and the kernel reads
+    only the observed ones.  ``stats_of(alpha, pi, z, b)`` gives the named
     statistics.  Returns, for each statistic at powers 1 and 2, the gap of
     the two sides' means in standard errors (batch means on the chain's
     side), as (label, gap) pairs.
@@ -225,7 +227,7 @@ def geweke_gaps(hp, n_rows, n_cols, steps, stats_of, names, seeds):
     x0 = srng.poisson(z0.astype(np.float64) @ b0)
     runner = ChainRunner(
         CountMatrix.from_dense(x0),
-        None,
+        mask,
         ChainConfig(hyper=hp),
         state=LatentState(z=z0, b=b0, pi=pi0, alpha=alpha0),
     )
@@ -259,7 +261,6 @@ class TestCriterion5Geweke:
         eps_trunc=1e-4,
         alpha_b=0.5,
         mu_b=1.0,
-        mh_step=1.0,
     )
     STEPS = 100_000
 
@@ -283,6 +284,48 @@ class TestCriterion5Geweke:
         assert elapsed < 600.0
 
 
+# 16 of criterion 5's 40 cells: all of row 2, and 11 more
+GEWEKE_HELD_OUT = [(2, d) for d in range(5)] + [
+    (0, 1), (0, 4), (1, 0), (3, 3), (4, 1), (4, 2), (5, 0), (5, 4), (6, 2), (7, 0), (7, 3)
+]
+
+
+class TestGewekeCorners:
+    """Criterion 5's Geweke test where criterion 5 does not run: under a
+    held-out mask, which every eval fold runs with and which the B draw's
+    activity (``_held.T @ z``) and the Z sweep's observed mass read, and at
+    c + sigma < 1, where the atom weights' sampler uses its two-piece
+    envelope.  It reads mean log pi as well."""
+
+    STEPS = 30_000
+
+    @staticmethod
+    def stats_of(alpha, pi, z, b):
+        return (float(z.any(axis=0).sum()), float(z.sum()), float(b.mean()), float(np.log(pi).mean()))
+
+    @pytest.mark.parametrize(
+        "hp, mask, seeds",
+        [
+            (
+                TestCriterion5Geweke.HP,
+                ObservationMask(GEWEKE_HELD_OUT, TestCriterion5Geweke.N, TestCriterion5Geweke.D),
+                (621, 622),
+            ),
+            (TestCriterion5Geweke.HP.replace(c=0.2, sigma=0.3), None, (631, 632)),
+        ],
+        ids=["masked", "c-plus-sigma-below-1"],
+    )
+    def test_successive_matches_marginal(self, hp, mask, seeds):
+        t0 = time.monotonic()
+        names = ("K+", "sum Z", "mean B", "mean log pi")
+        n, d = TestCriterion5Geweke.N, TestCriterion5Geweke.D
+        gaps = geweke_gaps(hp, n, d, self.STEPS, self.stats_of, names, seeds, mask=mask)
+        elapsed = time.monotonic() - t0
+        worst = max(gap for _, gap in gaps)
+        assert worst < 3.0, ", ".join(f"{name} {gap:.2f}" for name, gap in gaps)
+        assert elapsed < 300.0
+
+
 def test_criterion_6_prior_restoration_without_observations():
     hp = HyperParams(
         seed=16,
@@ -297,7 +340,6 @@ def test_criterion_6_prior_restoration_without_observations():
         eps_trunc=1e-4,
         alpha_b=0.5,
         mu_b=1.0,
-        mh_step=1.0,
     )
     n_rows, n_cols = 10, 4
     data = CountMatrix.from_dense(np.zeros((n_rows, n_cols), dtype=np.int64))

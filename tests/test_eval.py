@@ -870,6 +870,17 @@ class TestEvaluateFolds:
         with pytest.raises(DomainError):
             evaluate_folds(data, [], ChainConfig(hyper=tiny_hyper()))
 
+    def test_every_mask_is_checked_before_the_first_chain(self, rng, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_chain", lambda *a, **k: pytest.fail("a chain ran before the check"))
+        data = CountMatrix.from_dense(rng.poisson(2.0, size=(6, 4)))
+        good = ObservationMask([(0, 0), (5, 3)], 6, 4)
+        for masks, message in (
+            ([ObservationMask.none_held_out(6, 4), good], "fold 0's mask holds nothing out"),
+            ([good, good, ObservationMask([(0, 0)], 4, 6)], "fold 2's mask is 4x6, the data 6x4"),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}"):
+                evaluate_folds(data, masks, ChainConfig(hyper=tiny_hyper()), top_m=2, qq_draws=2)
+
     def test_training_cells_score_no_worse_than_held_out(self, rng):
         # in-sample predictive perplexity should not exceed held-out
         # perplexity by any real margin on block-structured data

@@ -18,6 +18,7 @@ from s3ribp import (
     CountMatrix,
     DomainError,
     HyperParams,
+    PI_CEILING,
     ParseError,
     PosteriorSummary,
     RunConfig,
@@ -561,6 +562,15 @@ class TestMakeSplits:
         with pytest.raises(DomainError, match="no training cells"):
             make_splits(data, 0.999, 1, seed=0)
 
+    def test_seed_is_a_64_bit_unsigned_integer(self):
+        # the chain's seed rule, at both ends
+        data = CountMatrix.from_dense(np.ones((4, 4), dtype=int))
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
+                make_splits(data, 0.1, 1, seed)
+        for seed in (0, 2**64 - 1):
+            assert make_splits(data, 0.1, 1, seed)[0].n_held_out == 2
+
 
 class TestRunConfig:
     def test_json_round_trip(self):
@@ -655,10 +665,12 @@ class TestSummarySerialization:
     def test_unknown_schema_rejected(self, summary, tmp_path):
         save_summary(summary, tmp_path / "s.bin")
         arrays, meta = read_records(tmp_path / "s.bin")
-        # schema 1 also stored burn_in, thin and seed beside the hyperparameters
-        write_records(tmp_path / "x.bin", arrays, {**meta, "schema_version": 1})
-        with pytest.raises(ParseError, match="not a posterior summary file of schema 2"):
-            load_summary(tmp_path / "x.bin")
+        # schema 1 also stored burn_in, thin and seed beside the hyperparameters,
+        # schema 2 the chain's final MH step and the mh_step setting in them
+        for old in (1, 2):
+            write_records(tmp_path / "x.bin", arrays, {**meta, "schema_version": old})
+            with pytest.raises(ParseError, match="not a posterior summary file of schema 3"):
+                load_summary(tmp_path / "x.bin")
 
 
 GOOD_SPEC = {"dtype": "<f8", "offset": 0, "nbytes": 8, "shape": [1]}
@@ -966,6 +978,11 @@ class TestCliErrors:
         assert cli_dispatch(["fit", "--data", "x", "--out", "o", "--bogus", "1"]) == 2
         capsys.readouterr()
 
+    def test_mh_step_is_no_flag(self, capsys):
+        # the chain tunes its own step from one start
+        assert cli_dispatch(["fit", "--data", "x", "--out", "o", "--mh-step", "1"]) == 2
+        assert "--mh-step" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert cli_dispatch(["--version"]) == 0
         assert "s3ribp" in capsys.readouterr().out
@@ -1141,6 +1158,11 @@ class TestCliRunConfig:
             ("generate", ["--rows", "0"], "--rows 0 is less than 1"),
             ("generate", ["--prior", "s3r", "--alpha", "2"], "--alpha sets only the ibp and 3p priors; s3r draws no alpha"),
             ("fit", ["--checkpoint-interval", "-2"], "--checkpoint-interval -2 is negative"),
+            (
+                "fit",
+                ["--eps-trunc", "0.9999999999999995"],
+                f"eps_trunc must lie in (0, PI_CEILING = {PI_CEILING!r}], got {1 - 5e-16!r}",
+            ),
             ("eval", ["--draws", "0"], "--draws 0 is less than 1"),
             ("eval", ["--top-m", "0"], "--top-m 0 is less than 1"),
             ("eval", ["--holdout", "0.999"], "hold-out fraction leaves no training cells"),
@@ -1154,6 +1176,7 @@ class TestCliRunConfig:
             "generate-rows",
             "generate-s3r-alpha",
             "fit-checkpoint-interval",
+            "fit-eps-trunc-above-the-ceiling",
             "eval-draws",
             "eval-top-m",
             "eval-holdout",

@@ -4,6 +4,7 @@ Stage tests start a ChainRunner at a chosen state (``state=``) and call
 one stage method at a time, so they check the code that ``fit`` runs.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -91,7 +92,6 @@ def make_summary(z_samples, b_samples):
         z_mean=z_samples.mean(axis=0),
         b_mean=b_samples.mean(axis=0),
         pi_accept_rate=0.3,
-        mh_step_final=0.5,
         hyper=tiny_hyper(),
         runtime_seconds=0.0,
     )
@@ -334,7 +334,6 @@ class TestMhUpdatePi:
             c=1.0,
             sigma=0.5,
             eps_trunc=0.01,
-            mh_step=2.0,
         )
         hp = runner.config.hyper
         kept = []
@@ -348,8 +347,9 @@ class TestMhUpdatePi:
     def test_rejects_proposals_outside_support(self, rng):
         # a huge step makes most proposals leave [eps, ceiling]; they must
         # be rejected without moving the atom
-        hp = tiny_hyper(eps_trunc=0.2, mh_step=80.0)
+        hp = tiny_hyper(eps_trunc=0.2)
         runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=hp))
+        runner._step = 80.0
         for _ in range(50):
             runner._mh_pi_internal()
             assert np.all(runner.pi >= hp.eps_trunc)
@@ -362,8 +362,9 @@ class TestMhUpdatePi:
         # step falls by 0.7x per window, and no lower than _STEP_MIN (raised
         # here to 20 so that the floor is reached in two windows)
         monkeypatch.setattr(mcmc, "_STEP_MIN", 20.0)
-        hp = tiny_hyper(mh_step=40.0, burn_in=300)
+        hp = tiny_hyper(burn_in=300)
         runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=hp))
+        runner._step = 40.0
         for want in (40.0 * 0.7, 20.0, 20.0):
             for _ in range(99):
                 runner.step_once()
@@ -372,6 +373,35 @@ class TestMhUpdatePi:
             runner.step_once()
             assert runner._step == want
             assert runner._win_acc == 0
+
+    def test_every_chain_starts_at_one_step(self, rng):
+        # the step is the chain's state, not a setting: no HyperParams field
+        # sets it, and a summary stores no final step
+        assert mcmc._STEP_START == 0.5
+        assert ChainRunner(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper()))._step == 0.5
+        assert len(dataclasses.fields(HyperParams)) == 14
+        assert len(dataclasses.fields(PosteriorSummary)) == 10
+        assert mcmc._CHAIN_SCALARS == ("iteration", "alpha", "step", "win_acc", "runtime", "n_retained")
+        with pytest.raises(TypeError):
+            HyperParams(mh_step=1.0)
+        with pytest.raises(DomainError, match="mh_step"):
+            HyperParams.from_dict({"mh_step": 1.0})
+
+    @pytest.mark.parametrize("burn_in", [0, 150, 200])
+    def test_accept_rate_counts_the_retained_kernel_only(self, rng, burn_in):
+        # the window counter closes at the end of burn-in, mid-window (150)
+        # or on a window's end (200), so the summary's rate counts the
+        # accepts of the iterations after burn-in and no others
+        hp = tiny_hyper(burn_in=burn_in, n_samples=30)
+        runner = ChainRunner(tiny_data(rng), None, ChainConfig(hyper=hp))
+        moved = 0
+        while runner.iteration < burn_in + hp.n_samples:
+            before = runner.pi.copy()
+            runner.step_once()
+            runner._maybe_retain()
+            if runner.iteration > burn_in:
+                moved += int((runner.pi != before).sum())
+        assert runner.summary().pi_accept_rate == moved / (hp.k_max * hp.n_samples)
 
 
 class TestGibbsUpdateB:
@@ -524,8 +554,8 @@ def log_uniform(lo, hi):
 # the sha256 of a short fixed-seed fit's summary file and of the meta chain
 # fitted on it, so a change to any stage's draws or to their order shows here
 FIXED_SEED_SUMMARIES = {
-    "fit": "1d3adc7602382e968eab259da0c6cd4505f5e1df62dc208060db790cd054584b",
-    "meta": "90fc093b70e68a1e01014c143b5e3c1f1a8c20d7eea9bd0f3e4e1f469dc9384c",
+    "fit": "56367707c664acdb75ade0bc157a2f35b5392280d9ea2829ab4191a26e8d8074",
+    "meta": "b9e5696c6661344a5e787d19c51c317af65b4dad0ac7f9fd9517e7edf811f834",
 }
 
 
@@ -534,12 +564,12 @@ class TestChainRunner:
     # acceptance 1.8e-8 under the power-law proposal alone
     @example(
         c_plus_sigma=30.46, sigma=0.19, eps=0.398, k_max=20, shape=1.0, scale=1.0,
-        nb_r=1.0, nb_p=0.1, alpha_b=0.01, mu_b=1.0, mh_step=0.5, seed=0, n=11, d=8,
+        nb_r=1.0, nb_p=0.1, alpha_b=0.01, mu_b=1.0, seed=0, n=11, d=8,
     )
     # eps^-sigma rounds to 1, so a plain power-law inverse CDF returns 1
     @example(
         c_plus_sigma=2.08, sigma=5.8e-127, eps=2.4e-9, k_max=15, shape=1.0, scale=1.9,
-        nb_r=1.0, nb_p=0.65, alpha_b=5.4, mu_b=16.7, mh_step=0.5, seed=0, n=1, d=1,
+        nb_r=1.0, nb_p=0.65, alpha_b=5.4, mu_b=16.7, seed=0, n=1, d=1,
     )
     @given(
         c_plus_sigma=log_uniform(1e-3, 500.0),
@@ -552,13 +582,12 @@ class TestChainRunner:
         nb_p=st.floats(0.01, 0.99),
         alpha_b=log_uniform(1e-3, 1e2),
         mu_b=log_uniform(1e-2, 1e2),
-        mh_step=log_uniform(1e-2, 10.0),
         seed=st.integers(0, 2**64 - 1),
         n=st.integers(1, 11),
         d=st.integers(1, 8),
     )
     def test_every_accepted_configuration_runs(
-        self, c_plus_sigma, sigma, eps, k_max, shape, scale, nb_r, nb_p, alpha_b, mu_b, mh_step, seed, n, d
+        self, c_plus_sigma, sigma, eps, k_max, shape, scale, nb_r, nb_p, alpha_b, mu_b, seed, n, d
     ):
         try:
             hp = HyperParams(
@@ -572,7 +601,6 @@ class TestChainRunner:
                 mu_b=mu_b,
                 k_max=k_max,
                 eps_trunc=eps,
-                mh_step=mh_step,
                 burn_in=5,
                 n_samples=3,
                 seed=seed,
@@ -728,6 +756,11 @@ class TestChainRunner:
         runner = runner_at([[1, 2], [3, 0]], [[1, 0], [0, 1]], np.ones((2, 2)), [1e-3, PI_CEILING], eps_trunc=1e-3)
         runner.step_once()
 
+    def test_a_chain_runs_with_its_floor_at_the_ceiling(self, rng):
+        # the largest floor HyperParams accepts leaves the weights one point
+        summary = run_chain(tiny_data(rng), None, ChainConfig(hyper=tiny_hyper(eps_trunc=PI_CEILING)))
+        assert np.all(summary.pi_samples == PI_CEILING)
+
     def test_start_state_summary_is_pinned(self, tmp_path):
         # the sha256 of a summary from a fixed start state, so a change to
         # how a given state starts a chain that moves a draw shows here
@@ -739,7 +772,7 @@ class TestChainRunner:
         config = ChainConfig(hyper=tiny_hyper(k_max=4, burn_in=10, n_samples=5, seed=3))
         save_summary(ChainRunner(CountMatrix.from_dense(x), None, config, state=state).run(), tmp_path / "s.bin")
         digest = hashlib.sha256((tmp_path / "s.bin").read_bytes()).hexdigest()
-        assert digest == "d9729a5b03714d239590130b3ecee0bceb6dc9151624c0f7a9da54b27ddb35e2"
+        assert digest == "3411afb648ec3186019f1e8ce2ca6c45a1052822e231aa50e1abbcf768c93a66"
 
     def test_set_data_counts_swaps_and_validates(self, rng):
         data = tiny_data(rng)
@@ -784,7 +817,7 @@ class TestCheckpointing:
             runner.step_once()
         runner.save_checkpoint(path)
         _, meta = read_records(path)
-        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 7
+        assert meta["schema_version"] == CHECKPOINT_SCHEMA == 8
         assert meta["hyper"] == hp.to_dict() and meta["hyper_digest"] == hp.digest()
         # the chain's state holds no file path
         assert meta["checkpoint_interval"] == 0
@@ -840,9 +873,10 @@ class TestCheckpointing:
         # schema 2 stored the aux split, schema 3 named the retained draws
         # ret_*, schema 4 stored the mask's cells, schema 5 the chain config
         # with its checkpoint path and schema 6 the pi stage's proposal
-        # counts; a schema-7 reader reads none of them
+        # counts, schema 7 a second accept counter; a schema-8 reader reads
+        # none of them
         path = str(tmp_path / "old.bin")
-        for old in (1, 2, 3, 4, 5, 6):
+        for old in (1, 2, 3, 4, 5, 6, 7):
             write_records(path, {"z": np.zeros((1, 1), np.int8)}, {"kind": "chain-checkpoint", "schema_version": old})
             with pytest.raises(CheckpointError, match=f"schema {old}"):
                 ChainRunner.from_checkpoint(path, tiny_data(rng))

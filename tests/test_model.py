@@ -260,8 +260,9 @@ class TestHyperParams:
             ({"sigma": -0.1}, r"sigma must lie in \[0, 1\), got -0\.1"),
             ({"c": -0.5, "sigma": 0.25}, r"c must exceed -sigma, got c=-0\.5, sigma=0\.25"),
             ({"c": -0.25, "sigma": 0.25}, r"c must exceed -sigma"),
-            ({"eps_trunc": 0.0}, r"eps_trunc must lie in \(0, 1\), got 0\.0"),
-            ({"eps_trunc": 1.0}, r"eps_trunc must lie in \(0, 1\), got 1\.0"),
+            ({"eps_trunc": 0.0}, r"eps_trunc must lie in \(0, PI_CEILING = 0\.999999999999999\], got 0\.0"),
+            ({"eps_trunc": 1 - 5e-16}, r"eps_trunc must lie in \(0, PI_CEILING = 0\.999999999999999\], got 0\.9+4"),
+            ({"eps_trunc": 1.0}, r"eps_trunc must lie in \(0, PI_CEILING = 0\.999999999999999\], got 1\.0"),
             ({"c": float("nan")}, r"c must exceed -sigma"),
         ):
             with pytest.raises(DomainError, match=message):
@@ -447,7 +448,6 @@ class TestPosteriorSummary:
             z_mean=z.mean(axis=0),
             b_mean=b.mean(axis=0),
             pi_accept_rate=0.3,
-            mh_step_final=0.5,
             hyper=HyperParams(k_max=2),
         )
 

@@ -42,7 +42,6 @@ NO_DATA_HP = dict(
     eps_trunc=1e-4,
     alpha_b=0.5,
     mu_b=1.0,
-    mh_step=1.0,
 )
 
 

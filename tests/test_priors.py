@@ -362,6 +362,17 @@ class TestSamplePiTruncated:
         with pytest.raises(DomainError):
             sample_pi_truncated(1.0, 0.0, 5, 1.5, rng)
 
+    def test_floor_above_the_ceiling_is_refused(self, rng):
+        # the weights live on [eps_trunc, PI_CEILING], which is empty here:
+        # the sampler would clip every draw to PI_CEILING, below the floor
+        eps = 1 - 5e-16
+        assert PI_CEILING < eps < 1.0
+        with pytest.raises(DomainError, match="^eps_trunc must lie in"):
+            HyperParams(c=1.0, sigma=0.25, eps_trunc=eps)
+        with pytest.raises(DomainError, match="^eps_trunc must lie in"):
+            sample_pi_truncated(1.0, 0.25, 5, eps, rng)
+        np.testing.assert_array_equal(sample_pi_truncated(1.0, 0.25, 5, PI_CEILING, rng), PI_CEILING)
+
 
 class TestSample3RIBP:
     def hp(self, **kw):
