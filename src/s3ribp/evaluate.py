@@ -104,13 +104,13 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
     keep = np.isin(data.cols, union)
     present = np.zeros((data.n_rows, union.size))
     present[data.rows[keep], np.searchsorted(union, data.cols[keep])] = 1.0
+    # the pairs (m, l), l < m, row by row; every feature has min(top_m, D) columns
+    m, l = np.tril_indices(len(top[0][1]), -1)
     scores = []
     for _, cols in top:
         # co[i, j]: rows with a count in both top columns i and j, so co[l, l] = D(v_l)
         here = present[:, np.searchsorted(union, cols)]
         co = here.T @ here
-        # the pairs (m, l), l < m, row by row
-        m, l = np.tril_indices(len(cols), -1)
         d_l = co[l, l]
         total = 0.0
         for ratio in (co[m, l][d_l > 0] + 1.0) / d_l[d_l > 0]:
@@ -121,7 +121,9 @@ def umass_coherence(b_mean, data, top_m=10, live=None):
 
 # A qq table whose replicate expects at most N * D times this many units
 # (a retained sample's Poisson units, the baseline's proposals) takes the
-# unit path; a unit costs about ten cells' draws.
+# unit path.  At this boundary a unit costs about 45-65 cells' draws (one
+# Xeon core, numpy 2.4: a replicate took 0.63 ms by cells and 1.8 by units at
+# 900 x 600, K = 20, and 0.11 against 0.44 at 130 x 800, K = 50).
 _UNIT_SHARE = 1 / 16
 
 
@@ -138,13 +140,22 @@ def _replicate_qq(data, n_draws, replicates):
 
 
 def _cell_replicates(p, reps, rng):
-    """reps replicates' per-row non-zero counts, one at a time: cell (n, d) is
-    non-zero iff its uniform (one N x D block each, 17 bytes a cell with p) < p[n, d].
-    A row's hits are summed as bytes in the smallest unsigned type holding D."""
-    u, hit = np.empty(p.shape), np.empty(p.shape, dtype=bool)
+    """reps replicates' per-row non-zero counts, one at a time.  p is turned
+    once into 16-bit thresholds t = min(floor(65536 p), 65535).  A replicate
+    draws one 16-bit word r per cell, four to a ``random_raw`` draw read as
+    little-endian fields (so fixed-seed output does not depend on the host);
+    cell (n, d) is non-zero iff r < t, or r == t and a uniform, drawn after
+    the words in cell order, is below 65536 p - t: probability exactly p.
+    13 bytes a cell with p.  A row's hits are summed as bytes in the smallest
+    unsigned type holding D."""
+    t, hit = np.minimum(p * 65536.0, 65535.0).astype(np.uint16), np.empty(p.shape, dtype=bool)
     count_type = np.min_scalar_type(p.shape[1])
     for _ in range(reps):
-        np.less(rng.random(out=u), p, out=hit)
+        raw = rng.bit_generator.random_raw(-(-p.size // 4)).astype("<u8", copy=False)
+        r = raw.view("<u2")[: p.size].reshape(p.shape)
+        ties = np.flatnonzero(np.equal(r, t, out=hit))
+        np.less(r, t, out=hit)
+        hit.flat[ties] = rng.random(ties.size) < p.flat[ties] * 65536.0 - t.flat[ties]
         yield np.add.reduce(hit.view(np.uint8), axis=1, dtype=count_type)
 
 
@@ -202,8 +213,10 @@ def qq_row_nonzeros(summary, data, n_draws, rng):
     each at a retained sample, all drawn first.  Each distinct sample serves
     its replicates in turn, ascending: by the unit path if it expects at most
     N * D * ``_UNIT_SHARE`` (1/16) units (sum_k m_k beta_k, m_k rows holding
-    feature k), else by the cell path, its 1 - exp(-lam) built once.  A
-    summary fitted on a matrix of another shape is a DomainError."""
+    feature k), else by the cell path: its 1 - exp(-lam) and their 16-bit
+    thresholds built once, then one 16-bit word per cell and one uniform per
+    tie each replicate (``_cell_replicates``, 13 bytes a cell).  A summary
+    fitted on a matrix of another shape is a DomainError."""
     _check_fitted_shape(summary, (data.n_rows, data.n_cols))
     n_draws = _whole(n_draws, "n_draws", 1)
     picks = rng.integers(summary.n_samples, size=n_draws)
@@ -239,7 +252,9 @@ def binomial_baseline_qq(data, n_draws, rng):
     never on a sure cell (``_unit_replicates``).  A cell's kept units are
     then Poisson(-log1p(-p_nd)), so it is non-zero with probability p_nd
     (thinning; Lewis & Shedler 1979).  Otherwise the cell path builds the
-    N x D probabilities once and draws one uniform per cell each replicate.
+    N x D probabilities and their 16-bit thresholds once and draws one 16-bit
+    word per cell and one uniform per tie each replicate
+    (``_cell_replicates``, 13 bytes a cell).
     """
     n_draws = _whole(n_draws, "n_draws", 1)
     k_n = np.bincount(data.rows, minlength=data.n_rows)

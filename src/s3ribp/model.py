@@ -98,8 +98,9 @@ def _whole(values, name, least=0, most=None):
 
 
 def _check_seed(seed, name):
-    """A DomainError naming ``name`` unless ``seed`` is a 64-bit unsigned integer."""
-    if not 0 <= seed < 2**64:
+    """A DomainError naming ``name`` unless ``seed`` is a 64-bit unsigned
+    integer; an integral float passes, a bool does not."""
+    if isinstance(seed, (bool, np.bool_)) or not (0 <= seed < 2**64 and seed % 1 == 0):
         raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
 
 

@@ -304,6 +304,29 @@ def path_counts(path, z, b, n_draws, rng):
     return np.array(list(_cell_replicates(-np.expm1(-(z @ b)), n_draws, rng)))
 
 
+def cell_words(gen, shape):
+    """The 16-bit words of one cell-path replicate in cell order: four to a
+    64-bit draw of ``gen``, least significant field first."""
+    n = math.prod(shape)
+    raw = gen.bit_generator.random_raw(-(-n // 4)).tolist()
+    return np.array([(w >> (16 * i)) & 0xFFFF for w in raw for i in range(4)][:n]).reshape(shape)
+
+
+def cell_replicate_oracle(p, gen):
+    """One cell-path replicate written cell by cell: a word r per cell, hit
+    iff r < t = min(floor(65536 p), 65535), then one uniform per tie (r == t)
+    in row-major order, hit iff below 65536 p - t.  Returns the per-row
+    non-zero counts and the number of ties."""
+    scaled = p * 65536.0
+    t = np.minimum(np.floor(scaled), 65535.0)
+    r = cell_words(gen, p.shape)
+    hit = r < t
+    ties = np.argwhere(r == t)
+    for (n, d), u in zip(ties, gen.random(len(ties))):
+        hit[n, d] = u < scaled[n, d] - t[n, d]
+    return np.count_nonzero(hit, axis=1), len(ties)
+
+
 def count_path_calls(monkeypatch):
     """Count the replicates each path's helper is asked for, by path name."""
     calls = {"unit": 0, "cell": 0}
@@ -454,24 +477,54 @@ class TestQQRowNonzeros:
         assert np.all(counts[:, 1:] == 0)
         assert 0 < counts[:, 0].mean() < 3
 
-    def test_one_integer_and_one_uniform_per_cell_each_replicate(self, rng):
+    def test_one_integer_then_a_word_per_cell_and_a_uniform_per_tie(self, rng):
         # every sample index first, then per distinct sample in ascending
-        # order: P(Poisson(lam) > 0) = -expm1(-lam) built once, tested
-        # against one N x D uniform array per replicate
-        z = rng.integers(0, 2, size=(3, 5, 2))
-        b = rng.gamma(1.0, 0.5, size=(3, 2, 4))
+        # order: P(Poisson(lam) > 0) = -expm1(-lam) built once, then per
+        # replicate one 16-bit word per cell and one uniform per tie.  The
+        # first replicate's sample has an identity Z and loadings set from
+        # the words a copy of the generator draws for it, each cell at
+        # p = (r + 1/2) / 65536, so every cell of that replicate ties
+        z = rng.integers(0, 2, size=(3, 5, 5))
+        b = rng.gamma(1.0, 0.5, size=(3, 5, 4))
+        ahead = np.random.default_rng(4)
+        first = int(ahead.integers(3, size=30).min())
+        z[first] = np.eye(5, dtype=np.int64)
+        b[first] = -np.log1p(-(cell_words(ahead, (5, 4)) + 0.5) / 65536)
         summary = make_summary(z, b)
         data = CountMatrix.from_dense(rng.poisson(1.0, size=(5, 4)))
         got = qq_row_nonzeros(summary, data, 30, np.random.default_rng(4))
         gen = np.random.default_rng(4)
         picks = gen.integers(3, size=30)
-        acc = np.zeros(5)
+        acc, ties = np.zeros(5), []
         for s in np.unique(picks):
             lam = z[s].astype(np.float64) @ b[s]
             assert lam.sum() > lam.size / 16
             for _ in range(int(np.sum(picks == s))):
-                acc += np.sort(np.count_nonzero(gen.random(lam.shape) < -np.expm1(-lam), axis=1))
+                counts, n_ties = cell_replicate_oracle(-np.expm1(-lam), gen)
+                acc += np.sort(counts)
+                ties.append(n_ties)
+        assert ties[0] == 20
         np.testing.assert_array_equal([p[1] for p in got], acc / 30)
+
+    def test_cell_path_cells_are_non_zero_with_their_probability(self):
+        # 3 * 2^-20 lies below the first threshold, so only a tie can hit;
+        # 12345 / 65536 is a threshold with nothing left for its ties; 0 and
+        # 1 - 2^-20 and 1 are the ends.  One row per probability, 2,048
+        # cells each, so a row counts Binomial(2048, p) ...
+        probs = np.array([0.0, 1.0, 3 * 2.0**-20, 12345 / 65536, 1 - 2.0**-20])
+        n_cols, n_draws = 2048, 10_000
+        gen = np.random.default_rng(29)
+        counts = np.array(list(_cell_replicates(np.repeat(probs[:, None], n_cols, axis=1), n_draws, gen)))
+        assert counts[:, 0].max() == 0 and counts[:, 1].min() == n_cols
+        se = np.sqrt(n_cols * probs * (1.0 - probs) / n_draws)
+        assert np.all(np.abs(counts.mean(axis=0) - n_cols * probs) <= 4.0 * se + 1e-12), counts.mean(axis=0)
+        # ... and a row of the five cells counts by their Poisson-binomial law
+        counts = np.array(list(_cell_replicates(probs[None, :], n_draws, gen)))[:, 0]
+        pmf = poisson_binomial_pmf(probs)
+        freq = np.bincount(counts, minlength=pmf.size) / n_draws
+        assert freq.size == pmf.size
+        se = np.sqrt(pmf * (1.0 - pmf) / n_draws)
+        assert np.all(np.abs(freq - pmf) <= 4.0 * se + 1e-12), (freq, pmf)
 
     def test_one_poisson_per_active_pair_and_one_uniform_per_unit_each_replicate(self, rng):
         # a sparse 12 x 40 summary: every sample takes the unit path
@@ -529,8 +582,9 @@ for _n, _d in ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (5, 7)):
 
 class TestBinomialBaselineQQ:
     def test_dense_matrix_takes_the_cell_path_bit_for_bit(self):
-        # one N x D uniform block per replicate against min(1, k_n k_d / W);
-        # the full first row and column make some cells sure
+        # per replicate one 16-bit word per cell against the thresholds of
+        # min(1, k_n k_d / W), then one uniform per tie; the full first row
+        # and column make some cells sure, which a tie's uniform always hits
         x = np.random.default_rng(8).poisson(1.0, size=(7, 9))
         x[0, :] = x[:, 0] = 1
         p, sure, _, proposals = baseline_law(x)
@@ -539,7 +593,7 @@ class TestBinomialBaselineQQ:
         gen = np.random.default_rng(6)
         acc = np.zeros(7)
         for _ in range(40):
-            acc += np.sort(np.count_nonzero(gen.random(p.shape) < p, axis=1))
+            acc += np.sort(cell_replicate_oracle(p, gen)[0])
         np.testing.assert_array_equal([q for _, q in got], acc / 40)
 
     def test_unit_path_row_counts_follow_the_poisson_binomial_law(self, monkeypatch):

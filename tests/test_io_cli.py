@@ -571,6 +571,14 @@ class TestMakeSplits:
         for seed in (0, 2**64 - 1):
             assert make_splits(data, 0.1, 1, seed)[0].n_held_out == 2
 
+    def test_seed_that_is_a_fraction_or_a_bool_is_refused(self):
+        # not read as seed 1 through int(seed); an integral float still passes
+        data = CountMatrix.from_dense(np.ones((4, 4), dtype=int))
+        for seed in (1.5, True, np.True_):
+            with pytest.raises(DomainError, match=f"^seed must be a 64-bit unsigned integer, got {seed}$"):
+                make_splits(data, 0.25, 1, seed)
+        assert make_splits(data, 0.25, 1, 1.0)[0].digest() == make_splits(data, 0.25, 1, 1)[0].digest()
+
 
 class TestRunConfig:
     def test_json_round_trip(self):
